@@ -2,38 +2,44 @@
 Single-precision translation error
 ==================================
 
-Runs the timestamp-translation formulas through the float32 emulator in both
+Runs the two-point estimator through the float32 emulator in both
 rounding modes and shows how the resulting slope error epsilon_alpha turns
 into a translation error psi(T) = epsilon_alpha * T + epsilon_beta that grows
 linearly with the local timestamp.
 """
 
+from synclab.estimators import TimestampPair, interpolate_params
 from synclab.precision import (
     CHOP,
     MACHINE_EPS32,
     NEAREST,
+    Float32Emu,
     PrecisionLoss,
+    convert_timestamps,
     empirical_loss,
-    eval32,
-    eval64,
-    formula_names,
     psi_error,
 )
-
-print("registered translation formulas:", ", ".join(formula_names()))
 
 # -- one anchored two-point estimate, fp64 vs fp32 in both modes -------------
 # timestamps in 1 us ticks: anchor (0, 0), second pair ~17.9 min later with
 # the child 127 ticks ahead; the child value is not representable in fp32
-args = (0.0, 0.0, 2.0**30 + 127.0, 2.0**30)
-print("\ninterpolated (ratio, offset) from pairs (0, 0) and (2^30+127, 2^30):")
-print("  fp64         :", eval64("interp-params", *args))
-print("  fp32 nearest :", eval32("interp-params", *args, mode=NEAREST))
-print("  fp32 chop    :", eval32("interp-params", *args, mode=CHOP))
+pairs = (TimestampPair(0.0, 0.0), TimestampPair(2.0**30 + 127.0, 2.0**30))
+
+
+def interpolate_at(number):
+    """interpolate_params on the two pairs with every timestamp as ``number``."""
+    params = interpolate_params(*(convert_timestamps(p, number) for p in pairs))
+    return params.ratio, params.offset
+
+
+print("interpolated (ratio, offset) from pairs (0, 0) and (2^30+127, 2^30):")
+print("  fp64         :", interpolate_at(float))
+print("  fp32 nearest :", interpolate_at(lambda v: Float32Emu.from_number(v, NEAREST)))
+print("  fp32 chop    :", interpolate_at(lambda v: Float32Emu.from_number(v, CHOP)))
 
 # -- the loss is affine in the local timestamp --------------------------------
 for mode in (NEAREST, CHOP):
-    loss = empirical_loss("interp-params", *args, mode=mode)
+    loss = empirical_loss(interpolate_params, *pairs, mode=mode)
     print(
         f"\n{mode:7s}: eps_alpha = {loss.eps_alpha:+.3e} "
         f"({loss.eps_alpha / MACHINE_EPS32:+.4f} machine epsilons), "

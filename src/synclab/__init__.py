@@ -32,11 +32,7 @@ from .precision import (
     PrecisionOverflowError,
     decompose,
     empirical_loss,
-    eval32,
-    eval64,
-    formula_names,
     psi_error,
-    register_formula,
     round32,
 )
 from .estimators import (
@@ -53,16 +49,12 @@ from .estimators import (
     cumulative_params,
     cumulative_ratio,
     default_window,
-    eeascfr_update,
     interpolate_params,
     logical_time,
     lsq_fit,
     multihop_from_head,
     multihop_to_head,
     rate_corrected_advance,
-    ratio_estimate_cumulative,
-    rsp_estimate,
-    rsp_logical,
     translate_child_to_parent,
     translate_parent_to_child,
 )

@@ -605,7 +605,7 @@ def write_summary_json(path, summary: dict) -> None:
 
 def save_trace(path, trace: RunTrace) -> None:
     with open(path, "w") as fh:
-        json.dump(trace.to_dict(), fh)
+        json.dump(trace.to_dict(), fh, allow_nan=False)
         fh.write("\n")
 
 

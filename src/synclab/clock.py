@@ -59,7 +59,8 @@ class ClockParams:
     ``ratio`` is the dimensionless rate (1 + skew) and must be positive.
     ``offset`` is expressed in the same unit as the timestamps the params are
     applied to (nanoseconds for hardware clocks, ticks for estimates fitted
-    from tick-valued timestamp pairs).
+    from tick-valued timestamp pairs).  Params fitted at single precision
+    hold :class:`~synclab.precision.Float32Emu` values in both fields.
 
     Estimates fitted from noisy data may legitimately fall outside the
     crystal plausibility bound, so only positivity is enforced here; use
@@ -70,7 +71,7 @@ class ClockParams:
     offset: float
 
     def __post_init__(self) -> None:
-        if not self.ratio > 0.0:
+        if not float(self.ratio) > 0.0:
             raise ValueError(f"clock ratio must be positive, got {self.ratio!r}")
 
     @property
@@ -175,14 +176,6 @@ class HardwareClock:
     @property
     def drift(self) -> DriftModel:
         return self._drift
-
-    def phase_ns(self, t: SimTime) -> float:
-        """Unquantized local time in nanoseconds at simulation time ``t``.
-
-        Does not advance drift and does not count as a read; intended for
-        analysis and tests.
-        """
-        return self._anchor_phase + self._ratio * (t - self._anchor_t)
 
     def read(self, t: SimTime):
         """Local timestamp at simulation time ``t``.

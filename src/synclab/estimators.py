@@ -11,11 +11,11 @@ so the fitted :class:`~synclab.clock.ClockParams` describe the child clock
 as a function of parent time, and translating a child-local timestamp toward
 the head inverts that map layer by layer.
 
-Every formula is written over generic numbers: passing plain floats gives
-the 64-bit head-side arithmetic, passing :class:`~synclab.precision.Float32Emu`
-values reproduces the single-precision node-side arithmetic.  The scalar
-formulas are registered with :mod:`synclab.precision` for fidelity
-measurements.
+Each formula is written once, here, over generic numbers: plain floats (or
+integer ticks) give the 64-bit head-side arithmetic, and timestamps wrapped
+as :class:`~synclab.precision.Float32Emu` reproduce the single-precision
+node-side arithmetic operation by operation.  The node protocol and
+:func:`~synclab.precision.empirical_loss` call these same functions.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import precision
 from .clock import ClockParams
 
 
@@ -97,61 +96,47 @@ def _pairs_of(window) -> Sequence[TimestampPair]:
     return tuple(window)
 
 
+def _sum(terms: list):
+    """Sum as the number type at hand adds.
+
+    Plain ints and floats get the exactly rounded ``math.fsum``; any other
+    type (such as :class:`~synclab.precision.Float32Emu`) adds left to right
+    in its own arithmetic, one rounding per addition, as a node's loop adds.
+    """
+    if isinstance(terms[0], (int, float)):
+        return math.fsum(terms)
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
 def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
     """Least-squares affine fit of child timestamps on parent timestamps.
 
-    Computed through centered (mean-subtracted) sums with exact fp64
-    summation, not a literal normal-matrix inverse.  Needs at least two
-    pairs with distinct parent timestamps.
+    Computed through centered (mean-subtracted) sums, not a literal
+    normal-matrix inverse: exactly rounded sums in fp64, and with
+    :class:`~synclab.precision.Float32Emu` timestamps the left-to-right
+    sums of a node's single-precision loop.  Needs at least two pairs with
+    distinct parent timestamps.
     """
     pairs = _pairs_of(window)
     n = len(pairs)
     if n < 2:
         raise InsufficientDataError(f"least squares needs >= 2 pairs, got {n}")
-    xs = [float(p.t_parent) for p in pairs]
-    ys = [float(p.t_child) for p in pairs]
-    x_mean = math.fsum(xs) / n
-    y_mean = math.fsum(ys) / n
+    xs = [p.t_parent for p in pairs]
+    ys = [p.t_child for p in pairs]
+    x_mean = _sum(xs) / n
+    y_mean = _sum(ys) / n
     dxs = [x - x_mean for x in xs]
-    sxx = math.fsum(dx * dx for dx in dxs)
-    if sxx == 0.0:
-        raise SingularSystemError("all parent timestamps coincide")
-    sxy = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys))
-    ratio = sxy / sxx
-    if not ratio > 0.0:
-        raise EstimationError(f"fitted ratio {ratio!r} is not positive")
-    return ClockParams(ratio, y_mean - ratio * x_mean)
-
-
-def affine_fit_generic(xs: Sequence, ys: Sequence):
-    """Centered least squares over generic numbers.
-
-    Same math as :func:`lsq_fit` but expressed with plain arithmetic so it
-    can run under :class:`~synclab.precision.Float32Emu`.  Returns a
-    ``(ratio, offset)`` tuple of whatever number type the inputs use.
-    """
-    n = len(xs)
-    if n < 2 or len(ys) != n:
-        raise InsufficientDataError("generic fit needs two same-length vectors")
-    x_sum = xs[0]
-    y_sum = ys[0]
-    for x in xs[1:]:
-        x_sum = x_sum + x
-    for y in ys[1:]:
-        y_sum = y_sum + y
-    x_mean = x_sum / n
-    y_mean = y_sum / n
-    sxx = None
-    sxy = None
-    for x, y in zip(xs, ys):
-        dx = x - x_mean
-        dy = y - y_mean
-        sxx = dx * dx if sxx is None else sxx + dx * dx
-        sxy = dx * dy if sxy is None else sxy + dx * dy
+    sxx = _sum([dx * dx for dx in dxs])
     if float(sxx) == 0.0:
-        raise SingularSystemError("all regressor values coincide")
+        raise SingularSystemError("all parent timestamps coincide")
+    sxy = _sum([dx * (y - y_mean) for dx, y in zip(dxs, ys)])
     ratio = sxy / sxx
-    return ratio, y_mean - ratio * x_mean
+    if not float(ratio) > 0.0:
+        raise EstimationError(f"fitted ratio {float(ratio)!r} is not positive")
+    return ClockParams(ratio, y_mean - ratio * x_mean)
 
 
 def cumulative_ratio(initial: TimestampPair, latest: TimestampPair):
@@ -181,7 +166,7 @@ def cumulative_params(initial: TimestampPair, latest: TimestampPair) -> ClockPar
     ratio = (latest.t_child - initial.t_child) / dp
     if not float(ratio) > 0.0:
         raise EstimationError(f"cumulative ratio {float(ratio)!r} is not positive")
-    return ClockParams(float(ratio), float(initial.t_child - ratio * initial.t_parent))
+    return ClockParams(ratio, initial.t_child - ratio * initial.t_parent)
 
 
 def interpolate_params(prev: TimestampPair, cur: TimestampPair) -> ClockParams:
@@ -202,7 +187,7 @@ def interpolate_params(prev: TimestampPair, cur: TimestampPair) -> ClockParams:
     offset = (prev.t_child * cur.t_parent - prev.t_parent * cur.t_child) / dp
     if not float(ratio) > 0.0:
         raise EstimationError(f"interpolated ratio {float(ratio)!r} is not positive")
-    return ClockParams(float(ratio), float(offset))
+    return ClockParams(ratio, offset)
 
 
 def logical_time(params: ClockParams, local):
@@ -262,13 +247,6 @@ def multihop_from_head(layer_params: Sequence[ClockParams], t_reference):
     for params in layer_params:
         t = translate_parent_to_child(params, t)
     return t
-
-
-# interface aliases: the short names these estimators are known by
-ratio_estimate_cumulative = cumulative_ratio
-rsp_estimate = interpolate_params
-rsp_logical = logical_time
-eeascfr_update = rate_corrected_advance
 
 
 WINDOW_LSQ = "window-lsq"
@@ -390,28 +368,3 @@ class HeadEstimator:
         if params is None:
             return None
         return float(multihop_to_head(params, t_local))
-
-
-precision.register_formula(
-    "cumulative-ratio",
-    lambda c0, p0, c1, p1: (p1 - p0) / (c1 - c0),
-)
-precision.register_formula(
-    "interp-ratio",
-    lambda c0, p0, c1, p1: (c1 - c0) / (p1 - p0),
-)
-precision.register_formula(
-    "interp-offset",
-    lambda c0, p0, c1, p1: (c0 * p1 - p0 * c1) / (p1 - p0),
-)
-precision.register_formula(
-    "interp-params",
-    lambda c0, p0, c1, p1: ((c1 - c0) / (p1 - p0), (c0 * p1 - p0 * c1) / (p1 - p0)),
-)
-precision.register_formula("logical-time", lambda a, b, t: a * t + b)
-precision.register_formula(
-    "rate-corrected-advance",
-    lambda s, ln, lk, r: s + (ln - lk) / r,
-)
-precision.register_formula("translate-up", lambda a, b, t: (t - b) / a)
-precision.register_formula("translate-down", lambda a, b, t: a * t + b)

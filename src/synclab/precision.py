@@ -7,11 +7,13 @@ formulas in 64-bit floats.  This module provides
 * :func:`round32`: rounding of a 64-bit value into the single-precision grid
   under round-to-nearest-even or chop (round toward zero);
 * :class:`Float32Emu`: a number type whose every arithmetic operation rounds
-  its result to single precision in a chosen mode, so an estimator formula
-  written over ordinary numbers can be replayed at node fidelity;
+  its result to single precision in a chosen mode, so the estimator functions
+  of :mod:`synclab.estimators`, written over generic numbers, run at node
+  fidelity when handed :class:`Float32Emu` timestamps;
 * :class:`PrecisionLoss` and :func:`psi_error`: the affine model of the time
   translation error caused by finite precision, err(T) = eps_alpha * T +
-  eps_beta for a local timestamp T.
+  eps_beta for a local timestamp T, and :func:`empirical_loss`, which
+  measures it for one estimator on given timestamps.
 
 Loss sign convention: empirical losses are (low-precision value - exact
 value).  Under chop the magnitude of a rounded value never exceeds the exact
@@ -26,6 +28,9 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+
+from .clock import ClockParams
+from .estimators import TimestampPair
 
 MACHINE_EPS32 = 2.0 ** -23
 """Machine epsilon of the single-precision format (ulp of 1.0)."""
@@ -214,62 +219,30 @@ def psi_error(loss: PrecisionLoss, local_time: float) -> float:
     return loss.eps_alpha * local_time + loss.eps_beta
 
 
-_FORMULAS: dict[str, Callable] = {}
+def convert_timestamps(arg, convert):
+    """An estimator argument with ``convert`` applied to its numbers: both
+    timestamps of a :class:`TimestampPair`, or a plain number itself."""
+    if isinstance(arg, TimestampPair):
+        return TimestampPair(convert(arg.t_child), convert(arg.t_parent), arg.sync_index)
+    return convert(arg)
 
 
-def register_formula(name: str, fn: Callable) -> None:
-    """Register an estimator formula for fidelity evaluation.
+def empirical_loss(estimator: Callable, *args, mode: str = NEAREST) -> PrecisionLoss:
+    """Measure the loss of an estimator as (fp32 result - fp64 result).
 
-    Formulas must be written over generic numbers (only +, -, *, / between
-    arguments and numeric literals) so they evaluate identically over floats
-    and :class:`Float32Emu` values.
+    ``estimator`` is one of the generic functions of
+    :mod:`synclab.estimators`.  It runs twice on the same arguments: once
+    with every timestamp wrapped as a :class:`Float32Emu` under ``mode``, once
+    with every timestamp as a 64-bit float.  A :class:`ClockParams` result
+    maps to ``PrecisionLoss(ratio loss, offset loss)``; a scalar result fills
+    only ``eps_alpha``.
     """
-    _FORMULAS[name] = fn
-
-
-def formula_names() -> tuple[str, ...]:
-    return tuple(sorted(_FORMULAS))
-
-
-def _lookup(formula: str) -> Callable:
-    try:
-        return _FORMULAS[formula]
-    except KeyError:
-        raise ValueError(
-            f"unknown formula {formula!r}; registered: {formula_names()}"
-        ) from None
-
-
-def eval32(formula: str, *args, mode: str = NEAREST):
-    """Evaluate a registered formula with every operation rounded to fp32.
-
-    Returns a :class:`Float32Emu` (or a tuple of them for pair-valued
-    formulas).  Division by zero inside the formula raises
-    ``ZeroDivisionError``.
-    """
-    fn = _lookup(formula)
-    wrapped = [Float32Emu.from_number(a, mode) for a in args]
-    return fn(*wrapped)
-
-
-def eval64(formula: str, *args):
-    """Evaluate a registered formula in ordinary 64-bit floats."""
-    fn = _lookup(formula)
-    return fn(*[float(a) for a in args])
-
-
-def empirical_loss(formula: str, *args, mode: str = NEAREST) -> PrecisionLoss:
-    """Measure the loss of a formula as (fp32 result - fp64 result).
-
-    Pair-valued formulas (ratio, offset) map to
-    ``PrecisionLoss(eps_alpha, eps_beta)`` componentwise; scalar formulas
-    fill only ``eps_alpha``.
-    """
-    low = eval32(formula, *args, mode=mode)
-    exact = eval64(formula, *args)
-    if isinstance(low, tuple):
+    to32 = lambda v: Float32Emu.from_number(v, mode)
+    low = estimator(*(convert_timestamps(a, to32) for a in args))
+    exact = estimator(*(convert_timestamps(a, float) for a in args))
+    if isinstance(low, ClockParams):
         return PrecisionLoss(
-            eps_alpha=float(low[0]) - float(exact[0]),
-            eps_beta=float(low[1]) - float(exact[1]),
+            eps_alpha=float(low.ratio) - float(exact.ratio),
+            eps_beta=float(low.offset) - float(exact.offset),
         )
     return PrecisionLoss(eps_alpha=float(low) - float(exact))

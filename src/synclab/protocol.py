@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clock import HardwareClock
+from .clock import ClockParams, HardwareClock
 from .estimators import (
     RegressionWindow,
     TimestampPair,
@@ -37,10 +37,9 @@ from .estimators import (
     interpolate_params,
     logical_time,
     lsq_fit,
-    affine_fit_generic,
     EstimationError,
 )
-from . import precision
+from .precision import CHOP, NEAREST, Float32Emu, convert_timestamps
 
 REVERSE_ONEWAY = "reverse-oneway"
 REVERSE_TWOWAY = "reverse-twoway"
@@ -73,6 +72,7 @@ FP64 = "fp64"
 FP32_NEAREST = "fp32-nearest"
 FP32_CHOP = "fp32-chop"
 PRECISION_MODES = (FP64, FP32_NEAREST, FP32_CHOP)
+_ROUNDING = {FP32_NEAREST: NEAREST, FP32_CHOP: CHOP}
 
 ALWAYS_ON = "always-on"
 LPL = "lpl"
@@ -217,7 +217,6 @@ class SchemeConfig:
     node_method: str = TWO_POINT
     node_window: int = 8
     node_precision: str = FP64
-    downlink_enabled: bool = False
     epoch_ns: int = 10 * MS
     measurement_offset_ns: int = 50 * MS
     report_offset_ns: int = 100 * MS
@@ -482,37 +481,21 @@ class NodeState:
         if self._node_dirty:
             self._node_fit = self._fit_node_params(pairs)
             self._node_dirty = False
-        if self._node_fit is None:
-            return None
-        ratio, offset = self._node_fit
-        if self.cfg.node_precision == FP64:
-            return float(ratio * float(local_ticks) + offset)
-        mode = precision.NEAREST if self.cfg.node_precision == FP32_NEAREST else precision.CHOP
-        local = precision.Float32Emu.from_number(float(local_ticks), mode)
-        return float(ratio * local + offset)
+        return float(logical_time(self._node_fit, self._node_number(local_ticks)))
 
-    def _fit_node_params(self, pairs):
+    def _node_number(self, value):
+        """A timestamp as the node's arithmetic holds it."""
         if self.cfg.node_precision == FP64:
-            if self.cfg.node_method == TWO_POINT:
-                params = interpolate_params(pairs[-2], pairs[-1])
-            else:
-                params = lsq_fit(pairs)
-            return (params.ratio, params.offset)
-        mode = precision.NEAREST if self.cfg.node_precision == FP32_NEAREST else precision.CHOP
-        if self.cfg.node_method == TWO_POINT:
-            prev, cur = pairs[-2], pairs[-1]
-            return precision.eval32(
-                "interp-params",
-                prev.t_child,
-                prev.t_parent,
-                cur.t_child,
-                cur.t_parent,
-                mode=mode,
-            )
-        wrap = lambda v: precision.Float32Emu.from_number(float(v), mode)
-        xs = [wrap(p.t_parent) for p in pairs]
-        ys = [wrap(p.t_child) for p in pairs]
-        return affine_fit_generic(xs, ys)
+            return float(value)
+        return Float32Emu.from_number(float(value), _ROUNDING[self.cfg.node_precision])
+
+    def _fit_node_params(self, pairs) -> ClockParams:
+        two_point = self.cfg.node_method == TWO_POINT
+        if two_point:
+            pairs = pairs[-2:]
+        if self.cfg.node_precision != FP64:
+            pairs = [convert_timestamps(p, self._node_number) for p in pairs]
+        return interpolate_params(*pairs) if two_point else lsq_fit(pairs)
 
     def build_measurement_frame(self, t: int) -> Message | None:
         """Standalone upward measurement frame (conventional schemes)."""

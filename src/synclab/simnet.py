@@ -1,7 +1,8 @@
 """Deterministic discrete-event simulation of chain networks.
 
-The engine owns an event heap keyed by ``(due, sequence)``: events at the
-same nanosecond execute in insertion order, so a run is a pure function of
+The engine owns an event heap keyed by ``(due, sequence)``, each entry
+carrying the bound handler that runs it: events at the same nanosecond
+execute in insertion order, so a run is a pure function of
 its configuration and seed.  Nodes are :class:`~synclab.protocol.NodeState`
 machines; the engine routes frames over links (fixed propagation, optional
 Bernoulli loss), fires timers, feeds the head-side estimator, and accumulates
@@ -15,7 +16,9 @@ interleaving can never change which random draw lands where.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -170,7 +173,13 @@ class RunTrace:
             "levels": {str(k): v for k, v in self.levels.items()},
             "chains": {str(k): list(v) for k, v in self.chains.items()},
             "head_events": [list(ev) for ev in self.head_events],
-            "outcomes": [asdict(o) for o in self.outcomes],
+            # an undelivered measurement has no local timestamp: NaN in
+            # memory, null here so that a saved trace is strict JSON
+            "outcomes": [
+                {**asdict(o), "local_ticks": None} if math.isnan(o.local_ticks)
+                else asdict(o)
+                for o in self.outcomes
+            ],
             "node_counts": {
                 str(n): {k: list(v) for k, v in kinds.items()}
                 for n, kinds in self.node_counts.items()
@@ -198,7 +207,11 @@ class RunTrace:
             levels={int(k): v for k, v in data["levels"].items()},
             chains={int(k): tuple(v) for k, v in data["chains"].items()},
             head_events=[tuple(ev) for ev in data["head_events"]],
-            outcomes=[MeasurementOutcome(**o) for o in data["outcomes"]],
+            outcomes=[
+                MeasurementOutcome(**{**o, "local_ticks": math.nan})
+                if o["local_ticks"] is None else MeasurementOutcome(**o)
+                for o in data["outcomes"]
+            ],
             node_counts={
                 int(n): {k: (v[0], v[1]) for k, v in kinds.items()}
                 for n, kinds in data["node_counts"].items()
@@ -222,6 +235,30 @@ def error_seconds(est_ticks: float, true_ns: int, tick_ns: int | None) -> float:
     return (est_ns - true_ns) / 1e9
 
 
+def measurement_outcome(
+    origin: int,
+    level: int,
+    seq: int,
+    true_ns: int,
+    local_ticks: float,
+    arrival_ns: int | None,
+    est_ticks: float | None,
+    tick_ns: int | None,
+    reason: str = "bootstrap",
+) -> MeasurementOutcome:
+    """The outcome of one measurement: translated exactly when ``est_ticks``
+    is set, with its error; otherwise untranslated for ``reason``."""
+    if est_ticks is None:
+        return MeasurementOutcome(
+            origin, level, seq, true_ns, local_ticks, arrival_ns,
+            None, None, False, reason,
+        )
+    return MeasurementOutcome(
+        origin, level, seq, true_ns, local_ticks, arrival_ns,
+        est_ticks, error_seconds(est_ticks, true_ns, tick_ns), True, None,
+    )
+
+
 def apply_head_event(
     estimator: HeadEstimator,
     chains: dict[int, tuple[int, ...]],
@@ -239,14 +276,8 @@ def apply_head_event(
         return None
     _, arrival_ns, origin, level, seq, local_ticks, true_ns, _ = event
     est_ticks = estimator.translate_to_reference(chains[origin], local_ticks)
-    if est_ticks is None:
-        return MeasurementOutcome(
-            origin, level, seq, true_ns, local_ticks, arrival_ns,
-            None, None, False, "bootstrap",
-        )
-    return MeasurementOutcome(
-        origin, level, seq, true_ns, local_ticks, arrival_ns,
-        est_ticks, error_seconds(est_ticks, true_ns, tick_ns), True, None,
+    return measurement_outcome(
+        origin, level, seq, true_ns, local_ticks, arrival_ns, est_ticks, tick_ns
     )
 
 
@@ -302,7 +333,7 @@ class Engine:
         self.head = self.nodes[topology.head_id]
         self.estimator = HeadEstimator(cfg.head_method, cfg.head_window)
         self.chains = {n: topology.chain_to(n) for n in topology.sensor_ids()}
-        self._heap: list[tuple[int, int, str, tuple]] = []
+        self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self._horizon: int = 0
         self._beacon_generation = 0
@@ -322,12 +353,14 @@ class Engine:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _push(self, due: int, kind: str, payload: tuple) -> bool:
-        """Queue an event; events at or past the horizon never run."""
+    def _push(self, due: int, handler: Callable, payload: tuple) -> bool:
+        """Queue ``handler(due, *payload)``; events at or past the horizon
+        never run.  The unique sequence number orders the heap before the
+        handler is ever compared."""
         if due >= self._horizon:
             return False
         self._seq += 1
-        heapq.heappush(self._heap, (due, self._seq, kind, payload))
+        heapq.heappush(self._heap, (due, self._seq, handler, payload))
         return True
 
     def _log(self, t: int, node: int, kind: str) -> None:
@@ -349,7 +382,7 @@ class Engine:
             if self.link.loss > 0.0 and self.loss_rng.random() < self.link.loss:
                 self._account_missing(message, "lost")
                 continue
-            if not self._push(arrival, "frame", (dst, message)):
+            if not self._push(arrival, self._on_frame, (dst, message)):
                 self._account_missing(message, "in_flight")
 
     def _account_missing(self, message: Message, bucket: str) -> None:
@@ -381,27 +414,16 @@ class Engine:
         )
         self.head_events.append(event)
         scheme = self.cfg.scheme
+        tick_ns = self.topology.clock.tick_ns
         if scheme == protocol.REVERSE_ONEWAY:
-            outcome = apply_head_event(
-                self.estimator, self.chains, self.topology.clock.tick_ns, event
-            )
-        elif scheme == protocol.CONVENTIONAL_ONEWAY:
-            if record.est_ticks is None:
-                outcome = MeasurementOutcome(
-                    record.origin, level, record.seq, true_ns, record.local_ticks,
-                    t, None, None, False, "bootstrap",
-                )
-            else:
-                outcome = MeasurementOutcome(
-                    record.origin, level, record.seq, true_ns, record.local_ticks,
-                    t, record.est_ticks,
-                    error_seconds(record.est_ticks, true_ns, self.topology.clock.tick_ns),
-                    True, None,
-                )
+            outcome = apply_head_event(self.estimator, self.chains, tick_ns, event)
         else:
-            outcome = MeasurementOutcome(
-                record.origin, level, record.seq, true_ns, record.local_ticks,
-                t, None, None, False, "scheme",
+            # only conventional one-way estimates at the sensor; the two-way
+            # baselines deliver their records untranslated
+            outcome = measurement_outcome(
+                record.origin, level, record.seq, true_ns, record.local_ticks, t,
+                record.est_ticks, tick_ns,
+                "bootstrap" if scheme == protocol.CONVENTIONAL_ONEWAY else "scheme",
             )
         self.outcomes.append(outcome)
 
@@ -431,7 +453,7 @@ class Engine:
                 elif message.bundle:
                     queued = self._push(
                         t + self.cfg.forward_delay_ns,
-                        "relay",
+                        self._on_relay,
                         (dst_id, message.bundle),
                     )
                     if not queued:
@@ -442,7 +464,7 @@ class Engine:
                     self._deliver_record(record, t)
             else:
                 queued = self._push(
-                    t + self.cfg.forward_delay_ns, "forward", (dst_id, message)
+                    t + self.cfg.forward_delay_ns, self._on_forward, (dst_id, message)
                 )
                 if not queued:
                     self._account_missing(message, "in_flight")
@@ -452,7 +474,7 @@ class Engine:
                 if node.children:
                     self._push(
                         t + self.cfg.forward_delay_ns,
-                        "rebroadcast",
+                        self._on_rebroadcast,
                         (dst_id, message.sync_index),
                     )
             # reverse two-way sensors only pay the reception cost
@@ -460,7 +482,7 @@ class Engine:
             rx_stamp = node.stamp(protocol.RECEIVE, t)
             self._push(
                 t + self.cfg.response_delay_ns,
-                "respond",
+                self._on_respond,
                 (dst_id, message, rx_stamp),
             )
         elif kind == protocol.RESPONSE:
@@ -476,12 +498,12 @@ class Engine:
         self._log(t, node_id, "measure")
         if self.cfg.report_interval_ns is None and len(node.records) >= self.cfg.bundle_size:
             flush = (
-                "flush-report"
+                self._on_flush_report
                 if self.cfg.scheme in (protocol.REVERSE_ONEWAY, protocol.REVERSE_TWOWAY)
-                else "flush-meas"
+                else self._on_flush_meas
             )
             self._push(t + self.cfg.send_setup_ns, flush, (node_id,))
-        self._push(t + self.cfg.measurement_interval_ns, "measure", (node_id,))
+        self._push(t + self.cfg.measurement_interval_ns, self._on_measure, (node_id,))
 
     def _on_report_timer(self, t: int, node_id: int) -> None:
         node = self.nodes[node_id]
@@ -491,7 +513,48 @@ class Engine:
             message = node.build_measurement_frame(t)
         if message is not None:
             self._transmit(node, message, t)
-        self._push(t + self.cfg.report_interval_ns, "report-timer", (node_id,))
+        self._push(t + self.cfg.report_interval_ns, self._on_report_timer, (node_id,))
+
+    def _on_flush_report(self, t: int, node_id: int) -> None:
+        node = self.nodes[node_id]
+        message = node.build_report(t, scheduled=False)
+        if message is not None:
+            self._transmit(node, message, t)
+
+    def _on_flush_meas(self, t: int, node_id: int) -> None:
+        node = self.nodes[node_id]
+        message = node.build_measurement_frame(t)
+        if message is not None:
+            self._transmit(node, message, t)
+
+    def _on_relay(self, t: int, node_id: int, records: tuple) -> None:
+        node = self.nodes[node_id]
+        self._transmit(node, node.build_relay(records, t), t)
+
+    def _on_forward(self, t: int, node_id: int, message: Message) -> None:
+        node = self.nodes[node_id]
+        self._transmit(node, node.build_forward(message), t)
+
+    def _on_beacon_timer(self, t: int, node_id: int) -> None:
+        self._beacon_generation += 1
+        message = self.head.build_beacon(t, self._beacon_generation)
+        self._transmit(self.head, message, t)
+        self._push(t + self.cfg.si_ns, self._on_beacon_timer, (node_id,))
+
+    def _on_rebroadcast(self, t: int, node_id: int, generation: int) -> None:
+        node = self.nodes[node_id]
+        message = node.build_rebroadcast(t, generation)
+        if message is not None:
+            self._transmit(node, message, t)
+
+    def _on_request_timer(self, t: int, node_id: int) -> None:
+        node = self.nodes[node_id]
+        self._transmit(node, node.build_request(t), t)
+        self._push(t + self.cfg.si_ns, self._on_request_timer, (node_id,))
+
+    def _on_respond(self, t: int, node_id: int, request: Message, rx_stamp) -> None:
+        node = self.nodes[node_id]
+        self._transmit(node, node.build_response(request, rx_stamp, t), t)
 
     def run(self, duration_ns: int) -> RunTrace:
         if duration_ns <= 0:
@@ -502,7 +565,7 @@ class Engine:
         hops = self.topology.hops
         for node_id in self.topology.sensor_ids():
             self._push(
-                cfg.epoch_ns + cfg.measurement_offset_ns, "measure", (node_id,)
+                cfg.epoch_ns + cfg.measurement_offset_ns, self._on_measure, (node_id,)
             )
             if cfg.report_interval_ns is not None:
                 level = self.topology.nodes[node_id].level
@@ -511,58 +574,16 @@ class Engine:
                     + cfg.report_offset_ns
                     + (hops - level) * cfg.report_stagger_ns
                 )
-                self._push(phase, "report-timer", (node_id,))
+                self._push(phase, self._on_report_timer, (node_id,))
             if scheme == protocol.CONVENTIONAL_TWOWAY:
-                self._push(cfg.epoch_ns, "request-timer", (node_id,))
+                self._push(cfg.epoch_ns, self._on_request_timer, (node_id,))
         if scheme in (protocol.CONVENTIONAL_ONEWAY, protocol.REVERSE_TWOWAY):
-            self._push(cfg.epoch_ns, "beacon-timer", (self.head.node_id,))
+            self._push(cfg.epoch_ns, self._on_beacon_timer, (self.head.node_id,))
 
         heap = self._heap
         while heap:
-            t, _, kind, payload = heapq.heappop(heap)
-            if kind == "frame":
-                self._on_frame(t, *payload)
-            elif kind == "measure":
-                self._on_measure(t, *payload)
-            elif kind == "report-timer":
-                self._on_report_timer(t, *payload)
-            elif kind == "flush-report":
-                node = self.nodes[payload[0]]
-                message = node.build_report(t, scheduled=False)
-                if message is not None:
-                    self._transmit(node, message, t)
-            elif kind == "flush-meas":
-                node = self.nodes[payload[0]]
-                message = node.build_measurement_frame(t)
-                if message is not None:
-                    self._transmit(node, message, t)
-            elif kind == "relay":
-                node = self.nodes[payload[0]]
-                message = node.build_relay(payload[1], t)
-                self._transmit(node, message, t)
-            elif kind == "forward":
-                node = self.nodes[payload[0]]
-                self._transmit(node, node.build_forward(payload[1]), t)
-            elif kind == "beacon-timer":
-                self._beacon_generation += 1
-                message = self.head.build_beacon(t, self._beacon_generation)
-                self._transmit(self.head, message, t)
-                self._push(t + cfg.si_ns, "beacon-timer", (self.head.node_id,))
-            elif kind == "rebroadcast":
-                node = self.nodes[payload[0]]
-                message = node.build_rebroadcast(t, payload[1])
-                if message is not None:
-                    self._transmit(node, message, t)
-            elif kind == "request-timer":
-                node = self.nodes[payload[0]]
-                self._transmit(node, node.build_request(t), t)
-                self._push(t + cfg.si_ns, "request-timer", (payload[0],))
-            elif kind == "respond":
-                node = self.nodes[payload[0]]
-                message = node.build_response(payload[1], payload[2], t)
-                self._transmit(node, message, t)
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown event kind {kind!r}")
+            t, _, handler, payload = heapq.heappop(heap)
+            handler(t, *payload)
 
         return self._finish(duration_ns)
 
@@ -577,9 +598,9 @@ class Engine:
         for origin, seq in undelivered:
             level = self.topology.nodes[origin].level
             self.outcomes.append(
-                MeasurementOutcome(
-                    origin, level, seq, self._truth[(origin, seq)],
-                    float("nan"), None, None, None, False, "undelivered",
+                measurement_outcome(
+                    origin, level, seq, self._truth[(origin, seq)], math.nan,
+                    arrival_ns=None, est_ticks=None, tick_ns=None, reason="undelivered",
                 )
             )
         node_counts = {

@@ -34,11 +34,11 @@ from synclab.config import (
 )
 from synclab.estimators import (
     TimestampPair,
+    cumulative_ratio,
+    interpolate_params,
     lsq_fit,
     multihop_from_head,
     multihop_to_head,
-    ratio_estimate_cumulative,
-    rsp_estimate,
 )
 from synclab.precision import (
     CHOP,
@@ -115,7 +115,10 @@ def test_criterion_03_chop_translation_error_bands():
     # end-to-end single-precision chop on a large anchored window: the input
     # 2**30 + 127 quantizes to 2**30, giving a slope loss near the worst case
     measured = empirical_loss(
-        "interp-params", 0.0, 0.0, 2.0**30 + 127.0, 2.0**30, mode=CHOP
+        interpolate_params,
+        TimestampPair(0.0, 0.0),
+        TimestampPair(2.0**30 + 127.0, 2.0**30),
+        mode=CHOP,
     )
     checks = []
     for loss in (worst, measured):
@@ -159,10 +162,10 @@ def test_criterion_04_noise_free_estimator_recovery():
     fitted = lsq_fit(pairs)
     assert math.isclose(fitted.ratio, true1.ratio, rel_tol=1e-9)
     assert math.isclose(fitted.offset, true1.offset, rel_tol=1e-9)
-    two_point = rsp_estimate(pairs[0], pairs[-1])
+    two_point = interpolate_params(pairs[0], pairs[-1])
     assert math.isclose(two_point.ratio, true1.ratio, rel_tol=1e-9)
     assert math.isclose(two_point.offset, true1.offset, rel_tol=1e-9)
-    rate = ratio_estimate_cumulative(pairs[0], pairs[-1])
+    rate = cumulative_ratio(pairs[0], pairs[-1])
     assert math.isclose(rate, 1.0 / true1.ratio, rel_tol=1e-9)
 
     errors = [abs(out.err_s) for out in trace.outcomes if out.translated]

@@ -45,7 +45,7 @@ from synclab.protocol import (
     REVERSE_TWOWAY,
     SCHEDULED_WAKE,
 )
-from synclab.simnet import MeasurementOutcome, RunTrace
+from synclab.simnet import LinkConfig, MeasurementOutcome, RunTrace
 
 S = 1_000_000_000
 
@@ -381,9 +381,27 @@ def test_sweep_csv_and_summary_json(tmp_path):
     assert loaded["scheme"] == REVERSE_ONEWAY
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_save_and_load_trace(tmp_path):
     trace = run_config(short_accuracy_config())
     path = tmp_path / "trace.json"
     save_trace(path, trace)
     loaded = load_trace(path)
     assert loaded.to_dict() == trace.to_dict()
+
+    # a lossy run leaves undelivered measurements with no local timestamp
+    lossy = run_config(RunConfig(
+        hops=6, duration_ns=60 * S, bundling=BUNDLE_SELF, bundle_size=4,
+        link=LinkConfig(loss=0.05),
+    ))
+    assert any(math.isnan(o.local_ticks) for o in lossy.outcomes)
+    save_trace(path, lossy)
+    json.loads(path.read_text(), parse_constant=reject_constant)
+    loaded = load_trace(path)
+    assert loaded.to_dict() == lossy.to_dict()
+    write_measurements_csv(tmp_path / "live.csv", lossy)
+    write_measurements_csv(tmp_path / "loaded.csv", loaded)
+    assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "live.csv").read_bytes()

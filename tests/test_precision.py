@@ -15,13 +15,10 @@ from synclab.precision import (
     PrecisionOverflowError,
     decompose,
     empirical_loss,
-    eval32,
-    eval64,
-    formula_names,
     psi_error,
-    register_formula,
     round32,
 )
+from synclab.estimators import TimestampPair, cumulative_ratio, interpolate_params
 
 finite32 = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e30, max_value=1e30
@@ -34,6 +31,11 @@ def next_up32(x: float) -> float:
 
 def next_down32(x: float) -> float:
     return float(np.nextafter(np.float32(x), np.float32(-np.inf)))
+
+
+def pairs(c0, p0, c1, p1):
+    """Two timestamp pairs, (child, parent) each, as the two-pair estimators take."""
+    return TimestampPair(c0, p0), TimestampPair(c1, p1)
 
 
 @given(finite32)
@@ -144,29 +146,17 @@ def test_psi_error_is_affine_in_local_time():
     assert math.isclose(psi_error(loss, 1e6), -MACHINE_EPS32 * 1e6 + 2.0)
 
 
-def test_formula_registry():
-    names = formula_names()
-    for required in (
-        "cumulative-ratio", "interp-ratio", "interp-offset", "interp-params",
-        "logical-time", "rate-corrected-advance", "translate-up", "translate-down",
-    ):
-        assert required in names
-    with pytest.raises(ValueError):
-        eval32("no-such-formula", 1.0)
-    register_formula("test-square", lambda x: x * x)
-    assert eval32("test-square", 3.0).value == 9.0
-    assert eval64("test-square", 3.0) == 9.0
-
-
 def test_chop_loss_sign_convention():
     # with inputs exactly representable in single precision, the only
     # rounding is the chopped division itself, so fp32 - fp64 <= 0
-    loss = empirical_loss("cumulative-ratio", 0.0, 0.0, 1_000_000.0, 1_000_003.0, mode=CHOP)
+    loss = empirical_loss(
+        cumulative_ratio, *pairs(0.0, 0.0, 1_000_000.0, 1_000_003.0), mode=CHOP
+    )
     assert -MACHINE_EPS32 * 2 < loss.eps_alpha < 0.0
     # non-representable inputs quantize toward zero on entry, which can push
     # the end-to-end quotient above the exact value
     quantized = empirical_loss(
-        "cumulative-ratio", 0.0, 0.0, 2**30 + 127.0, 2.0**30, mode=CHOP
+        cumulative_ratio, *pairs(0.0, 0.0, 2**30 + 127.0, 2.0**30), mode=CHOP
     )
     assert quantized.eps_alpha > 0.0
 
@@ -174,7 +164,7 @@ def test_chop_loss_sign_convention():
 def test_engineered_near_worst_chop_case():
     # exact ratio 1 + 127/2^30 chops to 1.0: alpha loss ~ -0.99 * 2^-23
     loss = empirical_loss(
-        "interp-params", 0.0, 0.0, 2**30 + 127.0, 2.0**30, mode=CHOP
+        interpolate_params, *pairs(0.0, 0.0, 2**30 + 127.0, 2.0**30), mode=CHOP
     )
     assert loss.eps_beta == 0.0
     assert math.isclose(loss.eps_alpha, -(127 / 2**30), rel_tol=1e-12)
@@ -183,18 +173,20 @@ def test_engineered_near_worst_chop_case():
 
 def test_empirical_loss_matches_direct_difference():
     args = (1_000.0, 2_000.0, 500_000.0, 501_000.0)
-    loss = empirical_loss("interp-params", *args, mode=NEAREST)
-    a32, b32 = eval32("interp-params", *args, mode=NEAREST)
-    a64, b64 = eval64("interp-params", *args)
-    assert loss.eps_alpha == a32.value - a64
-    assert loss.eps_beta == b32.value - b64
+    loss = empirical_loss(interpolate_params, *pairs(*args), mode=NEAREST)
+    low = interpolate_params(
+        *pairs(*(Float32Emu.from_number(a, NEAREST) for a in args))
+    )
+    exact = interpolate_params(*pairs(*args))
+    assert loss.eps_alpha == low.ratio.value - exact.ratio
+    assert loss.eps_beta == low.offset.value - exact.offset
 
 
 def test_worst_case_psi_magnitudes_at_tick_scale():
     # near-worst chop loss on the ratio: ~0.119 us of error per simulated
     # second of local time measured in 1 us ticks
     loss = empirical_loss(
-        "interp-params", 0.0, 0.0, 2**30 + 127.0, 2.0**30, mode=CHOP
+        interpolate_params, *pairs(0.0, 0.0, 2**30 + 127.0, 2.0**30), mode=CHOP
     )
     one_second_ticks = 1e6
     assert 0.9 * 0.119 <= abs(psi_error(loss, one_second_ticks)) <= 1.3 * 0.119

@@ -271,6 +271,14 @@ def test_rebroadcast_gated_until_bootstrap():
     assert again.sync_index == 3
 
 
+EXACT_NODE_ESTIMATES = {
+    (FP32_NEAREST, "two-point"): ["0x1.fa458a0000000p+30", "0x1.74585a0000000p+31"],
+    (FP32_NEAREST, "window-lsq"): ["0x1.fa458c0000000p+30", "0x1.74585c0000000p+31"],
+    (FP32_CHOP, "two-point"): ["0x1.fa458a0000000p+30", "0x1.74585a0000000p+31"],
+    (FP32_CHOP, "window-lsq"): ["0x1.fa45860000000p+30", "0x1.7458580000000p+31"],
+}
+
+
 @pytest.mark.parametrize("mode", [FP32_NEAREST, FP32_CHOP])
 @pytest.mark.parametrize("method", ["two-point", "window-lsq"])
 def test_node_estimate_low_precision_paths(mode, method):
@@ -283,6 +291,17 @@ def test_node_estimate_low_precision_paths(mode, method):
     estimate = node.node_estimate(6000.0)
     assert isinstance(estimate, float)
     assert math.isclose(estimate, 3000.0, rel_tol=1e-6)
+
+    # beacon stamps single precision cannot hold: every rounding shows, so
+    # the estimates are pinned bit for bit
+    node = make_node(
+        scheme=CONVENTIONAL_ONEWAY, node_precision=mode, node_method=method
+    )
+    node.on_beacon(beacon(123_456_789.0, 1), 123_400_001)
+    node.on_beacon(beacon(1_123_457_013.0, 2), 1_123_400_003)
+    node.on_beacon(beacon(2_123_457_241.0, 3), 2_123_400_007)
+    estimates = [node.node_estimate(t) for t in (2_123_400_007.0, 3_123_400_011.0)]
+    assert [e.hex() for e in estimates] == EXACT_NODE_ESTIMATES[mode, method]
 
 
 def test_measurement_frame_and_forwarding():
