@@ -44,10 +44,6 @@ def count_conventional(n: int, m: int) -> int:
     return flood + m * per_round
 
 
-_SELF_MODES = ("self", "self-data", protocol.BUNDLE_SELF)
-_ALL_MODES = ("all", "all-data", protocol.BUNDLE_ALL)
-
-
 def count_proposed(n: int, mode: str) -> int:
     """Sensor-side message events for one beaconless report wave.
 
@@ -57,9 +53,9 @@ def count_proposed(n: int, mode: str) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if mode in _SELF_MODES:
+    if mode == protocol.BUNDLE_SELF:
         return sum(2 * (i - 1) + 1 for i in range(1, n + 1))
-    if mode in _ALL_MODES:
+    if mode == protocol.BUNDLE_ALL:
         return 2 * (n - 1) + 1
     raise ValueError(f"unknown bundling mode {mode!r}")
 

@@ -114,8 +114,8 @@ def _cmd_count(args) -> int:
         raise ConfigError("count needs --hops (or --table1)")
     n, m = args.hops, args.per_hop_measurements
     print(f"conventional n={n} m={m}: {analysis.count_conventional(n, m)}")
-    print(f"proposed self-data n={n}: {analysis.count_proposed(n, 'self-data')}")
-    print(f"proposed all-data  n={n}: {analysis.count_proposed(n, 'all-data')}")
+    print(f"proposed self-data n={n}: {analysis.count_proposed(n, 'self')}")
+    print(f"proposed all-data  n={n}: {analysis.count_proposed(n, 'all')}")
     return 0
 
 

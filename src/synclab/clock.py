@@ -39,7 +39,7 @@ class ClockError(Exception):
 
 
 class TimeRegressionError(ClockError):
-    """A clock was read at an earlier simulation time than a previous read."""
+    """A clock was read before its previous drift segment, or at t < 0."""
 
 
 def seconds(value: float) -> SimTime:
@@ -124,16 +124,19 @@ class HardwareClock:
     The clock integrates its rate over simulation time: the local phase at
     time t is ``offset + integral of ratio``, accumulated from an internal
     anchor.  Under constant drift this equals ``ratio * t + offset`` exactly
-    (to fp64 rounding); under random-walk drift the integration is what keeps
-    reads monotone, since the rate stays positive after clamping.
+    (to fp64 rounding); under random-walk drift the phase is piecewise affine
+    over drift segments of ``step_ns``, and the integration keeps it monotone
+    in t, since the rate stays positive after clamping.
 
     ``tick_ns`` selects quantization: local timestamps are
     ``floor(phase / tick_ns)`` as integers in tick units.  ``tick_ns=None``
     is a diagnostic quantization-free mode returning the raw phase as a float
     in nanosecond units.
 
-    Reads must be issued at non-decreasing simulation times; a read earlier
-    than a previous one raises :class:`TimeRegressionError`.
+    A read may go back in time (an SFD latch perturbed by interrupt jitter
+    can land before the previous read) as far as the start of the previous
+    drift segment, whose anchor and rate the clock keeps; a read before that,
+    or at a negative time, raises :class:`TimeRegressionError`.
     """
 
     def __init__(
@@ -158,7 +161,7 @@ class HardwareClock:
         self._bound = skew_bound_ppm * 1e-6
         self._anchor_t: SimTime = 0
         self._anchor_phase: float = params.offset
-        self._last_read: SimTime = 0
+        self._previous: tuple[SimTime, float, float] | None = None
 
     @property
     def params(self) -> ClockParams:
@@ -183,15 +186,21 @@ class HardwareClock:
         Returns an integer tick count, or a float nanosecond phase in
         quantization-free mode.
         """
-        if t < self._last_read:
+        if t >= self._anchor_t:
+            if self._drift.kind == "random-walk":
+                while t - self._anchor_t >= self._drift.step_ns:
+                    self.advance_drift(self._drift.step_ns)
+            anchor_t, anchor_phase = self._anchor_t, self._anchor_phase
+            ratio = self._ratio
+        elif self._previous is not None and t >= self._previous[0]:
+            anchor_t, anchor_phase, ratio = self._previous
+        else:
+            start = self._anchor_t if self._previous is None else self._previous[0]
             raise TimeRegressionError(
-                f"clock read at t={t} after a read at t={self._last_read}"
+                f"clock read at t={t}, before t={start}, the earliest time "
+                "its kept drift segments cover"
             )
-        self._last_read = t
-        if self._drift.kind == "random-walk":
-            while t - self._anchor_t >= self._drift.step_ns:
-                self.advance_drift(self._drift.step_ns)
-        phase = self._anchor_phase + self._ratio * (t - self._anchor_t)
+        phase = anchor_phase + ratio * (t - anchor_t)
         if self._tick_ns is None:
             return phase
         return math.floor(phase / self._tick_ns)
@@ -206,6 +215,7 @@ class HardwareClock:
         """
         if dt <= 0:
             raise ValueError("drift advance needs a positive dt")
+        self._previous = (self._anchor_t, self._anchor_phase, self._ratio)
         self._anchor_phase += self._ratio * dt
         self._anchor_t += dt
         if self._drift.kind == "random-walk" and self._drift.walk_sigma_ppm > 0.0:

@@ -40,15 +40,6 @@ DEFAULT_ENERGY = {
 
 _ENERGY_KEYS = tuple(DEFAULT_ENERGY)
 
-_BUNDLING_ALIASES = {
-    "none": protocol.BUNDLE_NONE,
-    "self": protocol.BUNDLE_SELF,
-    "self-data": protocol.BUNDLE_SELF,
-    "all": protocol.BUNDLE_ALL,
-    "all-data": protocol.BUNDLE_ALL,
-}
-
-
 def _seconds_to_ns(value, name: str) -> int:
     try:
         ns = round(float(value) * NS_PER_S)
@@ -104,9 +95,7 @@ class RunConfig:
             raise ConfigError("duration must be positive")
         if self.head_method not in ESTIMATOR_METHODS:
             raise ConfigError(f"unknown head method {self.head_method!r}")
-        if self.bundling not in (
-            protocol.BUNDLE_NONE, protocol.BUNDLE_SELF, protocol.BUNDLE_ALL
-        ):
+        if self.bundling not in protocol.BUNDLING_MODES:
             raise ConfigError(f"unknown bundling mode {self.bundling!r}")
         for key in _ENERGY_KEYS:
             if key not in self.energy:
@@ -274,8 +263,8 @@ def parse_config(data: dict) -> RunConfig:
     report_s = data.get("report_interval_s", data["si_s"])
     report_ns = None if report_s is None else _seconds_to_ns(report_s, "report_interval_s")
 
-    bundling = data.get("bundling", "none")
-    if bundling not in _BUNDLING_ALIASES:
+    bundling = data.get("bundling", protocol.BUNDLE_NONE)
+    if bundling not in protocol.BUNDLING_MODES:
         raise ConfigError(f"unknown bundling mode {bundling!r}")
 
     head_d = data.get("head", {})
@@ -345,7 +334,7 @@ def parse_config(data: dict) -> RunConfig:
         si_ns=si_ns,
         measurement_interval_ns=meas_ns,
         report_interval_ns=report_ns,
-        bundling=_BUNDLING_ALIASES[bundling],
+        bundling=bundling,
         bundle_size=int(data.get("bundle_size", 1)),
         head_method=head_d.get("method", WINDOW_LSQ),
         head_window=window,

@@ -16,6 +16,12 @@ integer ticks) give the 64-bit head-side arithmetic, and timestamps wrapped
 as :class:`~synclab.precision.Float32Emu` reproduce the single-precision
 node-side arithmetic operation by operation.  The node protocol and
 :func:`~synclab.precision.empirical_loss` call these same functions.
+
+The 64-bit least-squares fit is exact up to one final rounding: a
+:class:`RegressionWindow` keeps exact integer sums of its pairs, updated in
+O(1) as pairs arrive and are evicted, and :func:`lsq_fit` solves the normal
+equations from them with correctly rounded integer division.  So a head
+with an unbounded window refits in constant time per new pair.
 """
 
 from __future__ import annotations
@@ -52,12 +58,85 @@ class TimestampPair:
     sync_index: int = 0
 
 
+def _exact(value) -> tuple[int, int] | None:
+    """A plain int or finite float as ``(m, k)`` with ``value == m / 2**k``.
+
+    Returns None for any other number (``Float32Emu``, ``Fraction``, NaN).
+    """
+    if isinstance(value, int):
+        return value, 0
+    if isinstance(value, float) and math.isfinite(value):
+        m, d = value.as_integer_ratio()
+        return m, d.bit_length() - 1
+    return None
+
+
+class _Sums:
+    """Exact sums n, Σx, Σy, Σx², Σxy of parent (x) and child (y) stamps.
+
+    Values are held as integers at a common scale ``2**k`` (squares and
+    products at ``2**2k``), so adding and removing a pair is exact and O(1).
+    ``k`` only grows: a value that needs a finer scale shifts the sums.
+    """
+
+    __slots__ = ("n", "k", "x", "y", "xx", "xy")
+
+    def __init__(self) -> None:
+        self.n = self.k = self.x = self.y = self.xx = self.xy = 0
+
+    def add(self, pair: TimestampPair, sign: int = 1) -> bool:
+        """Add a pair's terms (subtract them with ``sign=-1``).
+
+        Returns False, leaving the sums unchanged, for a pair whose
+        timestamps are not plain ints or finite floats.
+        """
+        ex, ey = _exact(pair.t_parent), _exact(pair.t_child)
+        if ex is None or ey is None:
+            return False
+        (x, kx), (y, ky) = ex, ey
+        shift = max(kx, ky) - self.k
+        if shift > 0:
+            self.x <<= shift
+            self.y <<= shift
+            self.xx <<= 2 * shift
+            self.xy <<= 2 * shift
+            self.k += shift
+        x <<= self.k - kx
+        y <<= self.k - ky
+        self.n += sign
+        self.x += sign * x
+        self.y += sign * y
+        self.xx += sign * x * x
+        self.xy += sign * x * y
+        return True
+
+    def fit(self) -> ClockParams:
+        """The least-squares ratio and offset, each correctly rounded.
+
+        ``ratio = (nΣxy - ΣxΣy) / (nΣx² - (Σx)²)`` and ``offset = (ΣyΣx² -
+        ΣxΣxy) / (nΣx² - (Σx)²)``, each one int/int true division.
+        """
+        n = self.n
+        if n < 2:
+            raise InsufficientDataError(f"least squares needs >= 2 pairs, got {n}")
+        det = n * self.xx - self.x * self.x
+        if det == 0:
+            raise SingularSystemError("all parent timestamps coincide")
+        ratio = (n * self.xy - self.x * self.y) / det
+        if not ratio > 0.0:
+            raise EstimationError(f"fitted ratio {ratio!r} is not positive")
+        offset = (self.y * self.xx - self.x * self.xy) / (det << self.k)
+        return ClockParams(ratio, offset)
+
+
 class RegressionWindow:
     """A bounded, ordered collection of timestamp pairs.
 
     Holds at most ``capacity`` pairs (``None`` = unbounded), evicting the
     oldest first.  Pairs must arrive with strictly increasing ``sync_index``;
     duplicates and stale indices are ignored, so delivery is idempotent.
+    While every held timestamp is a plain int or float, the window keeps the
+    exact least-squares sums of its pairs, so :func:`lsq_fit` on it is O(1).
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -65,6 +144,7 @@ class RegressionWindow:
             raise ValueError("window capacity must be at least 2 (or None)")
         self._capacity = capacity
         self._pairs: list[TimestampPair] = []
+        self._sums: _Sums | None = _Sums()
 
     @property
     def capacity(self) -> int | None:
@@ -85,42 +165,42 @@ class RegressionWindow:
         if self._pairs and pair.sync_index <= self._pairs[-1].sync_index:
             return False
         self._pairs.append(pair)
+        if self._sums is not None and not self._sums.add(pair):
+            self._sums = None
         if self._capacity is not None and len(self._pairs) > self._capacity:
-            del self._pairs[: len(self._pairs) - self._capacity]
+            evicted = self._pairs.pop(0)
+            if self._sums is not None:
+                self._sums.add(evicted, sign=-1)
         return True
 
 
-def _pairs_of(window) -> Sequence[TimestampPair]:
-    if isinstance(window, RegressionWindow):
-        return window.pairs
-    return tuple(window)
-
-
 def _sum(terms: list):
-    """Sum as the number type at hand adds.
-
-    Plain ints and floats get the exactly rounded ``math.fsum``; any other
-    type (such as :class:`~synclab.precision.Float32Emu`) adds left to right
-    in its own arithmetic, one rounding per addition, as a node's loop adds.
-    """
-    if isinstance(terms[0], (int, float)):
-        return math.fsum(terms)
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
+    """Sum left to right in the terms' own arithmetic, as a node's loop adds."""
+    return sum(terms[1:], terms[0])
 
 
 def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
     """Least-squares affine fit of child timestamps on parent timestamps.
 
-    Computed through centered (mean-subtracted) sums, not a literal
-    normal-matrix inverse: exactly rounded sums in fp64, and with
-    :class:`~synclab.precision.Float32Emu` timestamps the left-to-right
-    sums of a node's single-precision loop.  Needs at least two pairs with
-    distinct parent timestamps.
+    With plain int or float timestamps (the fp64 head and node paths) the
+    ratio and the offset are each the correctly rounded value of the exact
+    least-squares solution, solved from exact integer sums: O(1) on a
+    :class:`RegressionWindow`, which keeps them, and one pass over any other
+    iterable.  Any other number type, such as
+    :class:`~synclab.precision.Float32Emu`, gets a centered (mean-subtracted)
+    fit with left-to-right sums in its own arithmetic, one rounding per
+    operation as a node's single-precision loop computes it.  Needs at least
+    two pairs with distinct parent timestamps.
     """
-    pairs = _pairs_of(window)
+    if isinstance(window, RegressionWindow):
+        if window._sums is not None:
+            return window._sums.fit()
+        pairs = window.pairs
+    else:
+        pairs = tuple(window)
+    sums = _Sums()
+    if all(sums.add(p) for p in pairs):
+        return sums.fit()
     n = len(pairs)
     if n < 2:
         raise InsufficientDataError(f"least squares needs >= 2 pairs, got {n}")
@@ -340,12 +420,11 @@ class HeadEstimator:
             ):
                 return None
             return cumulative_params(stream.first, stream.latest)
-        pairs = stream.window.pairs
-        if len(pairs) < 2:
+        if len(stream.window) < 2:
             return None
         if self._method == TWO_POINT:
-            return interpolate_params(pairs[-2], pairs[-1])
-        return lsq_fit(pairs)
+            return interpolate_params(*stream.window.pairs)
+        return lsq_fit(stream.window)
 
     def chain_params(self, chain: Sequence[int]) -> list[ClockParams] | None:
         """Params along an ancestor chain (head-adjacent first), or None."""

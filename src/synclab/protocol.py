@@ -475,11 +475,10 @@ class NodeState:
         Fits reference-on-own-clock from received beacon pairs, under the
         configured arithmetic fidelity.  Returns None before bootstrap.
         """
-        pairs = self.beacon_window.pairs
-        if len(pairs) < 2:
+        if len(self.beacon_window) < 2:
             return None
         if self._node_dirty:
-            self._node_fit = self._fit_node_params(pairs)
+            self._node_fit = self._fit_node_params()
             self._node_dirty = False
         return float(logical_time(self._node_fit, self._node_number(local_ticks)))
 
@@ -489,8 +488,9 @@ class NodeState:
             return float(value)
         return Float32Emu.from_number(float(value), _ROUNDING[self.cfg.node_precision])
 
-    def _fit_node_params(self, pairs) -> ClockParams:
+    def _fit_node_params(self) -> ClockParams:
         two_point = self.cfg.node_method == TWO_POINT
+        pairs = self.beacon_window.pairs
         if two_point:
             pairs = pairs[-2:]
         if self.cfg.node_precision != FP64:

@@ -32,7 +32,12 @@ from synclab.analysis import (
     write_summary_json,
     write_sweep_csv,
 )
-from synclab.config import RunConfig, singlehop_accuracy_config, table1_config
+from synclab.config import (
+    RunConfig,
+    parse_config,
+    singlehop_accuracy_config,
+    table1_config,
+)
 from synclab.estimators import HeadEstimator
 from synclab.protocol import (
     ALWAYS_ON,
@@ -44,6 +49,7 @@ from synclab.protocol import (
     REVERSE_ONEWAY,
     REVERSE_TWOWAY,
     SCHEDULED_WAKE,
+    SCHEMES,
 )
 from synclab.simnet import LinkConfig, MeasurementOutcome, RunTrace
 
@@ -73,14 +79,13 @@ def test_count_proposed_examples():
     assert count_proposed(4, "all") == 7
     for n, want in [(1, 1), (2, 4), (4, 16), (6, 36)]:
         assert count_proposed(n, "self") == want == n * n
-        assert count_proposed(n, "self-data") == want
     for n, want in [(1, 1), (2, 3), (4, 7), (6, 11)]:
         assert count_proposed(n, "all") == want == 2 * n - 1
-        assert count_proposed(n, "all-data") == want
     with pytest.raises(ValueError):
         count_proposed(0, "self")
-    with pytest.raises(ValueError):
-        count_proposed(2, "some")
+    for mode in ("some", "self-data", "all-data"):
+        with pytest.raises(ValueError):
+            count_proposed(2, mode)
 
 
 def test_table1_counts_full_grid():
@@ -298,6 +303,42 @@ def test_replay_equals_fresh_run_with_that_window():
     replayed = replay(trace, head_window=5)
     fresh = run_config(base.replace(head_window=5))
     assert replayed.outcomes == fresh.outcomes
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # event-driven bundled reports over a lossy 6-hop chain
+        RunConfig(
+            hops=6,
+            duration_ns=60 * S,
+            bundle_size=4,
+            report_interval_ns=None,
+            link=LinkConfig(loss=0.05),
+        ),
+        # SFD jitter wider than the gap between a 10 ms SI's clock reads
+        *(
+            parse_config({"scheme": scheme, "duration_s": 20, "si_s": 0.01})
+            for scheme in SCHEMES
+        ),
+    ],
+    ids=lambda cfg: f"{cfg.scheme}-{cfg.hops}hop-si{cfg.si_ns // 10**6}ms",
+)
+def test_jittered_clock_reads_run_to_completion(cfg):
+    # SFD jitter can latch a stamp a few us before the clock's previous read
+    trace = run_config(cfg)
+    pairs = trace.pair_accounting
+    records = trace.record_accounting
+    assert pairs["created"] == (
+        pairs["ingested"] + pairs["duplicates"] + pairs["lost"]
+        + pairs["in_flight"] + pairs["unknown_child"]
+    )
+    assert records["generated"] == (
+        records["delivered"] + records["duplicates"] + records["lost"]
+        + records["in_flight"]
+    )
+    assert records["generated"] > 0
+    assert len(trace.outcomes) == records["generated"]
 
 
 def test_replay_rejects_other_schemes():

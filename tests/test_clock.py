@@ -59,11 +59,35 @@ def test_32khz_tick():
 
 
 def test_read_rejects_time_regression():
-    clock = HardwareClock(ClockParams(1.0, 0.0))
-    clock.read(5_000)
-    clock.read(5_000)  # equal times are fine
+    # a read may go back in time as far as the start of the previous drift
+    # segment and returns the integrated phase there; earlier reads and
+    # negative times raise
+    steady = HardwareClock(ClockParams(1.0, 0.0))
+    assert steady.read(5_000) == 5
+    assert steady.read(4_999) == 4
     with pytest.raises(TimeRegressionError):
-        clock.read(4_999)
+        steady.read(-1)
+
+    def walker():
+        return HardwareClock(
+            ClockParams(1.0, 0.0),
+            tick_ns=None,
+            drift=DriftModel.random_walk(50.0),
+            rng=np.random.default_rng(3),
+        )
+
+    # the same rng draws in forward order give the phases to expect
+    forward = walker()
+    times = tuple(ms * NS_PER_S // 1000 for ms in (500, 2000, 2500, 3000, 3200))
+    expected = {t: forward.read(t) for t in times}
+    clock = walker()
+    assert clock.read(times[-1]) == expected[times[-1]]
+    for t in reversed(times[1:]):
+        assert clock.read(t) == expected[t]
+    assert clock.read(3 * NS_PER_S) != 3 * NS_PER_S  # the walk moved the phase
+    for t in (2 * NS_PER_S - 1, times[0], -1):
+        with pytest.raises(TimeRegressionError):
+            clock.read(t)
 
 
 @given(

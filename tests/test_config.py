@@ -147,7 +147,7 @@ def test_parse_units_and_aliases():
             "seed": 9,
             "measurement_interval_s": 5,
             "report_interval_s": None,
-            "bundling": "self-data",
+            "bundling": "self",
             "clock": {
                 "tick_us": 30.5,
                 "skew_ppm": 100,
@@ -180,8 +180,9 @@ def test_parse_error_paths():
         parse_config({**MINIMAL, "duration_s": "long"})
     with pytest.raises(ConfigError):
         parse_config({**MINIMAL, "duration_s": -5})
-    with pytest.raises(ConfigError):
-        parse_config({**MINIMAL, "bundling": "zip"})
+    for bundling in ("zip", "self-data", "all-data"):
+        with pytest.raises(ConfigError):
+            parse_config({**MINIMAL, "bundling": bundling})
     with pytest.raises(ConfigError):
         parse_config({**MINIMAL, "clock": {"drift": {"kind": "brownian"}}})
     with pytest.raises(ConfigError):

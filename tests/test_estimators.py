@@ -112,6 +112,46 @@ def test_lsq_fit_over_generic_numbers_agrees_with_float_fit(pairs):
     assert math.isclose(exact.offset, params.offset, rel_tol=1e-9, abs_tol=1e-6)
 
 
+@st.composite
+def pushed_windows(draw):
+    # int or float pair streams into a window of random capacity; sync index
+    # jumps of 0 and -1 make duplicate and stale pairs the window ignores
+    as_float = draw(st.booleans())
+    window = RegressionWindow(draw(st.sampled_from((None, *range(2, 26)))))
+    ratio = 1.0 + draw(st.integers(-500, 500)) * 1e-6
+    parent = draw(st.integers(0, 10**7))
+    index = 0
+    for _ in range(draw(st.integers(2, 60))):
+        parent += draw(st.integers(10_000, 10**6))
+        index += draw(st.sampled_from((-1, 0, 1, 1, 2)))
+        child = ratio * parent + draw(st.integers(-1000, 1000))
+        if as_float:
+            fractions = st.floats(0.0, 1.0)
+            stamps = (child + draw(fractions), parent + draw(fractions))
+        else:
+            stamps = (round(child), parent)
+        window.push(TimestampPair(*stamps, index))
+    return window
+
+
+@settings(max_examples=300)
+@given(pushed_windows())
+def test_window_lsq_is_the_rounded_rational_solution(window):
+    pairs = window.pairs
+    if len(pairs) < 2:
+        with pytest.raises(InsufficientDataError):
+            lsq_fit(window)
+        return
+    params = lsq_fit(window)
+    slope, intercept = fraction_lsq(pairs)
+    assert (params.ratio, params.offset) == (float(slope), float(intercept))
+    again = lsq_fit(list(pairs))
+    assert (again.ratio.hex(), again.offset.hex()) == (
+        params.ratio.hex(),
+        params.offset.hex(),
+    )
+
+
 def test_two_pair_lsq_equals_interpolation():
     prev = TimestampPair(123.0, 456.0, 0)
     cur = TimestampPair(100_123.5, 100_461.0, 1)
