@@ -103,9 +103,14 @@ class RunConfig:
             if float(self.energy[key]) < 0.0:
                 raise ConfigError(f"energy constant {key!r} must be non-negative")
         try:
-            self.scheme_config()
+            epoch_ns = self.scheme_config().epoch_ns
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        if self.link.jitter_ns > epoch_ns:
+            raise ConfigError(
+                f"SFD jitter {self.link.jitter_ns} ns exceeds {epoch_ns} ns, the "
+                "time of the first stamp, so a stamp could fall before t = 0"
+            )
 
     def scheme_config(self) -> SchemeConfig:
         return SchemeConfig(

@@ -5,7 +5,8 @@ Resource-poor sensor nodes evaluate estimator formulas in single precision
 formulas in 64-bit floats.  This module provides
 
 * :func:`round32`: rounding of a 64-bit value into the single-precision grid
-  under round-to-nearest-even or chop (round toward zero);
+  under round-to-nearest-even (a native float32 round trip) or chop (round
+  toward zero, by integer significand arithmetic on the exact value);
 * :class:`Float32Emu`: a number type whose every arithmetic operation rounds
   its result to single precision in a chosen mode, so the estimator functions
   of :mod:`synclab.estimators`, written over generic numbers, run at node
@@ -23,11 +24,9 @@ one, so the relative ratio loss lies in [-2^-23, 0] for ratios near one.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from .clock import ClockParams
 from .estimators import TimestampPair
@@ -35,7 +34,11 @@ from .estimators import TimestampPair
 MACHINE_EPS32 = 2.0 ** -23
 """Machine epsilon of the single-precision format (ulp of 1.0)."""
 
-FLOAT32_MAX = float(np.finfo(np.float32).max)
+FLOAT32_MAX = 3.4028234663852886e38
+"""Largest finite single-precision magnitude, (2 - 2**-23) * 2**127."""
+_FLOAT32_MAX_INT = int(FLOAT32_MAX)
+
+_F32 = struct.Struct("<f")
 
 NEAREST = "nearest"
 CHOP = "chop"
@@ -44,6 +47,30 @@ _MODES = (NEAREST, CHOP)
 
 class PrecisionOverflowError(ArithmeticError):
     """A value exceeds the largest finite single-precision magnitude."""
+
+
+def _chop(num: int, den: int) -> float:
+    """The single-precision value of largest magnitude not above ``|num/den|``,
+    with the sign of ``num/den`` (``den > 0``).
+
+    The quotient's binary exponent comes from the bit lengths, clamped at
+    the subnormal floor 2**-149; one floor division then yields the 24-bit
+    significand.  A nonzero value that chops to zero keeps its sign, an
+    exact zero is +0.0.  A magnitude above :data:`FLOAT32_MAX` raises
+    :class:`PrecisionOverflowError`.
+    """
+    n = abs(num)
+    # ulp exponent for a quotient in [2**(e-1), 2**(e+1)), e = bit-length gap;
+    # the significand q then has 24 or 25 bits (fewer when subnormal)
+    shift = max(n.bit_length() - den.bit_length() - 1, -126) - 23
+    q = n // (den << shift) if shift >= 0 else (n << -shift) // den
+    if q >> 24:
+        q >>= 1
+        shift += 1
+    if shift >= 104 and n > _FLOAT32_MAX_INT * den:
+        raise PrecisionOverflowError("result overflows single precision")
+    value = math.ldexp(q, shift)
+    return -value if num < 0 else value
 
 
 def round32(x: float, mode: str = NEAREST) -> float:
@@ -57,42 +84,22 @@ def round32(x: float, mode: str = NEAREST) -> float:
     if mode not in _MODES:
         raise ValueError(f"unknown rounding mode {mode!r}")
     x = float(x)
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"round32 needs a finite value, got {x!r}")
     if abs(x) > FLOAT32_MAX:
         raise PrecisionOverflowError(f"{x!r} overflows single precision")
-    y = float(np.float32(x))
-    if mode == CHOP and abs(y) > abs(x):
-        # nearest rounded away from zero; step back to the chop neighbour
-        y = float(np.nextafter(np.float32(y), np.float32(0.0)))
-    return y
+    if mode == CHOP and x:
+        return _chop(*x.as_integer_ratio())
+    return _F32.unpack(_F32.pack(x))[0]
 
 
-def _chop_from_fraction(exact: Fraction) -> float:
-    """Largest-magnitude single-precision value not exceeding ``exact``.
-
-    Used for operations whose fp64 intermediate is itself rounded (quotients,
-    and sums whose operands' exponents differ by more than the spare fp64
-    significand bits) and can therefore land on the wrong side of a
-    single-precision boundary (double rounding).
-    """
-    if exact == 0:
-        return 0.0
-    approx = np.float32(float(exact))
-    if math.isinf(float(approx)) or abs(exact) > Fraction(FLOAT32_MAX):
-        raise PrecisionOverflowError("result overflows single precision")
-    zero = np.float32(0.0)
-    # walk toward zero while the magnitude overshoots the exact value
-    while approx != 0 and abs(Fraction(float(approx))) > abs(exact):
-        approx = np.nextafter(approx, zero)
-    # walk away from zero while the next representable still fits
-    away = np.float32(math.copysign(math.inf, float(exact)))
-    while True:
-        candidate = np.nextafter(approx, away)
-        if math.isinf(float(candidate)) or abs(Fraction(float(candidate))) > abs(exact):
-            break
-        approx = candidate
-    return float(approx)
+def _exact_sum(a: float, b: float) -> tuple[int, int]:
+    """``a + b`` exactly, as (numerator, power-of-two denominator)."""
+    na, da = a.as_integer_ratio()
+    nb, db = b.as_integer_ratio()
+    if da < db:
+        na, da, nb, db = nb, db, na, da
+    return na + nb * (da // db), da
 
 
 def decompose(value: float) -> tuple[int, float, int]:
@@ -114,13 +121,15 @@ class Float32Emu:
 
     Every arithmetic operation is rounded exactly once into the
     single-precision grid under the attached mode, mirroring hardware
-    behaviour.  Nearest mode may round through fp64 (safe: the fp64 format
+    behaviour.  Nearest mode rounds through fp64 (safe: the fp64 format
     is wide enough that the double rounding is invisible for +, -, *, /
-    of single-precision operands).  Chop mode routes sums, differences and
-    quotients through exact rational arithmetic, because a nearest-rounded
-    fp64 intermediate can overshoot the true value onto a representable
-    single, leaving the directed rounding nothing to trim; products of
-    single-precision values are exact in fp64 already.
+    of single-precision operands).  Chop mode forms sums, differences and
+    quotients exactly with integer significand arithmetic and truncates
+    that, because a nearest-rounded fp64 intermediate can overshoot the
+    true value onto a representable single, leaving the directed rounding
+    nothing to trim; products of single-precision values are exact in fp64
+    already.  In chop mode an exact zero sum, difference or quotient is
+    +0.0.
     """
 
     value: float
@@ -129,7 +138,11 @@ class Float32Emu:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown rounding mode {self.mode!r}")
-        if float(np.float32(self.value)) != self.value:
+        try:
+            representable = _F32.unpack(_F32.pack(self.value))[0] == self.value
+        except OverflowError:
+            representable = False
+        if not representable:
             raise ValueError(f"{self.value!r} is not single-precision representable")
 
     @staticmethod
@@ -157,8 +170,7 @@ class Float32Emu:
     def __add__(self, other) -> "Float32Emu":
         other = self._coerce(other)
         if self.mode == CHOP:
-            exact = Fraction(self.value) + Fraction(other.value)
-            return Float32Emu(_chop_from_fraction(exact), self.mode)
+            return Float32Emu(_chop(*_exact_sum(self.value, other.value)), CHOP)
         return self._wrap(self.value + other.value)
 
     __radd__ = __add__
@@ -166,8 +178,7 @@ class Float32Emu:
     def __sub__(self, other) -> "Float32Emu":
         other = self._coerce(other)
         if self.mode == CHOP:
-            exact = Fraction(self.value) - Fraction(other.value)
-            return Float32Emu(_chop_from_fraction(exact), self.mode)
+            return Float32Emu(_chop(*_exact_sum(self.value, -other.value)), CHOP)
         return self._wrap(self.value - other.value)
 
     def __rsub__(self, other) -> "Float32Emu":
@@ -185,12 +196,12 @@ class Float32Emu:
         if other.value == 0.0:
             raise ZeroDivisionError("single-precision division by zero")
         if self.mode == CHOP:
-            exact = Fraction(self.value) / Fraction(other.value)
-            return Float32Emu(_chop_from_fraction(exact), self.mode)
-        quotient = np.float32(self.value) / np.float32(other.value)
-        if math.isinf(float(quotient)):
-            raise PrecisionOverflowError("quotient overflows single precision")
-        return Float32Emu(float(quotient), self.mode)
+            na, da = self.value.as_integer_ratio()
+            nb, db = other.value.as_integer_ratio()
+            if nb < 0:
+                na, nb = -na, -nb
+            return Float32Emu(_chop(na * db, da * nb), CHOP)
+        return self._wrap(self.value / other.value)
 
     def __rtruediv__(self, other) -> "Float32Emu":
         other = self._coerce(other)

@@ -473,13 +473,20 @@ class NodeState:
         """Node-local reference-time estimate for a local timestamp.
 
         Fits reference-on-own-clock from received beacon pairs, under the
-        configured arithmetic fidelity.  Returns None before bootstrap.
+        configured arithmetic fidelity.  A refit that raises
+        :class:`EstimationError` (say, a non-positive fp32 ratio) is rejected
+        and the last good fit kept.  Returns None before the first good fit.
         """
         if len(self.beacon_window) < 2:
             return None
         if self._node_dirty:
-            self._node_fit = self._fit_node_params()
+            try:
+                self._node_fit = self._fit_node_params()
+            except EstimationError:
+                pass
             self._node_dirty = False
+        if self._node_fit is None:
+            return None
         return float(logical_time(self._node_fit, self._node_number(local_ticks)))
 
     def _node_number(self, value):

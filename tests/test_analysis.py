@@ -341,6 +341,28 @@ def test_jittered_clock_reads_run_to_completion(cfg):
     assert len(trace.outcomes) == records["generated"]
 
 
+def test_fp32_node_rejects_a_non_positive_refit():
+    # node 2's fp32 reference estimate falls between two beacons while its
+    # own stamp advances, so node 3's two-point refit has a negative ratio;
+    # node 3 keeps its last good fit and the run completes
+    cfg = parse_config({
+        "scheme": "conventional-oneway", "duration_s": 60, "si_s": 0.01,
+        "hops": 3, "seed": 93, "report_interval_s": None,
+        "clock": {"tick_us": 30.5},
+        "node": {"method": "two-point", "precision": "fp32-nearest"},
+    })
+    trace = run_config(cfg)
+    records = trace.record_accounting
+    assert records["generated"] == len(trace.outcomes) > 0
+    assert records["generated"] == (
+        records["delivered"] + records["duplicates"] + records["lost"]
+        + records["in_flight"]
+    )
+    report = accuracy_metrics(trace)
+    assert report.n_translated > 0
+    assert math.isfinite(report.overall.mae_s)
+
+
 def test_replay_rejects_other_schemes():
     trace = run_config(table1_config(CONVENTIONAL_ONEWAY, 10.0))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """End-to-end command-line tests in temporary directories."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -41,6 +42,42 @@ def test_run_is_byte_identical_across_invocations(tmp_path, config_path):
     assert main(["run", "--config", str(config_path), "--out-dir", str(b)]) == 0
     assert (a / "measurements.csv").read_bytes() == (b / "measurements.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+FP32_FLOOD = {
+    "scheme": "conventional-oneway", "duration_s": 60, "si_s": 1, "hops": 3,
+    "seed": 5, "link": {"loss": 0.01},
+}
+
+
+@pytest.mark.parametrize(
+    "node, digests",
+    [
+        (
+            {"method": "window-lsq", "window": 8, "precision": "fp32-chop"},
+            ("991f95ffbddd470f86dc6cbb2a67e9ac8dd09517db23d938ac6859d59d544460",
+             "229d09dcbdba3756cc7690fbc820e96e35044de27700ff27b2a1c0782c8ec94c"),
+        ),
+        (
+            {"method": "two-point", "precision": "fp32-nearest"},
+            ("ced9d034f456381809e9e4b52cd4f498c3839986bd7e6e72ff5564c6d0903fd8",
+             "b246440eb4bb09889bdae371e4a4bd04984596d162cb45c1dc60bb5633b22ab9"),
+        ),
+    ],
+    ids=["fp32-chop-window-lsq", "fp32-nearest-two-point"],
+)
+def test_fp32_node_run_outputs_are_pinned(tmp_path, node, digests):
+    # sha256 of the outputs of the fp32 node path, fixed so that a change to
+    # the single-precision emulation cannot move a bit of a run unnoticed
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**FP32_FLOOD, "node": node}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("measurements.csv", "summary.json")
+    )
+    assert got == digests
 
 
 def test_seed_override_changes_results(tmp_path, config_path):

@@ -191,6 +191,16 @@ def test_parse_error_paths():
         parse_config({**MINIMAL, "radio": {"schedule": "solar"}})
 
 
+def test_parse_rejects_jitter_that_stamps_before_time_zero():
+    # the first SFD stamp is at the 10 ms epoch; a wider jitter could read a
+    # clock at negative time mid-run
+    with pytest.raises(ConfigError, match="jitter"):
+        parse_config({**MINIMAL, "link": {"jitter_us": 400_000}})
+    with pytest.raises(ConfigError, match="jitter"):
+        parse_config({**MINIMAL, "link": {"jitter_us": 10_000.001}})
+    assert parse_config({**MINIMAL, "link": {"jitter_us": 10_000}}).link.jitter_ns == 10**7
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(MINIMAL))
