@@ -599,10 +599,33 @@ def write_summary_json(path, summary: dict) -> None:
         fh.write("\n")
 
 
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+_TRACE_SLICE = 128
+"""List items per encoder call: the C encoder holds a call's fragments until it
+joins them, about 1 MB for 512 outcomes against 0.25 MB for 128."""
+
+
 def save_trace(path, trace: RunTrace) -> None:
+    """Write ``trace`` as strict JSON: the text of ``json.dumps(trace.to_dict(),
+    allow_nan=False)`` plus a newline.
+
+    The text is encoded by the C encoder, one top-level key at a time and
+    each long list ``_TRACE_SLICE`` items at a time, so the run's largest
+    lists (head events, outcomes, the event log) are never held as one
+    string.  A non-finite number raises ``ValueError``.
+    """
     with open(path, "w") as fh:
-        json.dump(trace.to_dict(), fh, allow_nan=False)
-        fh.write("\n")
+        fh.write("{")
+        for i, (key, value) in enumerate(trace.to_dict().items()):
+            fh.write(f"{', ' if i else ''}{_ENCODE(key)}: ")
+            if not isinstance(value, list) or not value:
+                fh.write(_ENCODE(value))
+                continue
+            for start in range(0, len(value), _TRACE_SLICE):
+                items = _ENCODE(value[start:start + _TRACE_SLICE])[1:-1]
+                fh.write(f"{', ' if start else '['}{items}")
+            fh.write("]")
+        fh.write("}\n")
 
 
 def load_trace(path) -> RunTrace:

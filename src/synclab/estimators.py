@@ -90,17 +90,21 @@ class _Sums:
         Returns False, leaving the sums unchanged, for a pair whose
         timestamps are not plain ints or finite floats.
         """
-        ex, ey = _exact(pair.t_parent), _exact(pair.t_child)
-        if ex is None or ey is None:
-            return False
-        (x, kx), (y, ky) = ex, ey
-        shift = max(kx, ky) - self.k
-        if shift > 0:
-            self.x <<= shift
-            self.y <<= shift
-            self.xx <<= 2 * shift
-            self.xy <<= 2 * shift
-            self.k += shift
+        x, y = pair.t_parent, pair.t_child
+        if type(x) is int and type(y) is int:  # tick stamps: scale 2**0
+            kx = ky = 0
+        else:
+            ex, ey = _exact(x), _exact(y)
+            if ex is None or ey is None:
+                return False
+            (x, kx), (y, ky) = ex, ey
+            shift = max(kx, ky) - self.k
+            if shift > 0:
+                self.x <<= shift
+                self.y <<= shift
+                self.xx <<= 2 * shift
+                self.xy <<= 2 * shift
+                self.k += shift
         x <<= self.k - kx
         y <<= self.k - ky
         self.n += sign
@@ -402,12 +406,20 @@ class HeadEstimator:
         return -1 if stream is None else stream.freshness
 
     def params_for(self, node_id: int) -> ClockParams | None:
-        """Current estimate for a node's link, or None before bootstrap."""
+        """Current estimate for a node's link, or None before bootstrap.
+
+        A refit that raises :class:`EstimationError` (say, a non-positive
+        ratio from pairs that SFD jitter put out of order) is rejected and
+        the last good fit kept.
+        """
         stream = self._streams.get(node_id)
         if stream is None:
             return None
         if stream.dirty:
-            stream.params = self._fit(stream)
+            try:
+                stream.params = self._fit(stream)
+            except EstimationError:
+                pass
             stream.dirty = False
         return stream.params
 

@@ -77,20 +77,26 @@ def round32(x: float, mode: str = NEAREST) -> float:
     """Round a finite 64-bit value to the single-precision grid.
 
     ``nearest`` is round-to-nearest, ties to even, bit-identical to a native
-    float32 conversion.  ``chop`` rounds toward zero (the result magnitude
-    never exceeds the input magnitude).  Values beyond the largest finite
-    single-precision magnitude raise :class:`PrecisionOverflowError`.
+    float32 conversion; it raises :class:`PrecisionOverflowError` only when
+    the rounded value overflows, so a value just above :data:`FLOAT32_MAX`
+    rounds down to it as float32 hardware does.  ``chop`` rounds toward zero
+    (the result magnitude never exceeds the input magnitude) and raises for
+    any value beyond :data:`FLOAT32_MAX`.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown rounding mode {mode!r}")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"round32 needs a finite value, got {x!r}")
-    if abs(x) > FLOAT32_MAX:
-        raise PrecisionOverflowError(f"{x!r} overflows single precision")
-    if mode == CHOP and x:
-        return _chop(*x.as_integer_ratio())
-    return _F32.unpack(_F32.pack(x))[0]
+    if mode == CHOP:
+        if abs(x) > FLOAT32_MAX:
+            raise PrecisionOverflowError(f"{x!r} overflows single precision")
+        return _chop(*x.as_integer_ratio()) if x else x
+    try:
+        # packing raises exactly when the rounded value is infinite
+        return _F32.unpack(_F32.pack(x))[0]
+    except OverflowError:
+        raise PrecisionOverflowError(f"{x!r} overflows single precision") from None
 
 
 def _exact_sum(a: float, b: float) -> tuple[int, int]:

@@ -90,6 +90,9 @@ RECEIVE = "receive"
 
 MS = 1_000_000  # ns per millisecond
 
+JITTER_BLOCK = 256
+"""SFD jitter values each side draws per generator call."""
+
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -162,6 +165,12 @@ class JitterModel:
 
     Send and receive draws come from independent streams so the two ends of
     a link never share randomness.  ``width_ns == 0`` is deterministic.
+
+    Each side's generator draws ``JITTER_BLOCK`` values at a time with one
+    ``integers(-w, w + 1, size=...)`` call and hands them out as Python ints
+    in order.  With numpy's PCG64 a block is the same sequence as that many
+    scalar ``integers(-w, w + 1)`` calls, and a jitter generator feeds
+    nothing else, so drawing ahead changes no value a run sees.
     """
 
     def __init__(
@@ -176,18 +185,24 @@ class JitterModel:
             raise ValueError("nonzero jitter needs explicit rng streams")
         self.width_ns = width_ns
         self._rng = {SEND: rng_send, RECEIVE: rng_recv}
+        # per side: the current block, reversed so that pop() yields in order
+        self._ahead: dict[str, list[int]] = {SEND: [], RECEIVE: []}
 
     @staticmethod
     def zero() -> "JitterModel":
         return JitterModel(0)
 
     def sample(self, side: str) -> int:
-        if side not in (SEND, RECEIVE):
+        ahead = self._ahead.get(side)
+        if ahead is None:
             raise ValueError(f"unknown SFD side {side!r}")
         if self.width_ns == 0:
             return 0
-        rng = self._rng[side]
-        return int(rng.integers(-self.width_ns, self.width_ns + 1))
+        if not ahead:
+            w = self.width_ns
+            block = self._rng[side].integers(-w, w + 1, size=JITTER_BLOCK)
+            ahead.extend(block.tolist()[::-1])
+        return ahead.pop()
 
 
 def sfd_timestamp(side: str, clock: HardwareClock, t: int, jitter: JitterModel):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -132,6 +132,20 @@ class MeasurementOutcome:
     reason: str | None
 
 
+_OUTCOME_FIELDS = tuple(f.name for f in fields(MeasurementOutcome))
+
+
+def _outcome_dict(o: MeasurementOutcome) -> dict:
+    """An outcome's fields as a dict.  An undelivered measurement has no
+    local timestamp: NaN in memory, None here so that a saved trace is strict
+    JSON.  The fields are read one by one because ``vars`` would materialize
+    every outcome's ``__dict__`` (Python 3.11+) for the rest of the run."""
+    row = {name: getattr(o, name) for name in _OUTCOME_FIELDS}
+    if math.isnan(o.local_ticks):
+        row["local_ticks"] = None
+    return row
+
+
 @dataclass
 class RunTrace:
     """Everything a run produced, sufficient to replay head-side estimation.
@@ -173,13 +187,7 @@ class RunTrace:
             "levels": {str(k): v for k, v in self.levels.items()},
             "chains": {str(k): list(v) for k, v in self.chains.items()},
             "head_events": [list(ev) for ev in self.head_events],
-            # an undelivered measurement has no local timestamp: NaN in
-            # memory, null here so that a saved trace is strict JSON
-            "outcomes": [
-                {**asdict(o), "local_ticks": None} if math.isnan(o.local_ticks)
-                else asdict(o)
-                for o in self.outcomes
-            ],
+            "outcomes": [_outcome_dict(o) for o in self.outcomes],
             "node_counts": {
                 str(n): {k: list(v) for k, v in kinds.items()}
                 for n, kinds in self.node_counts.items()
@@ -363,16 +371,13 @@ class Engine:
         heapq.heappush(self._heap, (due, self._seq, handler, payload))
         return True
 
-    def _log(self, t: int, node: int, kind: str) -> None:
-        if self.event_log is not None:
-            self.event_log.append((t, node, kind))
-
     # -- frame handling -----------------------------------------------------
 
     def _transmit(self, node: NodeState, message: Message, t: int) -> None:
         airtime = self.radio.airtime_s(message)
         node.note_tx(message, airtime)
-        self._log(t, node.node_id, f"tx-{message.kind}")
+        if self.event_log is not None:
+            self.event_log.append((t, node.node_id, f"tx-{message.kind}"))
         if message.dst == protocol.BROADCAST:
             receivers = node.children
         else:
@@ -382,7 +387,7 @@ class Engine:
             if self.link.loss > 0.0 and self.loss_rng.random() < self.link.loss:
                 self._account_missing(message, "lost")
                 continue
-            if not self._push(arrival, self._on_frame, (dst, message)):
+            if not self._push(arrival, self._on_frame, (dst, message, airtime)):
                 self._account_missing(message, "in_flight")
 
     def _account_missing(self, message: Message, bucket: str) -> None:
@@ -427,10 +432,12 @@ class Engine:
             )
         self.outcomes.append(outcome)
 
-    def _on_frame(self, t: int, dst_id: int, message: Message) -> None:
+    def _on_frame(self, t: int, dst_id: int, message: Message, airtime: float) -> None:
+        """Receive a frame; ``airtime`` is the sender's, sized once per frame."""
         node = self.nodes[dst_id]
-        node.note_rx(message, self.radio.airtime_s(message))
-        self._log(t, dst_id, f"rx-{message.kind}")
+        node.note_rx(message, airtime)
+        if self.event_log is not None:
+            self.event_log.append((t, dst_id, f"rx-{message.kind}"))
         kind = message.kind
         if kind == protocol.REPORT:
             if message.src not in node.children:
@@ -495,7 +502,8 @@ class Engine:
         record = node.record_measurement(t, value=node.record_seq + 1)
         self._truth[(record.origin, record.seq)] = t
         self.record_accounting["generated"] += 1
-        self._log(t, node_id, "measure")
+        if self.event_log is not None:
+            self.event_log.append((t, node_id, "measure"))
         if self.cfg.report_interval_ns is None and len(node.records) >= self.cfg.bundle_size:
             flush = (
                 self._on_flush_report

@@ -321,6 +321,12 @@ def test_replay_equals_fresh_run_with_that_window():
             parse_config({"scheme": scheme, "duration_s": 20, "si_s": 0.01})
             for scheme in SCHEMES
         ),
+        # SFD jitter as wide as the gaps between a node's sync frames: head
+        # refits of out-of-order pairs turn non-positive
+        parse_config({
+            "scheme": "reverse-oneway", "duration_s": 20, "si_s": 1, "hops": 3,
+            "link": {"jitter_us": 10_000},
+        }),
     ],
     ids=lambda cfg: f"{cfg.scheme}-{cfg.hops}hop-si{cfg.si_ns // 10**6}ms",
 )
@@ -468,3 +474,48 @@ def test_save_and_load_trace(tmp_path):
     write_measurements_csv(tmp_path / "live.csv", lossy)
     write_measurements_csv(tmp_path / "loaded.csv", loaded)
     assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "live.csv").read_bytes()
+
+
+reverse_oneway_configs = st.fixed_dictionaries(
+    {
+        "scheme": st.just(REVERSE_ONEWAY),
+        "duration_s": st.integers(1, 30),
+        "si_s": st.sampled_from([0.1, 0.25, 0.5, 1, 2]),
+        "hops": st.integers(1, 4),
+        "seed": st.integers(0, 2**32 - 1),
+        "bundling": st.sampled_from(["none", "self", "all"]),
+        "bundle_size": st.integers(1, 4),
+        "head": st.fixed_dictionaries({
+            "method": st.sampled_from(["window-lsq", "two-point", "cumulative-ratio"]),
+            "window": st.one_of(st.integers(2, 25), st.just("all")),
+        }),
+        "clock": st.fixed_dictionaries({
+            "tick_us": st.one_of(st.none(), st.integers(1, 50)),
+            "drift": st.sampled_from([
+                {"kind": "constant"},
+                {"kind": "random-walk", "sigma_ppm": 0.05, "step_s": 0.5},
+            ]),
+        }),
+        "link": st.fixed_dictionaries({
+            "loss": st.floats(0.0, 0.2, exclude_max=True),
+            "jitter_us": st.floats(0.0, 10_000.0),
+        }),
+    },
+    optional={"report_interval_s": st.none()},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reverse_oneway_configs)
+def test_saved_trace_is_strict_json_and_replays_the_live_run(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("trace")
+    trace = run_config(parse_config(data))
+    path = tmp_path / "trace.json"
+    save_trace(path, trace)
+    text = path.read_text()
+    json.loads(text, parse_constant=reject_constant)
+    assert text == json.dumps(trace.to_dict(), allow_nan=False) + "\n"
+    loaded = load_trace(path)
+    write_measurements_csv(tmp_path / "live.csv", trace)
+    write_measurements_csv(tmp_path / "replayed.csv", replay(loaded))
+    assert (tmp_path / "replayed.csv").read_bytes() == (tmp_path / "live.csv").read_bytes()

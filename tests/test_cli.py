@@ -80,6 +80,37 @@ def test_fp32_node_run_outputs_are_pinned(tmp_path, node, digests):
     assert got == digests
 
 
+REVERSE_CHAIN = {
+    "scheme": "reverse-oneway", "duration_s": 60, "si_s": 1, "hops": 6,
+    "seed": 11, "bundling": "self",
+    "clock": {"drift": {"kind": "random-walk", "sigma_ppm": 0.02}},
+    "link": {"loss": 0.05},
+}
+
+
+def test_reverse_oneway_run_outputs_are_pinned(tmp_path):
+    # sha256 of every output of a lossy multi-hop reverse one-way run, fixed
+    # so that no speed-up of the engine, the jitter draws, the head-side
+    # fits or the writers can move a byte of the paper's scheme unnoticed
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(REVERSE_CHAIN))
+    out = tmp_path / "out"
+    assert main([
+        "run", "--config", str(path), "--out-dir", str(out),
+        "--save-trace", "--event-log",
+    ]) == 0
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("measurements.csv", "summary.json", "trace.json", "events.csv")
+    )
+    assert got == (
+        "4a687ac100d11fe48cf5c6e0997af91731f74d5bd840b4cbcd7766a8608eac44",
+        "1d8878d38f3ee1e8aaa4f6e22f82ed7e77685a5ce06ee9ac4baf753fd7a0f811",
+        "af004393f8c004c5366b830f1af8293f98b2d302e80ba1e1c6a29020767b4487",
+        "2cedd7db6a6250156e63edf51ecf945ea3721eba0960f580296664055b3348d3",
+    )
+
+
 def test_seed_override_changes_results(tmp_path, config_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", str(config_path), "--out-dir", str(a), "--seed", "0"])

@@ -324,6 +324,24 @@ def test_head_estimator_two_point_tracks_latest_pairs():
     assert head.params_for(3) == expected
 
 
+@pytest.mark.parametrize("method", ESTIMATOR_METHODS)
+def test_head_estimator_keeps_its_last_good_fit(method):
+    # SFD jitter wider than the gap between two sync frames can put a
+    # later pair's stamps before an earlier one's: the refit turns
+    # non-positive or singular, and the link keeps translating with the
+    # fit it had
+    head = HeadEstimator(method=method, window=2)
+    head.ingest(1, TimestampPair(1000, 1000, 0))
+    head.ingest(1, TimestampPair(2000, 2000, 1))
+    good = head.params_for(1)
+    assert good is not None
+    head.ingest(1, TimestampPair(500, 2500, 2))  # child stamp went back
+    assert head.params_for(1) == good
+    head.ingest(1, TimestampPair(3000, 1000, 3))  # parent stamp went back
+    assert head.params_for(1) == good
+    assert head.translate_to_reference((1,), 4000) == float(logical_time(good, 4000))
+
+
 def test_head_estimator_cumulative_anchors_first_pair_ever():
     head = HeadEstimator(method=CUMULATIVE_RATIO, window=2)
     pairs = [TimestampPair(float(i * 1000 + 7), float(i * 1000), i) for i in range(6)]

@@ -140,6 +140,8 @@ def test_decompose():
 @given(f32_pairs)
 @example((FLOAT32_MAX, FLOAT32_MAX))
 @example((FLOAT32_MAX, 0.5))
+@example((FLOAT32_MAX, 2.0**102))
+@example((-FLOAT32_MAX, 2.0**103))
 @example((-0.0, -0.0))
 @example((-0.0, 1.0))
 @example((SMALLEST, 4.0))
@@ -156,11 +158,6 @@ def test_emu_nearest_matches_hardware_float32(pair):
             hardware = float(op(np.float32(a), np.float32(b)))
         if math.isinf(hardware):
             assert got == "PrecisionOverflowError", op.__name__
-        elif got == "PrecisionOverflowError":
-            # +, - and * reject a result above FLOAT32_MAX before rounding,
-            # where hardware may still round it down to FLOAT32_MAX
-            assert op is not operator.truediv
-            assert abs(op(Fraction(a), Fraction(b))) > FLOAT32_MAX
         else:
             assert got == hardware.hex(), op.__name__
 

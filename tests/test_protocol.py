@@ -33,6 +33,8 @@ from synclab.protocol import (
     SCHEDULED_WAKE,
     SEND,
     TIMESTAMP_BYTES,
+    JITTER_BLOCK,
+    RECEIVE,
     HopRecord,
     JitterModel,
     MeasurementRecord,
@@ -105,6 +107,24 @@ def test_jitter_samples_within_width(seed):
     for side in (SEND, "receive"):
         for _ in range(10):
             assert -width <= jitter.sample(side) <= width
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+@pytest.mark.parametrize("width", [1, 5_000, 10_000_000])
+def test_jitter_blocks_equal_scalar_draws(width, seed):
+    # JitterModel draws a block per generator call; a run stays what it was
+    # only while a block is the sequence of one-at-a-time scalar draws, which
+    # is numpy's behaviour, not its promise: an upgrade that breaks it fails
+    # here instead of moving every jittered stamp
+    send, recv = np.random.SeedSequence(seed).spawn(2)
+    jitter = JitterModel(width, np.random.default_rng(send), np.random.default_rng(recv))
+    twins = {SEND: np.random.default_rng(send), RECEIVE: np.random.default_rng(recv)}
+    # the sides interleave unevenly and each crosses at least two block edges
+    for i in range(3 * (2 * JITTER_BLOCK + 1)):
+        side = RECEIVE if i % 3 == 0 else SEND
+        got = jitter.sample(side)
+        assert type(got) is int
+        assert got == int(twins[side].integers(-width, width + 1))
 
 
 def test_sfd_timestamp_without_jitter_is_clock_read():
