@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable
 
 from .clock import ClockParams
@@ -121,7 +121,6 @@ def decompose(value: float) -> tuple[int, float, int]:
     return (sign, mantissa * 2.0, exponent - 1)
 
 
-@dataclass(frozen=True)
 class Float32Emu:
     """A single-precision value with a rounding mode attached.
 
@@ -134,28 +133,48 @@ class Float32Emu:
     that, because a nearest-rounded fp64 intermediate can overshoot the
     true value onto a representable single, leaving the directed rounding
     nothing to trim; products of single-precision values are exact in fp64
-    already.  In chop mode an exact zero sum, difference or quotient is
-    +0.0.
+    already.  An exact zero result carries the IEEE sign in both modes:
+    that of the fp64 result, so ``(-0.0) + (-0.0)`` and ``0.0 / -1.0`` are
+    -0.0.
+
+    The type is an immutable value with two slots, ``value`` and ``mode``:
+    assignment raises :class:`AttributeError`, and equality, hashing and
+    ``repr`` go by the pair ``(value, mode)``.  Every instance, whether
+    built by ``Float32Emu(value, mode)`` or as an operator result, is
+    checked: the mode must be ``nearest`` or ``chop`` and the value must be
+    single-precision representable, else :class:`ValueError`.
     """
 
-    value: float
-    mode: str = NEAREST
+    __slots__ = ("value", "mode")
 
-    def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown rounding mode {self.mode!r}")
-        try:
-            representable = _F32.unpack(_F32.pack(self.value))[0] == self.value
-        except OverflowError:
-            representable = False
-        if not representable:
-            raise ValueError(f"{self.value!r} is not single-precision representable")
+    def __new__(cls, value: float, mode: str = NEAREST) -> "Float32Emu":
+        return _new(value, mode, cls)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.value, self.mode))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(value={self.value!r}, mode={self.mode!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.mode) == (other.value, other.mode)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.mode))
 
     @staticmethod
     def from_number(x, mode: str = NEAREST) -> "Float32Emu":
         if isinstance(x, Float32Emu):
             return x
-        return Float32Emu(round32(float(x), mode), mode)
+        return _new(round32(float(x), mode), mode)
 
     def _coerce(self, other) -> "Float32Emu":
         if isinstance(other, Float32Emu):
@@ -165,18 +184,19 @@ class Float32Emu:
         return Float32Emu.from_number(other, self.mode)
 
     def _wrap(self, exact: float) -> "Float32Emu":
-        return Float32Emu(round32(exact, self.mode), self.mode)
+        return _new(round32(exact, self.mode), self.mode)
 
     def __float__(self) -> float:
         return self.value
 
     def __neg__(self) -> "Float32Emu":
-        return Float32Emu(-self.value, self.mode)
+        return _new(-self.value, self.mode)
 
     def __add__(self, other) -> "Float32Emu":
         other = self._coerce(other)
         if self.mode == CHOP:
-            return Float32Emu(_chop(*_exact_sum(self.value, other.value)), CHOP)
+            num, den = _exact_sum(self.value, other.value)
+            return _new(_chop(num, den) if num else self.value + other.value, CHOP)
         return self._wrap(self.value + other.value)
 
     __radd__ = __add__
@@ -184,7 +204,8 @@ class Float32Emu:
     def __sub__(self, other) -> "Float32Emu":
         other = self._coerce(other)
         if self.mode == CHOP:
-            return Float32Emu(_chop(*_exact_sum(self.value, -other.value)), CHOP)
+            num, den = _exact_sum(self.value, -other.value)
+            return _new(_chop(num, den) if num else self.value - other.value, CHOP)
         return self._wrap(self.value - other.value)
 
     def __rsub__(self, other) -> "Float32Emu":
@@ -203,10 +224,12 @@ class Float32Emu:
             raise ZeroDivisionError("single-precision division by zero")
         if self.mode == CHOP:
             na, da = self.value.as_integer_ratio()
+            if not na:
+                return _new(self.value / other.value, CHOP)
             nb, db = other.value.as_integer_ratio()
             if nb < 0:
                 na, nb = -na, -nb
-            return Float32Emu(_chop(na * db, da * nb), CHOP)
+            return _new(_chop(na * db, da * nb), CHOP)
         return self._wrap(self.value / other.value)
 
     def __rtruediv__(self, other) -> "Float32Emu":
@@ -216,6 +239,27 @@ class Float32Emu:
     def decompose(self) -> tuple[int, float, int]:
         """(sign, significand in [1, 2), exponent) of the stored value."""
         return decompose(self.value)
+
+
+_set_value = Float32Emu.value.__set__
+_set_mode = Float32Emu.mode.__set__
+_alloc = object.__new__
+
+
+def _new(value: float, mode: str, cls: type = Float32Emu) -> Float32Emu:
+    """The checked constructor of every :class:`Float32Emu`."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown rounding mode {mode!r}")
+    try:
+        representable = _F32.unpack(_F32.pack(value))[0] == value
+    except OverflowError:
+        representable = False
+    if not representable:
+        raise ValueError(f"{value!r} is not single-precision representable")
+    self = _alloc(cls)
+    _set_value(self, value)
+    _set_mode(self, mode)
+    return self
 
 
 @dataclass(frozen=True)

@@ -469,17 +469,23 @@ class NodeState:
         )
 
     def on_beacon(self, message: Message, t: int) -> bool:
-        """Record a beacon's (embedded stamp, own receive stamp) pair."""
+        """Record a beacon's (embedded stamp, own receive stamp) pair.
+
+        The pair enters ``beacon_window`` as the node's arithmetic holds it:
+        raw stamps under fp64, converted to :class:`Float32Emu` once, here,
+        under fp32, so a refit reads the window without converting it again.
+        """
         if message.send_stamp is None or message.sync_index is None:
             raise ValueError("beacon carries no sync data")
         own = self.stamp(RECEIVE, t)
-        added = self.beacon_window.push(
-            TimestampPair(
-                t_child=message.send_stamp,
-                t_parent=own,
-                sync_index=message.sync_index,
-            )
+        pair = TimestampPair(
+            t_child=message.send_stamp,
+            t_parent=own,
+            sync_index=message.sync_index,
         )
+        if self.cfg.node_precision != FP64:
+            pair = convert_timestamps(pair, self._node_number)
+        added = self.beacon_window.push(pair)
         if added:
             self._node_dirty = True
         return added
@@ -511,13 +517,15 @@ class NodeState:
         return Float32Emu.from_number(float(value), _ROUNDING[self.cfg.node_precision])
 
     def _fit_node_params(self) -> ClockParams:
-        two_point = self.cfg.node_method == TWO_POINT
-        pairs = self.beacon_window.pairs
-        if two_point:
-            pairs = pairs[-2:]
-        if self.cfg.node_precision != FP64:
-            pairs = [convert_timestamps(p, self._node_number) for p in pairs]
-        return interpolate_params(*pairs) if two_point else lsq_fit(pairs)
+        """Fit the node's beacon window, already held at node precision.
+
+        An fp64 window keeps exact sums, so ``window-lsq`` reads them in
+        O(1); a window of :class:`Float32Emu` pairs takes the centered
+        left-to-right fit of :func:`lsq_fit`, one rounding per operation.
+        """
+        if self.cfg.node_method == TWO_POINT:
+            return interpolate_params(*self.beacon_window.pairs[-2:])
+        return lsq_fit(self.beacon_window)
 
     def build_measurement_frame(self, t: int) -> Message | None:
         """Standalone upward measurement frame (conventional schemes)."""

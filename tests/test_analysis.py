@@ -32,7 +32,9 @@ from synclab.analysis import (
     write_summary_json,
     write_sweep_csv,
 )
+from synclab.cli import main
 from synclab.config import (
+    ConfigError,
     RunConfig,
     parse_config,
     singlehop_accuracy_config,
@@ -305,6 +307,18 @@ def test_replay_equals_fresh_run_with_that_window():
     assert replayed.outcomes == fresh.outcomes
 
 
+def assert_accounting_conserves(pairs: dict, records: dict) -> None:
+    """Every hop pair and measurement record ends in exactly one bucket."""
+    assert pairs["created"] == (
+        pairs["ingested"] + pairs["duplicates"] + pairs["lost"]
+        + pairs["in_flight"] + pairs["unknown_child"]
+    )
+    assert records["generated"] == (
+        records["delivered"] + records["duplicates"] + records["lost"]
+        + records["in_flight"]
+    )
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -333,18 +347,9 @@ def test_replay_equals_fresh_run_with_that_window():
 def test_jittered_clock_reads_run_to_completion(cfg):
     # SFD jitter can latch a stamp a few us before the clock's previous read
     trace = run_config(cfg)
-    pairs = trace.pair_accounting
-    records = trace.record_accounting
-    assert pairs["created"] == (
-        pairs["ingested"] + pairs["duplicates"] + pairs["lost"]
-        + pairs["in_flight"] + pairs["unknown_child"]
-    )
-    assert records["generated"] == (
-        records["delivered"] + records["duplicates"] + records["lost"]
-        + records["in_flight"]
-    )
-    assert records["generated"] > 0
-    assert len(trace.outcomes) == records["generated"]
+    assert_accounting_conserves(trace.pair_accounting, trace.record_accounting)
+    assert trace.record_accounting["generated"] > 0
+    assert len(trace.outcomes) == trace.record_accounting["generated"]
 
 
 def test_fp32_node_rejects_a_non_positive_refit():
@@ -358,12 +363,8 @@ def test_fp32_node_rejects_a_non_positive_refit():
         "node": {"method": "two-point", "precision": "fp32-nearest"},
     })
     trace = run_config(cfg)
-    records = trace.record_accounting
-    assert records["generated"] == len(trace.outcomes) > 0
-    assert records["generated"] == (
-        records["delivered"] + records["duplicates"] + records["lost"]
-        + records["in_flight"]
-    )
+    assert trace.record_accounting["generated"] == len(trace.outcomes) > 0
+    assert_accounting_conserves(trace.pair_accounting, trace.record_accounting)
     report = accuracy_metrics(trace)
     assert report.n_translated > 0
     assert math.isfinite(report.overall.mae_s)
@@ -519,3 +520,50 @@ def test_saved_trace_is_strict_json_and_replays_the_live_run(tmp_path_factory, d
     write_measurements_csv(tmp_path / "live.csv", trace)
     write_measurements_csv(tmp_path / "replayed.csv", replay(loaded))
     assert (tmp_path / "replayed.csv").read_bytes() == (tmp_path / "live.csv").read_bytes()
+
+
+conventional_fp32_configs = st.fixed_dictionaries(
+    {
+        "scheme": st.just(CONVENTIONAL_ONEWAY),
+        "duration_s": st.integers(1, 30),
+        "si_s": st.sampled_from([0.1, 0.25, 0.5, 1, 2]),
+        "hops": st.integers(1, 3),
+        "seed": st.integers(0, 2**32 - 1),
+        "node": st.fixed_dictionaries({
+            "method": st.sampled_from(["two-point", "window-lsq"]),
+            "window": st.integers(2, 8),
+            "precision": st.sampled_from(["fp32-chop", "fp32-nearest"]),
+        }),
+        "clock": st.fixed_dictionaries({
+            "tick_us": st.one_of(st.none(), st.integers(1, 50)),
+            "drift": st.sampled_from([
+                {"kind": "constant"},
+                {"kind": "random-walk", "sigma_ppm": 0.05, "step_s": 0.5},
+            ]),
+        }),
+        "link": st.fixed_dictionaries({
+            "loss": st.floats(0.0, 0.2, exclude_max=True),
+            "jitter_us": st.floats(0.0, 10_000.0),
+        }),
+    },
+    optional={"report_interval_s": st.none()},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conventional_fp32_configs)
+def test_fp32_flooding_runs_conserve_and_rerun_byte_identically(tmp_path_factory, data):
+    try:
+        parse_config(data)
+    except ConfigError:
+        return
+    tmp_path = tmp_path_factory.mktemp("flood")
+    (tmp_path / "run.json").write_text(json.dumps(data))
+    outputs = []
+    for rerun in ("first", "second"):
+        out = tmp_path / rerun
+        assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("measurements.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+    summary = json.loads(outputs[0][1])
+    assert_accounting_conserves(summary["pair_accounting"], summary["record_accounting"])

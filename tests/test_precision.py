@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -168,6 +170,8 @@ def test_emu_nearest_matches_hardware_float32(pair):
 @example((FLOAT32_MAX, -SMALLEST))
 @example((-0.0, -0.0))
 @example((-0.0, 1.0))
+@example((-0.0, 0.0))
+@example((0.0, -1.0))
 @example((SMALLEST, 3.0))
 @example((-SMALLEST, FLOAT32_MAX))
 @example((1.0 + 2.0**-23, 1.0))
@@ -176,10 +180,13 @@ def test_emu_chop_results_bound_exact_value(pair):
     a, b = pair
     ea, eb = Float32Emu(a, CHOP), Float32Emu(b, CHOP)
     for op in ARITHMETIC:
-        expected = outcome(lambda: chop_oracle(op(Fraction(a), Fraction(b))))
-        if op is operator.mul and a * b == 0.0:
-            # a zero product keeps its IEEE sign (the fp64 product is exact)
-            expected = (a * b).hex()
+        if b == 0.0 and op is operator.truediv:
+            expected = "ZeroDivisionError"
+        elif op(Fraction(a), Fraction(b)) == 0:
+            # an exact zero carries the IEEE sign, that of the fp64 result
+            expected = op(a, b).hex()
+        else:
+            expected = outcome(lambda: chop_oracle(op(Fraction(a), Fraction(b))))
         assert outcome(lambda: op(ea, eb)) == expected, op.__name__
 
 
@@ -194,6 +201,38 @@ def test_emu_guards():
     assert float(-one) == -1.0
     assert (1.0 - one).value == 0.0
     assert (2.0 / Float32Emu.from_number(2.0, NEAREST)).value == 1.0
+
+
+@given(f32_pairs)
+def test_emu_is_an_immutable_value(pair):
+    a, b = pair
+    x = Float32Emu(1.0, CHOP)
+    with pytest.raises(AttributeError):
+        x.value = 2.0
+    with pytest.raises(AttributeError):
+        x.mode = NEAREST
+    assert x == Float32Emu(1.0, CHOP) and hash(x) == hash(Float32Emu(1.0, CHOP))
+    assert x != Float32Emu(1.0, NEAREST)
+    assert repr(x) == "Float32Emu(value=1.0, mode='chop')"
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x
+    with pytest.raises(ValueError):
+        Float32Emu(1.0 + 2.0**-24, CHOP)
+    with pytest.raises(ValueError):
+        Float32Emu(1.0, "up")
+    for mode in (NEAREST, CHOP):
+        ea, eb = Float32Emu(a, mode), Float32Emu(b, mode)
+        # plain and reflected operators, and negation
+        results = [lambda: -ea]
+        for op in ARITHMETIC:
+            results += [lambda op=op: op(ea, eb), lambda op=op: op(a, eb)]
+        for compute in results:
+            try:
+                result = compute()
+            except (PrecisionOverflowError, ZeroDivisionError):
+                continue
+            assert type(result) is Float32Emu and result.mode == mode
+            assert float(np.float32(result.value)) == result.value
 
 
 def test_psi_error_is_affine_in_local_time():
