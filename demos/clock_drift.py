@@ -36,10 +36,11 @@ for t_s in (0, 600, 1200, 1800, 2400, 3000, 3600):
     print(f"  {t_s:5d}  " + "".join(f"{r:+11.1f}" for r in row))
 
 # -- random-walk drift: the rate itself wanders ------------------------------
-# each step the ratio gains a N(0, sigma) ppm increment; reads stay monotone
+# every 600 s the ratio gains a N(0, sigma * sqrt(600 s)) ppm increment;
+# reads stay monotone
 walker = HardwareClock(
     ClockParams(1.0, 0.0),
-    drift=DriftModel.random_walk(sigma_ppm=0.5),
+    drift=DriftModel.random_walk(sigma_ppm=0.5, step_ns=600 * NS_PER_S),
     rng=np.random.default_rng(7),
 )
 steady = HardwareClock(ClockParams(1.0, 0.0))
@@ -47,11 +48,9 @@ print("\nrandom-walk drift (sigma 0.5 ppm/sqrt(s)) vs drift-free twin:")
 print("  t (s)   walker-true (us)   skew now (ppm)")
 for t_s in range(0, 3601, 600):
     t = t_s * NS_PER_S
-    if t_s:
-        walker.advance_drift(600 * NS_PER_S)
-        steady.advance_drift(600 * NS_PER_S)
     drifted = walker.read(t) - steady.read(t)
-    print(f"  {t_s:5d}   {drifted:+16.1f}   {walker.params.skew_ppm:+13.4f}")
+    skew_ppm = (walker.rate(t) - 1.0) * 1e6
+    print(f"  {t_s:5d}   {drifted:+16.1f}   {skew_ppm:+13.4f}")
 
 # -- quantization: timestamps are floor(phase / tick) ------------------------
 fine = HardwareClock(ClockParams(1.0, 0.0), tick_ns=None)

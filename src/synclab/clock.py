@@ -3,8 +3,9 @@
 Simulation time is integer nanoseconds (``SimTime``).  Each node owns a
 hardware clock that maps simulation time to local ticks through an affine
 rate/offset model, optionally perturbed by a random walk on the rate, and
-quantized by flooring to the counter tick size.  Clock state is plain value
-data owned by one simulation; nothing here touches module-level state.
+quantized by flooring to the counter tick size.  A drifting clock holds its
+rate path as a table of fixed-length segments, so a read at any t >= 0, in
+any order, is one lookup; nothing here touches module-level state.
 
 The local counter is assumed wide enough never to wrap, so local timestamps
 are ordinary (unbounded) Python integers.
@@ -13,6 +14,7 @@ are ordinary (unbounded) Python integers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +35,19 @@ TICK_32KHZ_NS = 30_500
 DEFAULT_SKEW_BOUND_PPM = 500.0
 """Largest plausible crystal skew magnitude accepted for hardware clocks."""
 
+DRIFT_BLOCK = 1024
+"""Drift segments a random-walk clock adds to its table at a time."""
+
+MAX_DRIFT_SEGMENTS = 10**6
+"""Most drift segments per node a run may need (``duration // step``)."""
+
 
 class ClockError(Exception):
     """Base class for clock contract violations."""
 
 
 class TimeRegressionError(ClockError):
-    """A clock was read before its previous drift segment, or at t < 0."""
+    """A clock was read at a negative simulation time."""
 
 
 def seconds(value: float) -> SimTime:
@@ -104,8 +112,8 @@ class DriftModel:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "random-walk"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        if self.walk_sigma_ppm < 0.0:
-            raise ValueError("walk_sigma_ppm must be non-negative")
+        if not 0.0 <= self.walk_sigma_ppm < math.inf:
+            raise ValueError("walk_sigma_ppm must be finite and non-negative")
         if self.step_ns <= 0:
             raise ValueError("drift step must be positive")
 
@@ -121,22 +129,19 @@ class DriftModel:
 class HardwareClock:
     """A free-running node counter with skew, drift, and quantization.
 
-    The clock integrates its rate over simulation time: the local phase at
-    time t is ``offset + integral of ratio``, accumulated from an internal
-    anchor.  Under constant drift this equals ``ratio * t + offset`` exactly
-    (to fp64 rounding); under random-walk drift the phase is piecewise affine
-    over drift segments of ``step_ns``, and the integration keeps it monotone
-    in t, since the rate stays positive after clamping.
+    Under constant drift the local phase at time t is ``ratio * t + offset``.
+    Under random-walk drift it is piecewise affine: entry k of the clock's
+    table (two fp64 arrays, 16 bytes a segment) holds the phase at ``k *
+    step_ns`` and the rate over that segment, and the table grows on demand
+    by :data:`DRIFT_BLOCK` segments.  Each rate step is a zero-mean Gaussian
+    of standard deviation ``walk_sigma_ppm * sqrt(step in seconds)`` ppm,
+    clamped to the skew bound, so the rate stays positive and reads stay
+    monotone in t.  A read at t < 0 raises :class:`TimeRegressionError`.
 
     ``tick_ns`` selects quantization: local timestamps are
     ``floor(phase / tick_ns)`` as integers in tick units.  ``tick_ns=None``
     is a diagnostic quantization-free mode returning the raw phase as a float
     in nanosecond units.
-
-    A read may go back in time (an SFD latch perturbed by interrupt jitter
-    can land before the previous read) as far as the start of the previous
-    drift segment, whose anchor and rate the clock keeps; a read before that,
-    or at a negative time, raises :class:`TimeRegressionError`.
     """
 
     def __init__(
@@ -155,22 +160,15 @@ class HardwareClock:
         if drift.kind == "random-walk" and drift.walk_sigma_ppm > 0.0 and rng is None:
             raise ValueError("random-walk drift needs an explicit rng for determinism")
         self._ratio = params.ratio
+        self._offset = params.offset
         self._tick_ns = tick_ns
         self._drift = drift
+        self._step_ns = drift.step_ns
         self._rng = rng
         self._bound = skew_bound_ppm * 1e-6
-        self._anchor_t: SimTime = 0
-        self._anchor_phase: float = params.offset
-        self._previous: tuple[SimTime, float, float] | None = None
-
-    @property
-    def params(self) -> ClockParams:
-        """Current rate and the phase the clock would show at its anchor."""
-        return ClockParams(self._ratio, self._anchor_phase - self._ratio * self._anchor_t)
-
-    @property
-    def ratio(self) -> float:
-        return self._ratio
+        walking = drift.kind == "random-walk"
+        self._phases = array("d", [params.offset]) if walking else None
+        self._rates = array("d", [params.ratio]) if walking else None
 
     @property
     def tick_ns(self) -> int | None:
@@ -181,48 +179,48 @@ class HardwareClock:
         return self._drift
 
     def read(self, t: SimTime):
-        """Local timestamp at simulation time ``t``.
-
-        Returns an integer tick count, or a float nanosecond phase in
-        quantization-free mode.
-        """
-        if t >= self._anchor_t:
-            if self._drift.kind == "random-walk":
-                while t - self._anchor_t >= self._drift.step_ns:
-                    self.advance_drift(self._drift.step_ns)
-            anchor_t, anchor_phase = self._anchor_t, self._anchor_phase
-            ratio = self._ratio
-        elif self._previous is not None and t >= self._previous[0]:
-            anchor_t, anchor_phase, ratio = self._previous
+        """Local timestamp at ``t``: integer ticks, or the float phase in ns
+        in quantization-free mode."""
+        if t < 0:
+            raise TimeRegressionError(f"clock read at t={t}, before simulation time 0")
+        if self._phases is None:
+            phase = self._ratio * t + self._offset
         else:
-            start = self._anchor_t if self._previous is None else self._previous[0]
-            raise TimeRegressionError(
-                f"clock read at t={t}, before t={start}, the earliest time "
-                "its kept drift segments cover"
-            )
-        phase = anchor_phase + ratio * (t - anchor_t)
+            k = t // self._step_ns
+            if k >= len(self._phases):
+                self._grow(k)
+            phase = self._phases[k] + self._rates[k] * (t - k * self._step_ns)
         if self._tick_ns is None:
             return phase
         return math.floor(phase / self._tick_ns)
 
-    def advance_drift(self, dt: SimTime) -> None:
-        """Integrate the phase over ``dt`` and apply one drift step.
+    def rate(self, t: SimTime) -> float:
+        """The clock rate (1 + skew) over the drift segment holding ``t``."""
+        if self._rates is None:
+            return self._ratio
+        self.read(t)  # grows the table through t's segment
+        return self._rates[t // self._step_ns]
 
-        Constant drift leaves the rate untouched.  Random-walk drift adds a
-        zero-mean Gaussian step of standard deviation
-        ``walk_sigma_ppm * sqrt(dt in seconds)`` ppm and clamps the result to
-        the plausibility bound, keeping the rate strictly positive.
-        """
-        if dt <= 0:
-            raise ValueError("drift advance needs a positive dt")
-        self._previous = (self._anchor_t, self._anchor_phase, self._ratio)
-        self._anchor_phase += self._ratio * dt
-        self._anchor_t += dt
-        if self._drift.kind == "random-walk" and self._drift.walk_sigma_ppm > 0.0:
-            sigma = self._drift.walk_sigma_ppm * 1e-6 * math.sqrt(dt / NS_PER_S)
-            self._ratio += float(self._rng.normal(0.0, sigma))
-            lo, hi = 1.0 - self._bound, 1.0 + self._bound
-            self._ratio = min(max(self._ratio, lo), hi)
+    def _grow(self, k: int) -> None:
+        """Extend the table by whole blocks through segment ``k``.  A block
+        draws its rate steps in one call; the drift generator feeds nothing
+        else, so drawing ahead changes no value a read returns."""
+        step, sigma_ppm = self._step_ns, self._drift.walk_sigma_ppm
+        sigma = sigma_ppm * 1e-6 * math.sqrt(step / NS_PER_S)
+        lo, hi = 1.0 - self._bound, 1.0 + self._bound
+        phases, rates = self._phases, self._rates
+        phase, rate = phases[-1], rates[-1]
+        while len(phases) <= k:
+            if sigma_ppm > 0.0:
+                steps = self._rng.normal(0.0, sigma, size=DRIFT_BLOCK).tolist()
+            else:
+                steps = [None] * DRIFT_BLOCK
+            for z in steps:
+                phase += rate * step
+                if z is not None:
+                    rate = min(max(rate + z, lo), hi)
+                phases.append(phase)
+                rates.append(rate)
 
 
 def draw_clock_params(
@@ -258,8 +256,9 @@ class ClockConfig:
     def __post_init__(self) -> None:
         if self.tick_ns is not None and self.tick_ns <= 0:
             raise ValueError("tick_ns must be positive or None")
-        if self.skew_ppm < 0.0 or self.offset_ns < 0.0:
-            raise ValueError("draw ranges must be non-negative")
+        bound = DEFAULT_SKEW_BOUND_PPM
+        if not (0.0 <= self.skew_ppm <= bound and 0.0 <= self.offset_ns < math.inf):
+            raise ValueError(f"need skew_ppm in [0, {bound}], finite offset_ns >= 0")
 
     def draw_params(self, rng: np.random.Generator) -> ClockParams:
         return draw_clock_params(rng, skew_ppm=self.skew_ppm, offset_ns=self.offset_ns)

@@ -18,6 +18,7 @@ from . import protocol
 from .clock import (
     ClockConfig,
     DriftModel,
+    MAX_DRIFT_SEGMENTS,
     NS_PER_S,
     TICK_1US_NS,
 )
@@ -40,19 +41,20 @@ DEFAULT_ENERGY = {
 
 _ENERGY_KEYS = tuple(DEFAULT_ENERGY)
 
+# round() raises ValueError for nan and OverflowError for an infinite value
 def _seconds_to_ns(value, name: str) -> int:
     try:
         ns = round(float(value) * NS_PER_S)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number of seconds") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a finite number of seconds") from exc
     return ns
 
 
 def _us_to_ns(value, name: str) -> int:
     try:
         ns = round(float(value) * 1_000)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number of microseconds") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a finite number of microseconds") from exc
     return ns
 
 
@@ -93,6 +95,9 @@ class RunConfig:
             raise ConfigError("two-way baselines are single-hop only")
         if self.duration_ns <= 0:
             raise ConfigError("duration must be positive")
+        walk, cap = self.clock.drift, MAX_DRIFT_SEGMENTS
+        if walk.kind == "random-walk" and self.duration_ns // walk.step_ns > cap:
+            raise ConfigError(f"drift.step_s too short: over {cap} segments per node")
         if self.head_method not in ESTIMATOR_METHODS:
             raise ConfigError(f"unknown head method {self.head_method!r}")
         if self.bundling not in protocol.BUNDLING_MODES:
@@ -286,23 +291,25 @@ def parse_config(data: dict) -> RunConfig:
     tick_ns = None if tick_us is None else _us_to_ns(tick_us, "tick_us")
     drift_d = clock_d.get("drift", {"kind": "constant"})
     kind = drift_d.get("kind", "constant")
-    if kind == "constant":
-        drift = DriftModel.constant()
-    elif kind == "random-walk":
-        drift = DriftModel.random_walk(
-            sigma_ppm=float(drift_d.get("sigma_ppm", 0.02)),
-            step_ns=_seconds_to_ns(drift_d.get("step_s", 1.0), "drift.step_s"),
+    offset_ns = float(_us_to_ns(clock_d.get("offset_us", 100_000.0), "offset_us"))
+    try:
+        if kind == "constant":
+            drift = DriftModel.constant()
+        elif kind == "random-walk":
+            drift = DriftModel.random_walk(
+                sigma_ppm=float(drift_d.get("sigma_ppm", 0.02)),
+                step_ns=_seconds_to_ns(drift_d.get("step_s", 1.0), "drift.step_s"),
+            )
+        else:
+            raise ConfigError(f"unknown drift kind {kind!r}")
+        clock = ClockConfig(
+            tick_ns=tick_ns,
+            skew_ppm=float(clock_d.get("skew_ppm", 40.0)),
+            offset_ns=offset_ns,
+            drift=drift,
         )
-    else:
-        raise ConfigError(f"unknown drift kind {kind!r}")
-    clock = ClockConfig(
-        tick_ns=tick_ns,
-        skew_ppm=float(clock_d.get("skew_ppm", 40.0)),
-        offset_ns=float(
-            _us_to_ns(clock_d.get("offset_us", 100_000.0), "offset_us")
-        ),
-        drift=drift,
-    )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"clock: {exc}") from exc
 
     link_d = data.get("link", {})
     try:

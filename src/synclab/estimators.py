@@ -161,9 +161,6 @@ class RegressionWindow:
     def __len__(self) -> int:
         return len(self._pairs)
 
-    def last_sync_index(self) -> int | None:
-        return self._pairs[-1].sync_index if self._pairs else None
-
     def push(self, pair: TimestampPair) -> bool:
         """Insert a pair; returns False if its sync_index is not new."""
         if self._pairs and pair.sync_index <= self._pairs[-1].sync_index:
@@ -382,9 +379,6 @@ class HeadEstimator:
     @property
     def window(self) -> int | None:
         return self._capacity
-
-    def known_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self._streams))
 
     def ingest(self, node_id: int, pair: TimestampPair) -> bool:
         """Add a pair for a node's link; returns False for duplicates."""

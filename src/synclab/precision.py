@@ -148,7 +148,10 @@ class Float32Emu:
     __slots__ = ("value", "mode")
 
     def __new__(cls, value: float, mode: str = NEAREST) -> "Float32Emu":
-        return _new(value, mode, cls)
+        # check the value as given: float() could round an int onto the grid
+        self = _new(value, mode, cls)
+        _set_value(self, float(value))
+        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

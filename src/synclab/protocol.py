@@ -338,12 +338,6 @@ class NodeState:
         self.counts.setdefault(message.kind, [0, 0])[1] += 1
         self.rx_seconds += airtime_s
 
-    def tx_total(self) -> int:
-        return sum(v[0] for v in self.counts.values())
-
-    def rx_total(self) -> int:
-        return sum(v[1] for v in self.counts.values())
-
     def stamp(self, side: str, t: int):
         return sfd_timestamp(side, self.clock, t, self.jitter)
 

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from synclab.clock import (
     ClockConfig,
     ClockParams,
+    DRIFT_BLOCK,
     DriftModel,
     HardwareClock,
     NS_PER_S,
@@ -58,36 +59,63 @@ def test_32khz_tick():
     assert clock.read(30_500) == 1
 
 
-def test_read_rejects_time_regression():
-    # a read may go back in time as far as the start of the previous drift
-    # segment and returns the integrated phase there; earlier reads and
-    # negative times raise
-    steady = HardwareClock(ClockParams(1.0, 0.0))
-    assert steady.read(5_000) == 5
-    assert steady.read(4_999) == 4
-    with pytest.raises(TimeRegressionError):
-        steady.read(-1)
-
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    tick_ns=st.sampled_from([None, TICK_1US_NS]),
+    times=st.lists(
+        st.integers(min_value=0, max_value=3 * DRIFT_BLOCK * NS_PER_S),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@settings(max_examples=50, deadline=None)
+def test_read_rejects_time_regression(seed, tick_ns, times):
+    # a read is a lookup in the drift table, so reads at any t >= 0, in any
+    # order, equal the reads of a fresh clock in time order; only t < 0 raises
     def walker():
         return HardwareClock(
             ClockParams(1.0, 0.0),
-            tick_ns=None,
+            tick_ns=tick_ns,
             drift=DriftModel.random_walk(50.0),
-            rng=np.random.default_rng(3),
+            rng=np.random.default_rng(seed),
         )
 
-    # the same rng draws in forward order give the phases to expect
-    forward = walker()
-    times = tuple(ms * NS_PER_S // 1000 for ms in (500, 2000, 2500, 3000, 3200))
-    expected = {t: forward.read(t) for t in times}
+    in_order = walker()
+    expected = {t: in_order.read(t) for t in sorted(times)}
     clock = walker()
-    assert clock.read(times[-1]) == expected[times[-1]]
-    for t in reversed(times[1:]):
-        assert clock.read(t) == expected[t]
-    assert clock.read(3 * NS_PER_S) != 3 * NS_PER_S  # the walk moved the phase
-    for t in (2 * NS_PER_S - 1, times[0], -1):
+    assert [clock.read(t) for t in times] == [expected[t] for t in times]
+    steady = HardwareClock(ClockParams(1.0, 0.0))
+    assert steady.read(5_000) == 5
+    assert steady.read(4_999) == 4
+    for c in (clock, steady):
         with pytest.raises(TimeRegressionError):
-            clock.read(t)
+            c.read(-1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+@pytest.mark.parametrize("sigma_ppm", [0.02, 0.5, 50.0])
+def test_drift_blocks_equal_scalar_draws(sigma_ppm, seed):
+    # the drift table draws a block of rate steps per generator call; a run
+    # stays what it was only while a block is the sequence of one-at-a-time
+    # scalar draws, which is numpy's behaviour, not its promise: an upgrade
+    # that breaks it fails here instead of moving every drifting clock read
+    step = NS_PER_S // 4
+    params = ClockParams(1 + 30e-6, 5e7)
+    clock = HardwareClock(
+        params,
+        tick_ns=None,
+        drift=DriftModel.random_walk(sigma_ppm, step_ns=step),
+        rng=np.random.default_rng(seed),
+    )
+    twin = np.random.default_rng(seed)
+    sigma = sigma_ppm * 1e-6 * math.sqrt(step / NS_PER_S)
+    phase, rate = params.offset, params.ratio
+    # the segment-by-segment integration the table must reproduce bit for
+    # bit, across at least two block edges (50 ppm also hits the clamp)
+    for k in range(2 * DRIFT_BLOCK + 2):
+        assert (clock.read(k * step), clock.rate(k * step)) == (phase, rate)
+        phase += rate * step
+        rate = min(max(rate + float(twin.normal(0.0, sigma)), 1 - 500e-6), 1 + 500e-6)
 
 
 @given(
@@ -134,9 +162,9 @@ def test_random_walk_rate_stays_clamped():
         rng=rng,
         skew_bound_ppm=500.0,
     )
-    for k in range(1, 200):
-        clock.read(k * NS_PER_S)
-        assert abs(clock.ratio - 1.0) <= 500.0e-6 + 1e-12
+    skews = [abs(clock.rate(k * NS_PER_S) - 1.0) for k in range(200)]
+    assert max(skews) <= 500.0e-6 + 1e-12
+    assert max(skews) > 499.0e-6  # the walk reached the bound
 
 
 def test_random_walk_needs_rng():

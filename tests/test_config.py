@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from synclab.clock import DriftModel
+from synclab.clock import MAX_DRIFT_SEGMENTS, ClockConfig, DriftModel
 from synclab.config import (
     ConfigError,
     RunConfig,
@@ -189,6 +189,54 @@ def test_parse_error_paths():
         parse_config({**MINIMAL, "link": {"loss": 1.5}})
     with pytest.raises(ConfigError):
         parse_config({**MINIMAL, "radio": {"schedule": "solar"}})
+
+
+WALK = {"kind": "random-walk"}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"clock": {"tick_us": 0}},
+        {"clock": {"skew_ppm": -1}},
+        {"clock": {"skew_ppm": 900}},
+        {"clock": {"skew_ppm": float("nan")}},
+        {"clock": {"skew_ppm": float("inf")}},
+        {"clock": {"offset_us": float("inf")}},
+        {"clock": {"drift": {**WALK, "sigma_ppm": -1}}},
+        {"clock": {"drift": {**WALK, "sigma_ppm": float("nan")}}},
+        {"clock": {"drift": {**WALK, "sigma_ppm": float("inf")}}},
+        {"clock": {"drift": {**WALK, "step_s": 0}}},
+        {"clock": {"drift": {**WALK, "step_s": 1e-12}}},
+        {"clock": {"drift": {**WALK, "step_s": float("inf")}}},
+        {"duration_s": float("inf")},
+        {"si_s": float("inf")},
+    ],
+    ids=repr,
+)
+def test_parse_rejects_bad_clock_values(patch):
+    # each of these used to leak ValueError/OverflowError from parse_config,
+    # fail mid-run, or (sigma nan) run silently as constant drift
+    with pytest.raises(ConfigError):
+        parse_config({**MINIMAL, **patch})
+
+
+def test_parse_accepts_skew_at_the_bound():
+    assert parse_config({**MINIMAL, "clock": {"skew_ppm": 500}}).clock.skew_ppm == 500.0
+
+
+def test_drift_segment_cap():
+    # a random-walk clock holds one table entry per drift segment it reaches
+    walk = {**WALK, "step_s": 1e-6}
+    at_cap = parse_config({**MINIMAL, "duration_s": 1, "clock": {"drift": walk}})
+    assert at_cap.duration_ns // at_cap.clock.drift.step_ns == MAX_DRIFT_SEGMENTS
+    with pytest.raises(ConfigError, match="segments"):
+        parse_config({**MINIMAL, "duration_s": 2, "clock": {"drift": walk}})
+    fine_walk = ClockConfig(drift=DriftModel.random_walk(0.02, step_ns=1))
+    with pytest.raises(ConfigError, match="segments"):
+        RunConfig(duration_ns=MAX_DRIFT_SEGMENTS + 1, clock=fine_walk)
+    # constant drift has no table and no cap
+    RunConfig(duration_ns=MAX_DRIFT_SEGMENTS + 1, clock=ClockConfig())
 
 
 def test_parse_rejects_jitter_that_stamps_before_time_zero():

@@ -235,6 +235,19 @@ def test_emu_is_an_immutable_value(pair):
             assert float(np.float32(result.value)) == result.value
 
 
+@pytest.mark.parametrize("mode", [NEAREST, CHOP])
+def test_emu_from_an_int_holds_a_float(mode):
+    x = Float32Emu(1, mode)
+    assert type(x.value) is float and float(x) == 1.0
+    assert x == Float32Emu(1.0, mode) and repr(x) == repr(Float32Emu(1.0, mode))
+    assert (x + 1.0).value == 2.0
+    # representability is checked on the int itself, before any float()
+    # could round it onto the grid
+    for value in (16777217, 2**53 + 1):
+        with pytest.raises(ValueError):
+            Float32Emu(value, mode)
+
+
 def test_psi_error_is_affine_in_local_time():
     loss = PrecisionLoss(eps_alpha=-MACHINE_EPS32, eps_beta=2.0)
     assert psi_error(loss, 0.0) == 2.0

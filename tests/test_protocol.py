@@ -363,6 +363,5 @@ def test_counts_bookkeeping():
     node.note_rx(meas, airtime_s=0.003)
     assert node.counts[REPORT] == [1, 0]
     assert node.counts[MEASUREMENT] == [1, 1]
-    assert node.tx_total() == 2 and node.rx_total() == 1
     assert math.isclose(node.tx_seconds, 0.003)
     assert math.isclose(node.rx_seconds, 0.003)
