@@ -81,6 +81,7 @@ from .simnet import (
 )
 from .config import (
     ConfigError,
+    EnergyModel,
     RunConfig,
     energy_comparison_config,
     load_config,
@@ -92,7 +93,6 @@ from .config import (
 from .analysis import (
     AccuracyReport,
     EnergyLedger,
-    EnergyModel,
     ErrorStats,
     NodeEnergy,
     accuracy_metrics,

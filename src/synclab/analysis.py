@@ -20,7 +20,7 @@ import numpy as np
 
 from . import protocol, simnet
 from .clock import NS_PER_S
-from .config import RunConfig
+from .config import EnergyModel, RunConfig
 from .estimators import HeadEstimator, multihop_from_head
 from .simnet import MeasurementOutcome, RunTrace, apply_head_event
 
@@ -110,32 +110,6 @@ def sync_event_total(trace: RunTrace) -> int:
 
 
 # -- energy --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnergyModel:
-    """Radio/MCU current draws (amperes) at a fixed supply voltage."""
-
-    voltage_v: float = 3.3
-    i_tx_a: float = 0.0174
-    i_listen_a: float = 0.0197
-    i_idle_a: float = 2e-5
-    i_mcu_a: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("voltage_v", "i_tx_a", "i_listen_a", "i_idle_a", "i_mcu_a"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-
-    @staticmethod
-    def from_dict(data: dict) -> "EnergyModel":
-        return EnergyModel(
-            voltage_v=float(data.get("voltage_v", 3.3)),
-            i_tx_a=float(data.get("i_tx_a", 0.0174)),
-            i_listen_a=float(data.get("i_listen_a", 0.0197)),
-            i_idle_a=float(data.get("i_idle_a", 2e-5)),
-            i_mcu_a=float(data.get("i_mcu_a", 0.0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -298,17 +272,16 @@ def accuracy_metrics(trace_or_outcomes) -> AccuracyReport:
 # -- replay and orchestration ----------------------------------------------------
 
 
-def run_config(cfg: RunConfig, collect_events: bool | None = None) -> RunTrace:
+def run_config(cfg: RunConfig) -> RunTrace:
     """Build the chain topology for ``cfg``, run it, stamp config identity."""
     topology = simnet.build_chain(cfg.hops, cfg.clock, cfg.link, cfg.seed)
-    collect = cfg.collect_events if collect_events is None else collect_events
     trace = simnet.run(
         topology,
         cfg.scheme_config(),
         cfg.duration_ns,
         cfg.seed,
         radio=cfg.radio_config(),
-        collect_events=collect,
+        collect_events=cfg.collect_events,
     )
     trace.config = cfg.to_dict()
     trace.config_hash = cfg.config_hash()

@@ -44,7 +44,7 @@ def _emit_run_outputs(out_dir, trace, save_trace: bool) -> dict:
         report = None
     ledger = None
     if trace.config is not None:
-        model = analysis.EnergyModel.from_dict(trace.config["energy"])
+        model = analysis.EnergyModel(**trace.config["energy"])
         ledger = analysis.energy_from_trace(trace, model)
     summary = analysis.summarize_trace(trace, report=report, ledger=ledger)
     analysis.write_measurements_csv(os.path.join(out_dir, "measurements.csv"), trace)

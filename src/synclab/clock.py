@@ -116,6 +116,9 @@ class DriftModel:
             raise ValueError("walk_sigma_ppm must be finite and non-negative")
         if self.step_ns <= 0:
             raise ValueError("drift step must be positive")
+        walk = (self.walk_sigma_ppm, self.step_ns)
+        if self.kind == "constant" and walk != (0.0, NS_PER_S):
+            raise ValueError("constant drift takes no walk_sigma_ppm or step_ns")
 
     @staticmethod
     def constant() -> "DriftModel":

@@ -12,17 +12,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from . import protocol
-from .clock import (
-    ClockConfig,
-    DriftModel,
-    MAX_DRIFT_SEGMENTS,
-    NS_PER_S,
-    TICK_1US_NS,
-)
-from .estimators import ESTIMATOR_METHODS, WINDOW_LSQ, TWO_POINT, default_window
+from .clock import ClockConfig, DriftModel, MAX_DRIFT_SEGMENTS, NS_PER_S
+from .estimators import WINDOW_LSQ, TWO_POINT, default_window
 from .protocol import RadioConfig, SchemeConfig
 from .simnet import LinkConfig
 
@@ -31,31 +26,20 @@ class ConfigError(Exception):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
-DEFAULT_ENERGY = {
-    "voltage_v": 3.3,
-    "i_tx_a": 0.0174,
-    "i_listen_a": 0.0197,
-    "i_idle_a": 2e-5,
-    "i_mcu_a": 0.0,
-}
+@dataclass(frozen=True)
+class EnergyModel:
+    """Radio/MCU current draws (amperes) at a fixed supply voltage."""
 
-_ENERGY_KEYS = tuple(DEFAULT_ENERGY)
+    voltage_v: float = 3.3
+    i_tx_a: float = 0.0174
+    i_listen_a: float = 0.0197
+    i_idle_a: float = 2e-5
+    i_mcu_a: float = 0.0
 
-# round() raises ValueError for nan and OverflowError for an infinite value
-def _seconds_to_ns(value, name: str) -> int:
-    try:
-        ns = round(float(value) * NS_PER_S)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a finite number of seconds") from exc
-    return ns
-
-
-def _us_to_ns(value, name: str) -> int:
-    try:
-        ns = round(float(value) * 1_000)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a finite number of microseconds") from exc
-    return ns
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -79,14 +63,28 @@ class RunConfig:
     clock: ClockConfig = field(default_factory=ClockConfig)
     link: LinkConfig = field(default_factory=LinkConfig)
     radio: RadioConfig | None = None
-    energy: dict = field(default_factory=lambda: dict(DEFAULT_ENERGY))
+    energy: EnergyModel = field(default_factory=EnergyModel)
     collect_events: bool = False
 
     def __post_init__(self) -> None:
-        if self.scheme not in protocol.SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        integers = {
+            "hops": self.hops,
+            "seed": self.seed,
+            "bundle_size": self.bundle_size,
+            "node_window": self.node_window,
+            "bitrate_bps": self.radio_config().bitrate_bps,
+        }
+        if self.head_window is not None:
+            integers["head_window"] = self.head_window
+        for name, value in integers.items():
+            if type(value) is not int:  # bool and float are rejected, not truncated
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if type(self.collect_events) is not bool:
+            raise ConfigError("collect_events must be true or false")
         if self.hops < 1:
             raise ConfigError("hops must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if (
             self.scheme
             in (protocol.REVERSE_TWOWAY, protocol.CONVENTIONAL_TWOWAY)
@@ -98,39 +96,19 @@ class RunConfig:
         walk, cap = self.clock.drift, MAX_DRIFT_SEGMENTS
         if walk.kind == "random-walk" and self.duration_ns // walk.step_ns > cap:
             raise ConfigError(f"drift.step_s too short: over {cap} segments per node")
-        if self.head_method not in ESTIMATOR_METHODS:
-            raise ConfigError(f"unknown head method {self.head_method!r}")
-        if self.bundling not in protocol.BUNDLING_MODES:
-            raise ConfigError(f"unknown bundling mode {self.bundling!r}")
-        for key in _ENERGY_KEYS:
-            if key not in self.energy:
-                raise ConfigError(f"energy model is missing {key!r}")
-            if float(self.energy[key]) < 0.0:
-                raise ConfigError(f"energy constant {key!r} must be non-negative")
         try:
-            epoch_ns = self.scheme_config().epoch_ns
+            self.scheme_config()
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
-        if self.link.jitter_ns > epoch_ns:
+        if self.link.jitter_ns > protocol.EPOCH_NS:
             raise ConfigError(
-                f"SFD jitter {self.link.jitter_ns} ns exceeds {epoch_ns} ns, the "
-                "time of the first stamp, so a stamp could fall before t = 0"
+                f"SFD jitter {self.link.jitter_ns} ns exceeds {protocol.EPOCH_NS} ns, "
+                "the time of the first stamp, so a stamp could fall before t = 0"
             )
 
     def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(
-            scheme=self.scheme,
-            si_ns=self.si_ns,
-            measurement_interval_ns=self.measurement_interval_ns,
-            report_interval_ns=self.report_interval_ns,
-            bundling=self.bundling,
-            bundle_size=self.bundle_size,
-            head_method=self.head_method,
-            head_window=self.head_window,
-            node_method=self.node_method,
-            node_window=self.node_window,
-            node_precision=self.node_precision,
-        )
+        names = (f.name for f in fields(SchemeConfig))
+        return SchemeConfig(**{name: getattr(self, name) for name in names})
 
     def radio_config(self) -> RadioConfig:
         if self.radio is not None:
@@ -139,104 +117,40 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form; integers only for times (nanoseconds)."""
-        drift = self.clock.drift
-        radio = self.radio_config()
-        return {
-            "scheme": self.scheme,
-            "hops": self.hops,
-            "duration_ns": self.duration_ns,
-            "seed": self.seed,
-            "si_ns": self.si_ns,
-            "measurement_interval_ns": self.measurement_interval_ns,
-            "report_interval_ns": self.report_interval_ns,
-            "bundling": self.bundling,
-            "bundle_size": self.bundle_size,
-            "head_method": self.head_method,
-            "head_window": self.head_window,
-            "node_method": self.node_method,
-            "node_window": self.node_window,
-            "node_precision": self.node_precision,
-            "clock": {
-                "tick_ns": self.clock.tick_ns,
-                "skew_ppm": self.clock.skew_ppm,
-                "offset_ns": self.clock.offset_ns,
-                "drift": {
-                    "kind": drift.kind,
-                    "walk_sigma_ppm": drift.walk_sigma_ppm,
-                    "step_ns": drift.step_ns,
-                },
-            },
-            "link": {
-                "propagation_ns": self.link.propagation_ns,
-                "jitter_ns": self.link.jitter_ns,
-                "loss": self.link.loss,
-            },
-            "radio": {
-                "bitrate_bps": radio.bitrate_bps,
-                "schedule": radio.schedule,
-                "lpl_duty": radio.lpl_duty,
-            },
-            "energy": {k: float(self.energy[k]) for k in _ENERGY_KEYS},
-            "collect_events": self.collect_events,
-        }
+        data = dataclasses.asdict(self)
+        data["radio"] = dataclasses.asdict(self.radio_config())
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        clock_d = data.get("clock", {})
-        drift_d = clock_d.get("drift", {})
-        drift = DriftModel(
-            kind=drift_d.get("kind", "constant"),
-            walk_sigma_ppm=drift_d.get("walk_sigma_ppm", 0.0),
-            step_ns=drift_d.get("step_ns", NS_PER_S),
-        )
-        clock = ClockConfig(
-            tick_ns=clock_d.get("tick_ns", TICK_1US_NS),
-            skew_ppm=clock_d.get("skew_ppm", 40.0),
-            offset_ns=clock_d.get("offset_ns", 100_000_000.0),
-            drift=drift,
-        )
-        link_d = data.get("link", {})
-        link = LinkConfig(
-            propagation_ns=link_d.get("propagation_ns", 1_000),
-            jitter_ns=link_d.get("jitter_ns", 5_000),
-            loss=link_d.get("loss", 0.0),
-        )
-        radio_d = data.get("radio")
-        radio = None
-        if radio_d is not None:
-            radio = RadioConfig(
-                bitrate_bps=radio_d.get("bitrate_bps", 250_000),
-                schedule=radio_d.get(
-                    "schedule", protocol.default_radio_schedule(data["scheme"])
-                ),
-                lpl_duty=radio_d.get("lpl_duty", 0.05),
-            )
-        energy = dict(DEFAULT_ENERGY)
-        energy.update(data.get("energy", {}))
+        """Build from the canonical form of :meth:`to_dict`.
+
+        ``scheme``, ``duration_ns`` and ``si_ns`` are required; any other key
+        may be left out and takes its dataclass default (a radio schedule
+        follows the scheme).  An unknown key, at any level, is an error.
+        """
         try:
+            rest = dict(data)
+            clock = dict(rest.pop("clock", {}))
+            clock["drift"] = DriftModel(**clock.get("drift", {}))
+            radio = rest.pop("radio", None)
+            if radio is not None:
+                schedule = protocol.default_radio_schedule(rest["scheme"])
+                radio = RadioConfig(**{"schedule": schedule, **radio})
+            link = LinkConfig(**rest.pop("link", {}))
+            energy = EnergyModel(**rest.pop("energy", {}))
+            required = {k: rest.pop(k) for k in ("scheme", "duration_ns", "si_ns")}
             return RunConfig(
-                scheme=data["scheme"],
-                hops=data["hops"],
-                duration_ns=data["duration_ns"],
-                seed=data.get("seed", 0),
-                si_ns=data["si_ns"],
-                measurement_interval_ns=data["measurement_interval_ns"],
-                report_interval_ns=data.get("report_interval_ns"),
-                bundling=data.get("bundling", protocol.BUNDLE_NONE),
-                bundle_size=data.get("bundle_size", 1),
-                head_method=data.get("head_method", WINDOW_LSQ),
-                head_window=data.get("head_window", 19),
-                node_method=data.get("node_method", TWO_POINT),
-                node_window=data.get("node_window", 8),
-                node_precision=data.get("node_precision", protocol.FP64),
-                clock=clock,
+                **required,
+                **rest,
+                clock=ClockConfig(**clock),
                 link=link,
                 radio=radio,
                 energy=energy,
-                collect_events=data.get("collect_events", False),
             )
-        except KeyError as exc:
-            raise ConfigError(f"config is missing required key {exc.args[0]!r}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            missing = isinstance(exc, KeyError)
+            raise ConfigError(f"missing key {exc}" if missing else str(exc)) from exc
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -246,119 +160,132 @@ class RunConfig:
         return dataclasses.replace(self, **changes)
 
 
+# -- the documented JSON schema ----------------------------------------------
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; strings, booleans and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is out of range") from exc
+
+
+def _scaled(unit: str, ns_per_unit: int):
+    """Converter from a number of ``unit`` to integer nanoseconds."""
+
+    def convert(value, name: str) -> int:
+        try:
+            return round(_number(value, name) * ns_per_unit)
+        except (ValueError, OverflowError) as exc:  # round() of nan or inf
+            raise ConfigError(f"{name} must be a finite number of {unit}") from exc
+
+    return convert
+
+
+def _nullable(convert):
+    return lambda value, name: None if value is None else convert(value, name)
+
+
+def _same(value, name: str):
+    return value
+
+
+def _window(value, name: str):
+    return None if value == "all" else value
+
+
+_seconds = _scaled("seconds", NS_PER_S)
+_micros = _scaled("microseconds", 1_000)
+
+# documented key -> (canonical key, converter or nested section); a section
+# whose canonical key is None ("head", "node") merges into its parent
+_SCHEMA = {
+    "scheme": ("scheme", _same),
+    "hops": ("hops", _same),
+    "duration_s": ("duration_ns", _seconds),
+    "seed": ("seed", _same),
+    "si_s": ("si_ns", _seconds),
+    "measurement_interval_s": ("measurement_interval_ns", _seconds),
+    "report_interval_s": ("report_interval_ns", _nullable(_seconds)),
+    "bundling": ("bundling", _same),
+    "bundle_size": ("bundle_size", _same),
+    "collect_events": ("collect_events", _same),
+    "head": (None, {
+        "method": ("head_method", _same),
+        "window": ("head_window", _window),
+    }),
+    "node": (None, {
+        "method": ("node_method", _same),
+        "window": ("node_window", _same),
+        "precision": ("node_precision", _same),
+    }),
+    "clock": ("clock", {
+        "tick_us": ("tick_ns", _nullable(_micros)),
+        "skew_ppm": ("skew_ppm", _number),
+        "offset_us": ("offset_ns", lambda value, name: float(_micros(value, name))),
+        "drift": ("drift", {
+            "kind": ("kind", _same),
+            "sigma_ppm": ("walk_sigma_ppm", _number),
+            "step_s": ("step_ns", _seconds),
+        }),
+    }),
+    "link": ("link", {
+        "propagation_us": ("propagation_ns", _micros),
+        "jitter_us": ("jitter_ns", _micros),
+        "loss": ("loss", _number),
+    }),
+    "radio": ("radio", {
+        "bitrate_bps": ("bitrate_bps", _same),
+        "schedule": ("schedule", _same),
+        "lpl_duty": ("lpl_duty", _number),
+    }),
+    "energy": ("energy", {f.name: (f.name, _number) for f in fields(EnergyModel)}),
+}
+
+
+def _canonical(section, schema: dict, path: str) -> dict:
+    """Map one schema section to canonical keys and units, rejecting unknown keys."""
+    where = path.rstrip(".") or "config"
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    unknown = sorted(set(section) - set(schema), key=repr)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {unknown}")
+    canon = {}
+    for key, value in section.items():
+        name, rule = schema[key]
+        if isinstance(rule, dict):
+            value = _canonical(value, rule, f"{path}{key}.")
+        else:
+            value = rule(value, path + key)
+        if name is None:
+            canon.update(value)
+        else:
+            canon[name] = value
+    return canon
+
+
 def parse_config(data: dict) -> RunConfig:
     """Parse the documented JSON config schema (seconds / microseconds units).
 
-    Unknown top-level keys are rejected so typos fail loudly.
+    Unknown keys are rejected at every level, so typos fail loudly.  Defaults
+    are those of the dataclasses, except the ones derived from ``si_s`` and
+    a random walk's ``sigma_ppm`` of 0.02.
     """
-    known = {
-        "scheme", "hops", "duration_s", "seed", "si_s",
-        "measurement_interval_s", "report_interval_s", "bundling",
-        "bundle_size", "head", "node", "clock", "link", "radio", "energy",
-        "collect_events",
-    }
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
+    canon = _canonical(data, _SCHEMA, "")
     for key in ("scheme", "duration_s", "si_s"):
         if key not in data:
             raise ConfigError(f"config is missing required key {key!r}")
-
-    scheme = data["scheme"]
-    si_ns = _seconds_to_ns(data["si_s"], "si_s")
-    duration_ns = _seconds_to_ns(data["duration_s"], "duration_s")
-    meas_ns = _seconds_to_ns(
-        data.get("measurement_interval_s", data["si_s"]), "measurement_interval_s"
-    )
-    report_s = data.get("report_interval_s", data["si_s"])
-    report_ns = None if report_s is None else _seconds_to_ns(report_s, "report_interval_s")
-
-    bundling = data.get("bundling", protocol.BUNDLE_NONE)
-    if bundling not in protocol.BUNDLING_MODES:
-        raise ConfigError(f"unknown bundling mode {bundling!r}")
-
-    head_d = data.get("head", {})
-    window = head_d.get("window", default_window(float(data["si_s"])))
-    if window == "all":
-        window = None
-    if window is not None and (not isinstance(window, int) or window < 2):
-        raise ConfigError("head window must be an integer >= 2 or \"all\"")
-
-    node_d = data.get("node", {})
-
-    clock_d = data.get("clock", {})
-    tick_us = clock_d.get("tick_us", 1.0)
-    tick_ns = None if tick_us is None else _us_to_ns(tick_us, "tick_us")
-    drift_d = clock_d.get("drift", {"kind": "constant"})
-    kind = drift_d.get("kind", "constant")
-    offset_ns = float(_us_to_ns(clock_d.get("offset_us", 100_000.0), "offset_us"))
-    try:
-        if kind == "constant":
-            drift = DriftModel.constant()
-        elif kind == "random-walk":
-            drift = DriftModel.random_walk(
-                sigma_ppm=float(drift_d.get("sigma_ppm", 0.02)),
-                step_ns=_seconds_to_ns(drift_d.get("step_s", 1.0), "drift.step_s"),
-            )
-        else:
-            raise ConfigError(f"unknown drift kind {kind!r}")
-        clock = ClockConfig(
-            tick_ns=tick_ns,
-            skew_ppm=float(clock_d.get("skew_ppm", 40.0)),
-            offset_ns=offset_ns,
-            drift=drift,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"clock: {exc}") from exc
-
-    link_d = data.get("link", {})
-    try:
-        link = LinkConfig(
-            propagation_ns=_us_to_ns(link_d.get("propagation_us", 1.0), "propagation_us"),
-            jitter_ns=_us_to_ns(link_d.get("jitter_us", 5.0), "jitter_us"),
-            loss=float(link_d.get("loss", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    radio_d = data.get("radio")
-    radio = None
-    if radio_d is not None:
-        try:
-            radio = RadioConfig(
-                bitrate_bps=int(radio_d.get("bitrate_bps", 250_000)),
-                schedule=radio_d.get(
-                    "schedule", protocol.default_radio_schedule(scheme)
-                ),
-                lpl_duty=float(radio_d.get("lpl_duty", 0.05)),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    energy = dict(DEFAULT_ENERGY)
-    energy.update(data.get("energy", {}))
-
-    return RunConfig(
-        scheme=scheme,
-        hops=int(data.get("hops", 1)),
-        duration_ns=duration_ns,
-        seed=int(data.get("seed", 0)),
-        si_ns=si_ns,
-        measurement_interval_ns=meas_ns,
-        report_interval_ns=report_ns,
-        bundling=bundling,
-        bundle_size=int(data.get("bundle_size", 1)),
-        head_method=head_d.get("method", WINDOW_LSQ),
-        head_window=window,
-        node_method=node_d.get("method", TWO_POINT),
-        node_window=int(node_d.get("window", 8)),
-        node_precision=node_d.get("precision", protocol.FP64),
-        clock=clock,
-        link=link,
-        radio=radio,
-        energy=energy,
-        collect_events=bool(data.get("collect_events", False)),
-    )
+    canon.setdefault("measurement_interval_ns", canon["si_ns"])
+    canon.setdefault("report_interval_ns", canon["si_ns"])
+    canon.setdefault("head_window", default_window(data["si_s"]))
+    drift = canon.get("clock", {}).get("drift", {})
+    if drift.get("kind") == "random-walk":
+        drift.setdefault("walk_sigma_ppm", 0.02)
+    return RunConfig.from_dict(canon)
 
 
 def load_config(path) -> RunConfig:

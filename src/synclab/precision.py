@@ -255,7 +255,7 @@ def _new(value: float, mode: str, cls: type = Float32Emu) -> Float32Emu:
         raise ValueError(f"unknown rounding mode {mode!r}")
     try:
         representable = _F32.unpack(_F32.pack(value))[0] == value
-    except OverflowError:
+    except (OverflowError, struct.error):  # struct.error: an int past the fp32 range
         representable = False
     if not representable:
         raise ValueError(f"{value!r} is not single-precision representable")

@@ -30,6 +30,7 @@ import numpy as np
 
 from .clock import ClockParams, HardwareClock
 from .estimators import (
+    ESTIMATOR_METHODS,
     RegressionWindow,
     TimestampPair,
     TWO_POINT,
@@ -89,6 +90,18 @@ SEND = "send"
 RECEIVE = "receive"
 
 MS = 1_000_000  # ns per millisecond
+
+# Event timing shared by every run (ns).  The first beacon, request or SFD
+# stamp falls at EPOCH_NS; measurements start MEASUREMENT_OFFSET_NS later and
+# scheduled reports REPORT_OFFSET_NS later, deeper nodes REPORT_STAGGER_NS
+# earlier per level so a wave climbs the chain in one pass.
+EPOCH_NS = 10 * MS
+MEASUREMENT_OFFSET_NS = 50 * MS
+REPORT_OFFSET_NS = 100 * MS
+REPORT_STAGGER_NS = 10 * MS
+SEND_SETUP_NS = 1 * MS
+FORWARD_DELAY_NS = 1 * MS
+RESPONSE_DELAY_NS = 1 * MS
 
 JITTER_BLOCK = 256
 """SFD jitter values each side draws per generator call."""
@@ -218,7 +231,8 @@ class SchemeConfig:
     filled measurement bundle; a value schedules reports on that period, and
     a scheduled report with an empty buffer is emitted as a timestamp-only
     frame only if at least one sync interval passed since the node's last
-    sync-bearing transmission.
+    sync-bearing transmission.  Event timing within a run is fixed by the
+    module constants ``EPOCH_NS`` through ``RESPONSE_DELAY_NS``.
     """
 
     scheme: str
@@ -232,17 +246,16 @@ class SchemeConfig:
     node_method: str = TWO_POINT
     node_window: int = 8
     node_precision: str = FP64
-    epoch_ns: int = 10 * MS
-    measurement_offset_ns: int = 50 * MS
-    report_offset_ns: int = 100 * MS
-    report_stagger_ns: int = 10 * MS
-    send_setup_ns: int = 1 * MS
-    forward_delay_ns: int = 1 * MS
-    response_delay_ns: int = 1 * MS
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.head_method not in ESTIMATOR_METHODS:
+            raise ValueError(f"unknown head method {self.head_method!r}")
+        if self.head_window is not None and self.head_window < 2:
+            raise ValueError("head window must be at least 2 (or None: unbounded)")
+        if self.node_window < 2:
+            raise ValueError("node window must be at least 2")
         if self.si_ns <= 0 or self.measurement_interval_ns <= 0:
             raise ValueError("intervals must be positive")
         if self.report_interval_ns is not None and self.report_interval_ns <= 0:
@@ -324,7 +337,7 @@ class NodeState:
         self.tx_seconds = 0.0
         self.rx_seconds = 0.0
         # node-side sync state (conventional one-way)
-        self.beacon_window = RegressionWindow(max(2, cfg.node_window))
+        self.beacon_window = RegressionWindow(cfg.node_window)
         self._node_fit = None
         self._node_dirty = True
 

@@ -26,6 +26,13 @@ from .clock import ClockConfig, ClockParams, DriftModel
 from .estimators import HeadEstimator, TimestampPair
 from . import protocol
 from .protocol import (
+    EPOCH_NS,
+    FORWARD_DELAY_NS,
+    MEASUREMENT_OFFSET_NS,
+    REPORT_OFFSET_NS,
+    REPORT_STAGGER_NS,
+    RESPONSE_DELAY_NS,
+    SEND_SETUP_NS,
     Message,
     NodeState,
     JitterModel,
@@ -459,7 +466,7 @@ class Engine:
                     node.records.extend(message.bundle)
                 elif message.bundle:
                     queued = self._push(
-                        t + self.cfg.forward_delay_ns,
+                        t + FORWARD_DELAY_NS,
                         self._on_relay,
                         (dst_id, message.bundle),
                     )
@@ -471,7 +478,7 @@ class Engine:
                     self._deliver_record(record, t)
             else:
                 queued = self._push(
-                    t + self.cfg.forward_delay_ns, self._on_forward, (dst_id, message)
+                    t + FORWARD_DELAY_NS, self._on_forward, (dst_id, message)
                 )
                 if not queued:
                     self._account_missing(message, "in_flight")
@@ -480,7 +487,7 @@ class Engine:
                 node.on_beacon(message, t)
                 if node.children:
                     self._push(
-                        t + self.cfg.forward_delay_ns,
+                        t + FORWARD_DELAY_NS,
                         self._on_rebroadcast,
                         (dst_id, message.sync_index),
                     )
@@ -488,7 +495,7 @@ class Engine:
         elif kind == protocol.REQUEST:
             rx_stamp = node.stamp(protocol.RECEIVE, t)
             self._push(
-                t + self.cfg.response_delay_ns,
+                t + RESPONSE_DELAY_NS,
                 self._on_respond,
                 (dst_id, message, rx_stamp),
             )
@@ -510,7 +517,7 @@ class Engine:
                 if self.cfg.scheme in (protocol.REVERSE_ONEWAY, protocol.REVERSE_TWOWAY)
                 else self._on_flush_meas
             )
-            self._push(t + self.cfg.send_setup_ns, flush, (node_id,))
+            self._push(t + SEND_SETUP_NS, flush, (node_id,))
         self._push(t + self.cfg.measurement_interval_ns, self._on_measure, (node_id,))
 
     def _on_report_timer(self, t: int, node_id: int) -> None:
@@ -572,21 +579,15 @@ class Engine:
         scheme = cfg.scheme
         hops = self.topology.hops
         for node_id in self.topology.sensor_ids():
-            self._push(
-                cfg.epoch_ns + cfg.measurement_offset_ns, self._on_measure, (node_id,)
-            )
+            self._push(EPOCH_NS + MEASUREMENT_OFFSET_NS, self._on_measure, (node_id,))
             if cfg.report_interval_ns is not None:
                 level = self.topology.nodes[node_id].level
-                phase = (
-                    cfg.epoch_ns
-                    + cfg.report_offset_ns
-                    + (hops - level) * cfg.report_stagger_ns
-                )
+                phase = EPOCH_NS + REPORT_OFFSET_NS + (hops - level) * REPORT_STAGGER_NS
                 self._push(phase, self._on_report_timer, (node_id,))
             if scheme == protocol.CONVENTIONAL_TWOWAY:
-                self._push(cfg.epoch_ns, self._on_request_timer, (node_id,))
+                self._push(EPOCH_NS, self._on_request_timer, (node_id,))
         if scheme in (protocol.CONVENTIONAL_ONEWAY, protocol.REVERSE_TWOWAY):
-            self._push(cfg.epoch_ns, self._on_beacon_timer, (self.head.node_id,))
+            self._push(EPOCH_NS, self._on_beacon_timer, (self.head.node_id,))
 
         heap = self._heap
         while heap:

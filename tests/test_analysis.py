@@ -222,10 +222,12 @@ def test_schedule_energy_ordering(model):
 
 
 def test_energy_model_validation():
-    with pytest.raises(ValueError):
-        EnergyModel(i_tx_a=-0.1)
-    assert EnergyModel.from_dict({}) == EnergyModel()
-    assert EnergyModel.from_dict({"i_tx_a": 0.03}).i_tx_a == 0.03
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EnergyModel(i_tx_a=bad)
+    with pytest.raises(TypeError):
+        EnergyModel(i_tx=0.03)  # a misspelled current is not ignored
+    assert EnergyModel(**{"i_tx_a": 0.03}) == EnergyModel(i_tx_a=0.03)
 
 
 def outcome(err_s, origin=1, level=1, seq=1):

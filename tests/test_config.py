@@ -1,8 +1,12 @@
 """Run configuration: validation, the JSON schema, hashing, presets."""
 
+import copy
 import json
+import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from synclab.clock import MAX_DRIFT_SEGMENTS, ClockConfig, DriftModel
 from synclab.config import (
@@ -29,6 +33,23 @@ S = 1_000_000_000
 
 MINIMAL = {"scheme": REVERSE_ONEWAY, "duration_s": 600, "si_s": 1}
 
+UNITS = {
+    **MINIMAL,
+    "hops": 3,
+    "seed": 9,
+    "measurement_interval_s": 5,
+    "report_interval_s": None,
+    "bundling": "self",
+    "clock": {
+        "tick_us": 30.5,
+        "skew_ppm": 100,
+        "offset_us": 50_000,
+        "drift": {"kind": "random-walk", "sigma_ppm": 0.05, "step_s": 2},
+    },
+    "link": {"propagation_us": 2, "jitter_us": 0, "loss": 0.1},
+    "radio": {"bitrate_bps": 19200, "schedule": "lpl", "lpl_duty": 0.1},
+}
+
 
 def test_default_config_is_valid():
     cfg = RunConfig()
@@ -50,10 +71,11 @@ def test_run_config_validation():
         RunConfig(head_method="spline")
     with pytest.raises(ConfigError):
         RunConfig(bundling="zip")
+    canonical = RunConfig().to_dict()
+    with pytest.raises(ConfigError):  # a misspelled current draw
+        RunConfig.from_dict({**canonical, "energy": {"voltage_v": 3.3, "i_tx": 0.02}})
     with pytest.raises(ConfigError):
-        RunConfig(energy={"voltage_v": 3.3})  # missing current draws
-    with pytest.raises(ConfigError):
-        RunConfig(energy={**RunConfig().energy, "i_tx_a": -1.0})
+        RunConfig.from_dict({**canonical, "energy": {"i_tx_a": -1.0}})
     with pytest.raises(ConfigError):
         RunConfig(bundle_size=0)  # nested scheme validation surfaces here
     RunConfig(scheme=CONVENTIONAL_TWOWAY, hops=1)
@@ -140,24 +162,7 @@ def test_parse_rejects_unknown_keys():
 
 
 def test_parse_units_and_aliases():
-    cfg = parse_config(
-        {
-            **MINIMAL,
-            "hops": 3,
-            "seed": 9,
-            "measurement_interval_s": 5,
-            "report_interval_s": None,
-            "bundling": "self",
-            "clock": {
-                "tick_us": 30.5,
-                "skew_ppm": 100,
-                "offset_us": 50_000,
-                "drift": {"kind": "random-walk", "sigma_ppm": 0.05, "step_s": 2},
-            },
-            "link": {"propagation_us": 2, "jitter_us": 0, "loss": 0.1},
-            "radio": {"bitrate_bps": 19200, "schedule": "lpl", "lpl_duty": 0.1},
-        }
-    )
+    cfg = parse_config(UNITS)
     assert cfg.hops == 3 and cfg.seed == 9
     assert cfg.measurement_interval_ns == 5 * S
     assert cfg.report_interval_ns is None
@@ -290,3 +295,148 @@ def test_presets():
     assert rev.duration_ns == conv.duration_ns == 600 * S
     with pytest.raises(ConfigError):
         energy_comparison_config(CONVENTIONAL_TWOWAY)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        # misspelled nested keys used to be ignored
+        {"link": {"jiter_us": 400}},
+        {"energy": {"i_tx": 5}},
+        # these leaked ValueError or AttributeError
+        {"hops": "x"},
+        {"seed": "abc"},
+        {"node": {"window": "x"}},
+        {"energy": {"voltage_v": "abc"}},
+        {"clock": 5},
+        # these ran with a silently changed value
+        {"hops": 2.7},
+        {"node": {"window": 1}},
+        {"energy": {"voltage_v": math.nan}},
+        {"hops": True},
+        {"collect_events": "yes"},
+        {"clock": {"drift": {"sigma_ppm": 0.05}}},  # constant drift, sigma dropped
+        # accepted, then failed when the run seeded its generators
+        {"seed": -1},
+    ],
+    ids=repr,
+)
+def test_parse_rejects_malformed_values(patch):
+    with pytest.raises(ConfigError):
+        parse_config({**MINIMAL, **patch})
+
+
+@pytest.mark.parametrize(
+    "section, key, value", [("clock", "skew_ppm", 900), ("link", "loss", 2)]
+)
+def test_from_dict_rejects_bad_nested_values(section, key, value):
+    # these leaked ValueError from the nested dataclass
+    data = RunConfig().to_dict()
+    data[section][key] = value
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(data)
+
+
+PINNED_UNITS = {
+    **UNITS,
+    "link": {**UNITS["link"], "loss": 0},
+    "energy": {"voltage_v": 3, "i_mcu_a": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (RunConfig, "6adb439c6e26e93a"),
+        (lambda: parse_config(MINIMAL), "6adb439c6e26e93a"),
+        (multihop_accuracy_config, "ba64d0cc144321e4"),
+        (
+            lambda: energy_comparison_config(CONVENTIONAL_ONEWAY, schedule="lpl"),
+            "dc8295f8bea28334",
+        ),
+        (
+            lambda: table1_config(CONVENTIONAL_TWOWAY, 10.0, seed=3),
+            "b275870a41471e87",
+        ),
+        # int energy values still hash as floats, "voltage_v": 3.0
+        (lambda: parse_config(PINNED_UNITS), "7837288572cb7dc7"),
+    ],
+)
+def test_config_hash_is_pinned(build, digest):
+    # stored traces and summary.json files name their config by this hash;
+    # JSON tells 3 from 3.0 and 1 from true, so it pins value types too
+    assert build().config_hash() == digest
+
+
+# every documented key, so that each one can be broken in turn
+FULL = {
+    **UNITS,
+    "bundle_size": 2,
+    "collect_events": False,
+    "head": {"method": "window-lsq", "window": 7},
+    "node": {"method": "window-lsq", "window": 8, "precision": "fp32-chop"},
+    "energy": {
+        "voltage_v": 3.0,
+        "i_tx_a": 0.02,
+        "i_listen_a": 0.02,
+        "i_idle_a": 0.0,
+        "i_mcu_a": 0.001,
+    },
+}
+
+
+def _paths(data, prefix=()):
+    for key, value in data.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+new_keys = st.text(max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _break(data, path, rename, key, value):
+    """A copy of ``data`` with the key at ``path`` renamed to ``key``, or its
+    value replaced by ``value``."""
+    data = copy.deepcopy(data)
+    *parents, last = path
+    section = data
+    for name in parents:
+        section = section[name]
+    if rename:
+        section[key] = section.pop(last)
+    else:
+        section[last] = value
+    return data
+
+
+CANONICAL = parse_config(FULL).to_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_paths(FULL))), st.booleans(), new_keys, json_values)
+def test_parse_accepts_or_raises_config_error(path, rename, key, value):
+    # parsing only, no run: what it accepts is a RunConfig that passed every
+    # check, and its canonical form builds the same config again
+    try:
+        cfg = parse_config(_break(FULL, path, rename, key, value))
+    except ConfigError:
+        return
+    assert RunConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_paths(CANONICAL))), st.booleans(), new_keys, json_values)
+def test_from_dict_accepts_or_raises_config_error(path, rename, key, value):
+    try:
+        RunConfig.from_dict(_break(CANONICAL, path, rename, key, value))
+    except ConfigError:
+        pass

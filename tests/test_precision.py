@@ -248,6 +248,15 @@ def test_emu_from_an_int_holds_a_float(mode):
             Float32Emu(value, mode)
 
 
+@pytest.mark.parametrize("mode", [NEAREST, CHOP])
+def test_emu_rejects_ints_beyond_single_and_double_range(mode):
+    # ints past the fp32 range, and past the fp64 range, fail to pack with
+    # struct.error rather than OverflowError
+    for value in (10**39, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match="not single-precision representable"):
+            Float32Emu(value, mode)
+
+
 def test_psi_error_is_affine_in_local_time():
     loss = PrecisionLoss(eps_alpha=-MACHINE_EPS32, eps_beta=2.0)
     assert psi_error(loss, 0.0) == 2.0

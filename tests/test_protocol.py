@@ -149,6 +149,12 @@ def test_scheme_config_validation():
         SchemeConfig(**{**good, "node_precision": "fp16"})
     with pytest.raises(ValueError):
         SchemeConfig(**{**good, "node_method": "cumulative-ratio"})
+    with pytest.raises(ValueError):
+        SchemeConfig(**{**good, "head_method": "spline"})
+    for window in ("head_window", "node_window"):
+        with pytest.raises(ValueError):
+            SchemeConfig(**{**good, window: 1})
+    SchemeConfig(**{**good, "head_window": None})
 
 
 def test_radio_config_airtime_and_validation():
