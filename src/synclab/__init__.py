@@ -56,7 +56,6 @@ from .estimators import (
     multihop_to_head,
     rate_corrected_advance,
     translate_child_to_parent,
-    translate_parent_to_child,
 )
 from .protocol import (
     JitterModel,
@@ -67,7 +66,6 @@ from .protocol import (
     SCHEMES,
     SchemeConfig,
     default_radio_schedule,
-    sfd_timestamp,
 )
 from .simnet import (
     Engine,

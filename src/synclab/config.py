@@ -72,11 +72,22 @@ class RunConfig:
             "seed": self.seed,
             "bundle_size": self.bundle_size,
             "node_window": self.node_window,
+            "head_window": self.head_window,
             "bitrate_bps": self.radio_config().bitrate_bps,
+            # every time is a whole number of nanoseconds
+            "duration_ns": self.duration_ns,
+            "si_ns": self.si_ns,
+            "measurement_interval_ns": self.measurement_interval_ns,
+            "report_interval_ns": self.report_interval_ns,
+            "clock.tick_ns": self.clock.tick_ns,
+            "clock.drift.step_ns": self.clock.drift.step_ns,
+            "link.propagation_ns": self.link.propagation_ns,
+            "link.jitter_ns": self.link.jitter_ns,
         }
-        if self.head_window is not None:
-            integers["head_window"] = self.head_window
+        nullable = ("head_window", "report_interval_ns", "clock.tick_ns")
         for name, value in integers.items():
+            if value is None and name in nullable:
+                continue
             if type(value) is not int:  # bool and float are rejected, not truncated
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if type(self.collect_events) is not bool:

@@ -300,11 +300,6 @@ def translate_child_to_parent(params: ClockParams, t_child):
     return (t_child - params.offset) / params.ratio
 
 
-def translate_parent_to_child(params: ClockParams, t_parent):
-    """Apply the affine map: parent time to child-local timestamp."""
-    return params.ratio * t_parent + params.offset
-
-
 def multihop_to_head(layer_params: Sequence[ClockParams], t_local):
     """Translate a layer-j local timestamp to head time.
 
@@ -326,7 +321,7 @@ def multihop_from_head(layer_params: Sequence[ClockParams], t_reference):
         raise EstimationError("no layer parameters to translate through")
     t = t_reference
     for params in layer_params:
-        t = translate_parent_to_child(params, t)
+        t = logical_time(params, t)
     return t
 
 
@@ -346,7 +341,7 @@ def default_window(si_s: float) -> int:
 
 
 class _Stream:
-    __slots__ = ("window", "first", "latest", "dirty", "params", "freshness")
+    __slots__ = ("window", "first", "latest", "dirty", "params")
 
     def __init__(self, capacity: int | None) -> None:
         self.window = RegressionWindow(capacity)
@@ -354,7 +349,6 @@ class _Stream:
         self.latest: TimestampPair | None = None
         self.dirty = True
         self.params: ClockParams | None = None
-        self.freshness: int = -1
 
 
 class HeadEstimator:
@@ -390,14 +384,8 @@ class HeadEstimator:
             if stream.first is None:
                 stream.first = pair
             stream.latest = pair
-            stream.freshness = pair.sync_index
             stream.dirty = True
         return added
-
-    def freshness(self, node_id: int) -> int:
-        """Sync index of the newest pair ingested for a node (-1 if none)."""
-        stream = self._streams.get(node_id)
-        return -1 if stream is None else stream.freshness
 
     def params_for(self, node_id: int) -> ClockParams | None:
         """Current estimate for a node's link, or None before bootstrap.

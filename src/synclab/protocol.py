@@ -218,11 +218,6 @@ class JitterModel:
         return ahead.pop()
 
 
-def sfd_timestamp(side: str, clock: HardwareClock, t: int, jitter: JitterModel):
-    """Local timestamp latched at a frame's SFD, including interrupt jitter."""
-    return clock.read(t + jitter.sample(side))
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Protocol parameters for one run.
@@ -352,7 +347,8 @@ class NodeState:
         self.rx_seconds += airtime_s
 
     def stamp(self, side: str, t: int):
-        return sfd_timestamp(side, self.clock, t, self.jitter)
+        """Local timestamp latched at a frame's SFD, including interrupt jitter."""
+        return self.clock.read(t + self.jitter.sample(side))
 
     def _next_sync_index(self) -> int:
         self.sync_counter += 1
@@ -374,44 +370,33 @@ class NodeState:
     # -- reverse (beaconless) scheme ----------------------------------------
 
     def build_report(self, t: int, scheduled: bool) -> Message | None:
-        """Upward report: buffered records, pending pairs, own send stamp.
+        """Upward report: the node's own buffered records, built by
+        :meth:`build_relay`.
 
         A scheduled report with nothing to carry becomes a timestamp-only
         frame, gated so sync-bearing transmissions stay at least one sync
         interval apart.
         """
-        if self.parent is None:
-            raise EstimationError("the head has no parent to report to")
-        if not self.records and not self.pending_pairs and scheduled:
-            if (
-                self.last_sync_tx_ns is not None
-                and t - self.last_sync_tx_ns < self.cfg.si_ns
-            ):
-                return None
+        if (
+            scheduled
+            and not self.records
+            and not self.pending_pairs
+            and self.last_sync_tx_ns is not None
+            and t - self.last_sync_tx_ns < self.cfg.si_ns
+        ):
+            return None
         records = tuple(self.records)
-        pairs = tuple(self.pending_pairs)
         self.records.clear()
-        self.pending_pairs.clear()
-        message = Message(
-            kind=REPORT,
-            src=self.node_id,
-            dst=self.parent,
-            send_stamp=self.stamp(SEND, t),
-            sync_index=self._next_sync_index(),
-            hop_records=pairs,
-            bundle=records,
-        )
-        self.last_sync_tx_ns = t
-        return message
+        return self.build_relay(records, t)
 
     def build_relay(self, records: tuple[MeasurementRecord, ...], t: int) -> Message:
-        """Forward another node's records upward as a separate frame.
+        """Send records upward in a report: the node's own, or a child's.
 
-        The relay is itself sync-bearing (the radio stamps every frame), and
-        it opportunistically drains the pending pair buffer.
+        Every report is sync-bearing (the radio stamps every frame), and it
+        drains the pending pair buffer.
         """
         if self.parent is None:
-            raise EstimationError("the head does not relay")
+            raise EstimationError("the head has no parent to report to")
         pairs = tuple(self.pending_pairs)
         self.pending_pairs.clear()
         message = Message(
@@ -446,14 +431,15 @@ class NodeState:
 
     # -- conventional one-way (flooding) scheme ------------------------------
 
-    def build_beacon(self, t: int, generation: int) -> Message:
-        """Head-side reference beacon with the embedded send stamp."""
+    def build_beacon(self, t: int) -> Message:
+        """Head-side reference beacon with the embedded send stamp; beacon
+        generations are numbered by the head's sync counter."""
         return Message(
             kind=BEACON,
             src=self.node_id,
             dst=BROADCAST,
             send_stamp=self.stamp(SEND, t),
-            sync_index=generation,
+            sync_index=self._next_sync_index(),
         )
 
     def build_rebroadcast(self, t: int, generation: int) -> Message | None:
@@ -535,24 +521,22 @@ class NodeState:
         return lsq_fit(self.beacon_window)
 
     def build_measurement_frame(self, t: int) -> Message | None:
-        """Standalone upward measurement frame (conventional schemes)."""
+        """Upward measurement frame of the node's own buffered records
+        (conventional schemes), built by :meth:`build_forward`."""
         if self.parent is None:
             raise EstimationError("the head has no parent to report to")
         if not self.records:
             return None
         records = tuple(self.records)
         self.records.clear()
-        return Message(
-            kind=MEASUREMENT, src=self.node_id, dst=self.parent, bundle=records
-        )
+        return self.build_forward(records)
 
-    def build_forward(self, message: Message) -> Message:
-        """Relay a measurement frame one hop up, payload unchanged."""
+    def build_forward(self, records: tuple[MeasurementRecord, ...]) -> Message:
+        """Send records one hop up in a measurement frame: the node's own, or
+        a child's, unchanged."""
         if self.parent is None:
             raise EstimationError("the head does not forward")
-        return Message(
-            kind=MEASUREMENT, src=self.node_id, dst=self.parent, bundle=message.bundle
-        )
+        return Message(kind=MEASUREMENT, src=self.node_id, dst=self.parent, bundle=records)
 
     # -- two-way baselines ---------------------------------------------------
 

@@ -8,6 +8,11 @@ machines; the engine routes frames over links (fixed propagation, optional
 Bernoulli loss), fires timers, feeds the head-side estimator, and accumulates
 the replayable :class:`RunTrace`.
 
+What the scheme makes each node do per frame is decided once per run, when
+:class:`Engine` is built: a received frame goes through a table from frame
+kind to handler, and :meth:`Engine.run` starts the scheme's timers.  No
+handler looks at the scheme's name again.
+
 Randomness is split into named streams spawned from the run seed (one drift
 stream and two SFD-jitter streams per node, plus one loss stream), so event
 interleaving can never change which random draw lands where.
@@ -297,7 +302,18 @@ def apply_head_event(
 
 
 class Engine:
-    """One simulation run: topology + scheme + seed -> RunTrace."""
+    """One simulation run: topology + scheme + seed -> RunTrace.
+
+    The scheme is decided here, once, in ``__init__``.  It binds one handler
+    per frame kind that does something at its receiver (reports,
+    measurement frames, two-way requests, and beacons under conventional
+    one-way only; any other frame costs its receiver only the reception) and
+    sets three plain values the handlers read: whether a sensor's upward
+    frame is a report, whether a gateway merges a child's reported records
+    into its own buffer, and why the head leaves a delivered record
+    untranslated.  No handler compares the scheme, a frame's kind or a
+    node's role again; the head is ``node is self.head``.
+    """
 
     def __init__(
         self,
@@ -307,8 +323,9 @@ class Engine:
         radio: RadioConfig | None = None,
         collect_events: bool = False,
     ) -> None:
+        scheme = cfg.scheme
         if (
-            cfg.scheme in (protocol.REVERSE_TWOWAY, protocol.CONVENTIONAL_TWOWAY)
+            scheme in (protocol.REVERSE_TWOWAY, protocol.CONVENTIONAL_TWOWAY)
             and topology.hops > 1
         ):
             raise ValueError(
@@ -319,7 +336,7 @@ class Engine:
         self.cfg = cfg
         self.seed = seed
         self.radio = radio or RadioConfig(
-            schedule=protocol.default_radio_schedule(cfg.scheme)
+            schedule=protocol.default_radio_schedule(scheme)
         )
         self.link = topology.link
         base = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
@@ -348,12 +365,32 @@ class Engine:
         self.head = self.nodes[topology.head_id]
         self.estimator = HeadEstimator(cfg.head_method, cfg.head_window)
         self.chains = {n: topology.chain_to(n) for n in topology.sensor_ids()}
+        # plain functions, not bound methods: a table of bound methods would
+        # tie the engine into a reference cycle and keep a finished run's
+        # whole state alive until the cyclic collector runs
+        self._handlers: dict[str, Callable] = {
+            protocol.REPORT: Engine._on_report,
+            protocol.MEASUREMENT: Engine._on_measurement,
+            protocol.REQUEST: Engine._on_request,
+        }
+        if scheme == protocol.CONVENTIONAL_ONEWAY:
+            self._handlers[protocol.BEACON] = Engine._on_beacon
+        # the reverse schemes send every upward frame as a sync-bearing report
+        self._reports = scheme in (protocol.REVERSE_ONEWAY, protocol.REVERSE_TWOWAY)
+        # all-data bundling merges a child's reported records into the
+        # gateway's buffer; measurement frames are forwarded as they arrived
+        self._merge_records = self._reports and cfg.bundling == protocol.BUNDLE_ALL
+        # only reverse one-way translates at the head; conventional one-way
+        # delivers the sensor's own estimate, absent until it bootstraps
+        self._untranslated = {
+            protocol.REVERSE_ONEWAY: None,
+            protocol.CONVENTIONAL_ONEWAY: "bootstrap",
+        }.get(scheme, "scheme")
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self._horizon: int = 0
-        self._beacon_generation = 0
+        # true time of each measurement not yet delivered to the head
         self._truth: dict[tuple[int, int], int] = {}
-        self._delivered: set[tuple[int, int]] = set()
         self.head_events: list[tuple] = []
         self.outcomes: list[MeasurementOutcome] = []
         self.pair_accounting = {
@@ -412,30 +449,24 @@ class Engine:
         )
 
     def _deliver_record(self, record: MeasurementRecord, t: int) -> None:
-        key = (record.origin, record.seq)
-        if key in self._delivered:
+        true_ns = self._truth.pop((record.origin, record.seq), None)
+        if true_ns is None:
             self.record_accounting["duplicates"] += 1
             return
-        self._delivered.add(key)
         self.record_accounting["delivered"] += 1
-        true_ns = self._truth[key]
         level = self.topology.nodes[record.origin].level
         event = (
             "measurement", t, record.origin, level, record.seq,
             record.local_ticks, true_ns, record.est_ticks,
         )
         self.head_events.append(event)
-        scheme = self.cfg.scheme
         tick_ns = self.topology.clock.tick_ns
-        if scheme == protocol.REVERSE_ONEWAY:
+        if self._untranslated is None:
             outcome = apply_head_event(self.estimator, self.chains, tick_ns, event)
         else:
-            # only conventional one-way estimates at the sensor; the two-way
-            # baselines deliver their records untranslated
             outcome = measurement_outcome(
                 record.origin, level, record.seq, true_ns, record.local_ticks, t,
-                record.est_ticks, tick_ns,
-                "bootstrap" if scheme == protocol.CONVENTIONAL_ONEWAY else "scheme",
+                record.est_ticks, tick_ns, self._untranslated,
             )
         self.outcomes.append(outcome)
 
@@ -445,62 +476,47 @@ class Engine:
         node.note_rx(message, airtime)
         if self.event_log is not None:
             self.event_log.append((t, dst_id, f"rx-{message.kind}"))
-        kind = message.kind
-        if kind == protocol.REPORT:
-            if message.src not in node.children:
-                self.pair_accounting["unknown_child"] += 1
-                return
-            child_level = self.topology.nodes[message.src].level
-            hop = node.receive_sync_frame(message, t, child_level)
-            self.pair_accounting["created"] += 1
-            if node.role == protocol.HEAD:
-                self._ingest_pair(hop, t)
-                for forwarded in message.hop_records:
-                    self._ingest_pair(forwarded, t)
-                for record in message.bundle:
-                    self._deliver_record(record, t)
-            else:
-                node.pending_pairs.append(hop)
-                node.pending_pairs.extend(message.hop_records)
-                if self.cfg.bundling == protocol.BUNDLE_ALL:
-                    node.records.extend(message.bundle)
-                elif message.bundle:
-                    queued = self._push(
-                        t + FORWARD_DELAY_NS,
-                        self._on_relay,
-                        (dst_id, message.bundle),
-                    )
-                    if not queued:
-                        self.record_accounting["in_flight"] += len(message.bundle)
-        elif kind == protocol.MEASUREMENT:
-            if node.role == protocol.HEAD:
-                for record in message.bundle:
-                    self._deliver_record(record, t)
-            else:
-                queued = self._push(
-                    t + FORWARD_DELAY_NS, self._on_forward, (dst_id, message)
-                )
-                if not queued:
-                    self._account_missing(message, "in_flight")
-        elif kind == protocol.BEACON:
-            if self.cfg.scheme == protocol.CONVENTIONAL_ONEWAY:
-                node.on_beacon(message, t)
-                if node.children:
-                    self._push(
-                        t + FORWARD_DELAY_NS,
-                        self._on_rebroadcast,
-                        (dst_id, message.sync_index),
-                    )
-            # reverse two-way sensors only pay the reception cost
-        elif kind == protocol.REQUEST:
-            rx_stamp = node.stamp(protocol.RECEIVE, t)
-            self._push(
-                t + RESPONSE_DELAY_NS,
-                self._on_respond,
-                (dst_id, message, rx_stamp),
-            )
-        elif kind == protocol.RESPONSE:
-            pass  # counting level: the reception cost is the point
+        handler = self._handlers.get(message.kind)
+        if handler is not None:
+            handler(self, t, node, message)
+
+    def _on_report(self, t: int, node: NodeState, message: Message) -> None:
+        """A report is a measurement frame that also carries sync: stamp it,
+        then pass its pairs and records on as the head or a gateway does."""
+        if message.src not in node.children:
+            self.pair_accounting["unknown_child"] += 1
+            return
+        child_level = self.topology.nodes[message.src].level
+        pairs = (node.receive_sync_frame(message, t, child_level), *message.hop_records)
+        self.pair_accounting["created"] += 1
+        if node is self.head:
+            for pair in pairs:
+                self._ingest_pair(pair, t)
+        else:
+            node.pending_pairs.extend(pairs)
+        self._on_measurement(t, node, message)
+
+    def _on_measurement(self, t: int, node: NodeState, message: Message) -> None:
+        if node is self.head:
+            for record in message.bundle:
+                self._deliver_record(record, t)
+        elif self._merge_records:
+            node.records.extend(message.bundle)
+        elif message.bundle:
+            relay = (node.node_id, message.bundle)
+            if not self._push(t + FORWARD_DELAY_NS, self._on_relay, relay):
+                self.record_accounting["in_flight"] += len(message.bundle)
+
+    def _on_beacon(self, t: int, node: NodeState, message: Message) -> None:
+        node.on_beacon(message, t)
+        if node.children:
+            rebroadcast = (node.node_id, message.sync_index)
+            self._push(t + FORWARD_DELAY_NS, self._on_rebroadcast, rebroadcast)
+
+    def _on_request(self, t: int, node: NodeState, message: Message) -> None:
+        rx_stamp = node.stamp(protocol.RECEIVE, t)
+        response = (node.node_id, message, rx_stamp)
+        self._push(t + RESPONSE_DELAY_NS, self._on_respond, response)
 
     # -- timer handlers -----------------------------------------------------
 
@@ -512,48 +528,34 @@ class Engine:
         if self.event_log is not None:
             self.event_log.append((t, node_id, "measure"))
         if self.cfg.report_interval_ns is None and len(node.records) >= self.cfg.bundle_size:
-            flush = (
-                self._on_flush_report
-                if self.cfg.scheme in (protocol.REVERSE_ONEWAY, protocol.REVERSE_TWOWAY)
-                else self._on_flush_meas
-            )
-            self._push(t + SEND_SETUP_NS, flush, (node_id,))
+            self._push(t + SEND_SETUP_NS, self._on_flush, (node_id, False))
         self._push(t + self.cfg.measurement_interval_ns, self._on_measure, (node_id,))
 
     def _on_report_timer(self, t: int, node_id: int) -> None:
-        node = self.nodes[node_id]
-        if self.cfg.scheme in (protocol.REVERSE_ONEWAY, protocol.REVERSE_TWOWAY):
-            message = node.build_report(t, scheduled=True)
-        else:
-            message = node.build_measurement_frame(t)
-        if message is not None:
-            self._transmit(node, message, t)
+        self._on_flush(t, node_id, True)
         self._push(t + self.cfg.report_interval_ns, self._on_report_timer, (node_id,))
 
-    def _on_flush_report(self, t: int, node_id: int) -> None:
+    def _on_flush(self, t: int, node_id: int, scheduled: bool) -> None:
+        """Send a sensor's buffered records upward, on its report timer
+        (``scheduled``) or once a bundle fills."""
         node = self.nodes[node_id]
-        message = node.build_report(t, scheduled=False)
-        if message is not None:
-            self._transmit(node, message, t)
-
-    def _on_flush_meas(self, t: int, node_id: int) -> None:
-        node = self.nodes[node_id]
-        message = node.build_measurement_frame(t)
+        if self._reports:
+            message = node.build_report(t, scheduled)
+        else:
+            message = node.build_measurement_frame(t)
         if message is not None:
             self._transmit(node, message, t)
 
     def _on_relay(self, t: int, node_id: int, records: tuple) -> None:
         node = self.nodes[node_id]
-        self._transmit(node, node.build_relay(records, t), t)
-
-    def _on_forward(self, t: int, node_id: int, message: Message) -> None:
-        node = self.nodes[node_id]
-        self._transmit(node, node.build_forward(message), t)
+        if self._reports:
+            message = node.build_relay(records, t)
+        else:
+            message = node.build_forward(records)
+        self._transmit(node, message, t)
 
     def _on_beacon_timer(self, t: int, node_id: int) -> None:
-        self._beacon_generation += 1
-        message = self.head.build_beacon(t, self._beacon_generation)
-        self._transmit(self.head, message, t)
+        self._transmit(self.head, self.head.build_beacon(t), t)
         self._push(t + self.cfg.si_ns, self._on_beacon_timer, (node_id,))
 
     def _on_rebroadcast(self, t: int, node_id: int, generation: int) -> None:
@@ -594,21 +596,18 @@ class Engine:
             t, _, handler, payload = heapq.heappop(heap)
             handler(t, *payload)
 
-        return self._finish(duration_ns)
+        return self._finish(scheme, duration_ns)
 
-    def _finish(self, duration_ns: int) -> RunTrace:
+    def _finish(self, scheme: str, duration_ns: int) -> RunTrace:
         # anything still buffered at a node never reached the head
         for node in self.nodes.values():
             self.pair_accounting["in_flight"] += len(node.pending_pairs)
             self.record_accounting["in_flight"] += len(node.records)
-        undelivered = sorted(
-            key for key in self._truth if key not in self._delivered
-        )
-        for origin, seq in undelivered:
+        for (origin, seq), true_ns in sorted(self._truth.items()):
             level = self.topology.nodes[origin].level
             self.outcomes.append(
                 measurement_outcome(
-                    origin, level, seq, self._truth[(origin, seq)], math.nan,
+                    origin, level, seq, true_ns, math.nan,
                     arrival_ns=None, est_ticks=None, tick_ns=None, reason="undelivered",
                 )
             )
@@ -620,7 +619,7 @@ class Engine:
             n: (node.tx_seconds, node.rx_seconds) for n, node in self.nodes.items()
         }
         return RunTrace(
-            scheme=self.cfg.scheme,
+            scheme=scheme,
             seed=self.seed,
             duration_ns=duration_ns,
             tick_ns=self.topology.clock.tick_ns,

@@ -524,17 +524,29 @@ def test_saved_trace_is_strict_json_and_replays_the_live_run(tmp_path_factory, d
     assert (tmp_path / "replayed.csv").read_bytes() == (tmp_path / "live.csv").read_bytes()
 
 
-conventional_fp32_configs = st.fixed_dictionaries(
+scheme_and_hops = st.one_of(
+    st.fixed_dictionaries({
+        "scheme": st.sampled_from([REVERSE_ONEWAY, CONVENTIONAL_ONEWAY]),
+        "hops": st.integers(1, 3),
+    }),
+    # the two-way baselines are single-hop only
+    st.fixed_dictionaries({
+        "scheme": st.sampled_from([REVERSE_TWOWAY, CONVENTIONAL_TWOWAY]),
+        "hops": st.just(1),
+    }),
+)
+
+run_settings = st.fixed_dictionaries(
     {
-        "scheme": st.just(CONVENTIONAL_ONEWAY),
         "duration_s": st.integers(1, 30),
         "si_s": st.sampled_from([0.1, 0.25, 0.5, 1, 2]),
-        "hops": st.integers(1, 3),
         "seed": st.integers(0, 2**32 - 1),
+        "bundling": st.sampled_from(["none", "self", "all"]),
+        "bundle_size": st.integers(1, 4),
         "node": st.fixed_dictionaries({
             "method": st.sampled_from(["two-point", "window-lsq"]),
             "window": st.integers(2, 8),
-            "precision": st.sampled_from(["fp32-chop", "fp32-nearest"]),
+            "precision": st.sampled_from(["fp64", "fp32-chop", "fp32-nearest"]),
         }),
         "clock": st.fixed_dictionaries({
             "tick_us": st.one_of(st.none(), st.integers(1, 50)),
@@ -547,19 +559,26 @@ conventional_fp32_configs = st.fixed_dictionaries(
             "loss": st.floats(0.0, 0.2, exclude_max=True),
             "jitter_us": st.floats(0.0, 10_000.0),
         }),
+        "radio": st.fixed_dictionaries({
+            "schedule": st.sampled_from([ALWAYS_ON, LPL, SCHEDULED_WAKE]),
+        }),
     },
     optional={"report_interval_s": st.none()},
 )
 
+any_scheme_configs = st.tuples(scheme_and_hops, run_settings).map(
+    lambda parts: {**parts[0], **parts[1]}
+)
+
 
 @settings(max_examples=60, deadline=None)
-@given(conventional_fp32_configs)
-def test_fp32_flooding_runs_conserve_and_rerun_byte_identically(tmp_path_factory, data):
+@given(any_scheme_configs)
+def test_runs_of_every_scheme_conserve_and_rerun_byte_identically(tmp_path_factory, data):
     try:
         parse_config(data)
     except ConfigError:
         return
-    tmp_path = tmp_path_factory.mktemp("flood")
+    tmp_path = tmp_path_factory.mktemp("run")
     (tmp_path / "run.json").write_text(json.dumps(data))
     outputs = []
     for rerun in ("first", "second"):

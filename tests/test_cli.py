@@ -111,6 +111,65 @@ def test_reverse_oneway_run_outputs_are_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "config, digests",
+    [
+        (
+            {"scheme": "reverse-twoway", "duration_s": 60, "si_s": 1, "seed": 7},
+            ("fe27b7fa4011375ed5c22da042fdaa9b9b9d437898b6e3e8a0fe24a453f06abe",
+             "8b0c8cc57eba89ee7d3e6f97c0684064b761cde2ad0b270e7c95f0a86089d5a8",
+             "48568f5c680bb739df4a4e348230100db5f5a0dc0580148fe2c34d1f29ac543d",
+             "4fa408c254b01e577c9f1ecaafba81215bf284ed86a9bfa6de2e2e57434a75b3"),
+        ),
+        (
+            {"scheme": "conventional-twoway", "duration_s": 60, "si_s": 1, "seed": 7},
+            ("ffcb1ff381f4d522bd9b3aeca1d12ca5f819812ce5bc7c6221d3a364a371fefc",
+             "6a156f3cc2d3fa90e62a5bffdea2fb7f203f3613db3a59dc845f6cf20bd281f9",
+             "5c7ec63918f9565b5da955b0d6f8cc2fa92f35655b50b6e4a684e5d797d2cd60",
+             "ab30115a5feceb5c9bf71a71402778208b55d786737975640fa50e99a067a281"),
+        ),
+        (
+            {"scheme": "reverse-oneway", "duration_s": 60, "si_s": 1, "hops": 3,
+             "seed": 7, "bundling": "all", "report_interval_s": None,
+             "bundle_size": 2, "link": {"loss": 0.05}},
+            ("b7ee044bd1b9ca6e45753ebc003f4ad94d8f1ccfa3d4785d46f565bb90bee8ee",
+             "4b3fb77a5caf5a21d5c38500f6636838106f31eb11facfc3d19171a5663723e6",
+             "403b03b87c4eef05b38b7042f36033948cebe300d9f92e7e07a03a19a7514d4c",
+             "1911b4c509adf3c79d560b13e3918d1c3d7429d6db3cc6c7c32973d1309c97b0"),
+        ),
+        (
+            {"scheme": "conventional-oneway", "duration_s": 60, "si_s": 1, "hops": 3,
+             "seed": 7, "report_interval_s": None, "bundle_size": 3,
+             "node": {"precision": "fp64"}, "radio": {"schedule": "lpl"}},
+            ("fc5801ba2114ca94d96f8a72a7d4efcd5d4f9c0d48aa706d802d9ddfd1cd5a9e",
+             "9cebaadf2b81df6b26e39256db3e176a0b0fde0c86bef69080d176ad18415de7",
+             "924550ab20cfb943ecf86d53c55ee718a8a7ae25e3a852a3fbf660f1c4cd6312",
+             "8c9ec22ea8bd5761634a7a79999cf3bbba714ccce7dba6d434a2235235f1e3aa"),
+        ),
+    ],
+    ids=[
+        "reverse-twoway", "conventional-twoway", "reverse-oneway-bundle-all",
+        "conventional-oneway-fp64-lpl",
+    ],
+)
+def test_engine_paths_outputs_are_pinned(tmp_path, config, digests):
+    # sha256 of every output of the engine paths the pins above leave out:
+    # both two-way baselines, event-driven all-data bundling through
+    # gateways, and event-driven measurement frames forwarded under flooding
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([
+        "run", "--config", str(path), "--out-dir", str(out),
+        "--save-trace", "--event-log",
+    ]) == 0
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("measurements.csv", "summary.json", "trace.json", "events.csv")
+    )
+    assert got == digests
+
+
 def test_seed_override_changes_results(tmp_path, config_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", str(config_path), "--out-dir", str(a), "--seed", "0"])

@@ -337,6 +337,34 @@ def test_from_dict_rejects_bad_nested_values(section, key, value):
         RunConfig.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        # a 1 ns run with no outcomes
+        (("duration_ns",), True),
+        # these ran with float event times and put floats into to_dict()
+        (("si_ns",), 1.5e9),
+        (("measurement_interval_ns",), 1e9),
+        (("report_interval_ns",), 2.5e9),
+        (("clock", "tick_ns"), 1000.0),
+        (("link", "jitter_ns"), 5e3),
+        (("link", "propagation_ns"), 1e3),
+        # accepted, then a TypeError mid-run when the walk indexed its table
+        (("clock", "drift", "step_ns"), 5e8),
+    ],
+    ids=lambda p: ".".join(p) if isinstance(p, tuple) else repr(p),
+)
+def test_from_dict_rejects_non_integer_times(path, value):
+    data = RunConfig(duration_ns=5 * S).to_dict()
+    data["clock"]["drift"] = {"kind": "random-walk", "walk_sigma_ppm": 0.05}
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(data)
+
+
 PINNED_UNITS = {
     **UNITS,
     "link": {**UNITS["link"], "loss": 0},

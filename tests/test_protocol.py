@@ -43,7 +43,6 @@ from synclab.protocol import (
     RadioConfig,
     SchemeConfig,
     default_radio_schedule,
-    sfd_timestamp,
 )
 
 SI = 1_000_000_000  # 1 s
@@ -128,8 +127,8 @@ def test_jitter_blocks_equal_scalar_draws(width, seed):
 
 
 def test_sfd_timestamp_without_jitter_is_clock_read():
-    clock = HardwareClock(ClockParams(1.0, 0.0), tick_ns=1000)
-    assert sfd_timestamp(SEND, clock, 5_000_500, JitterModel.zero()) == 5000
+    node = make_node(tick_ns=1000)
+    assert node.stamp(SEND, 5_000_500) == 5000
 
 
 def test_scheme_config_validation():
@@ -339,7 +338,7 @@ def test_measurement_frame_and_forwarding():
     assert not node.records
 
     relay = make_node(scheme=CONVENTIONAL_ONEWAY, level=1, children=(2,))
-    forwarded = relay.build_forward(frame)
+    forwarded = relay.build_forward(frame.bundle)
     assert forwarded.src == relay.node_id and forwarded.dst == relay.parent
     assert forwarded.bundle == frame.bundle
 

@@ -1,7 +1,9 @@
 """Discrete-event engine tests: topology, accounting, determinism."""
 
+import gc
 import json
 import math
+import weakref
 
 import pytest
 
@@ -189,6 +191,23 @@ def test_two_way_schemes_are_single_hop_only():
     with pytest.raises(ValueError):
         Engine(build_chain(2), cfg, seed=0)
     Engine(build_chain(1), cfg, seed=0)  # single hop is fine
+
+
+@pytest.mark.parametrize("scheme", [REVERSE_ONEWAY, CONVENTIONAL_ONEWAY, REVERSE_TWOWAY])
+def test_finished_engine_is_freed_without_the_cycle_collector(scheme):
+    # a run's state (nodes, clocks, outcomes) is freed as soon as the last
+    # reference to its engine goes; a reference cycle through the engine
+    # would hold it until the cyclic collector runs, which raises peak memory
+    cfg = SchemeConfig(scheme=scheme, si_ns=S, measurement_interval_ns=S)
+    gc.disable()
+    try:
+        engine = Engine(build_chain(1, seed=2), cfg, seed=2)
+        engine.run(5 * S)
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_no_events_at_or_past_horizon():
