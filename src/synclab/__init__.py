@@ -64,7 +64,6 @@ from .protocol import (
     NodeState,
     RadioConfig,
     SCHEMES,
-    SchemeConfig,
     default_radio_schedule,
 )
 from .simnet import (
@@ -75,7 +74,6 @@ from .simnet import (
     RunTrace,
     Topology,
     build_chain,
-    run,
 )
 from .config import (
     ConfigError,

@@ -273,16 +273,8 @@ def accuracy_metrics(trace_or_outcomes) -> AccuracyReport:
 
 
 def run_config(cfg: RunConfig) -> RunTrace:
-    """Build the chain topology for ``cfg``, run it, stamp config identity."""
-    topology = simnet.build_chain(cfg.hops, cfg.clock, cfg.link, cfg.seed)
-    trace = simnet.run(
-        topology,
-        cfg.scheme_config(),
-        cfg.duration_ns,
-        cfg.seed,
-        radio=cfg.radio_config(),
-        collect_events=cfg.collect_events,
-    )
+    """Run ``cfg`` and stamp its identity on the trace."""
+    trace = simnet.Engine(cfg).run()
     trace.config = cfg.to_dict()
     trace.config_hash = cfg.config_hash()
     return trace

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import analysis, protocol
-from .config import ConfigError, load_config
+from .config import ConfigError, RunConfig, load_config
 
 
 def _parse_window(text: str):
@@ -44,7 +44,7 @@ def _emit_run_outputs(out_dir, trace, save_trace: bool) -> dict:
         report = None
     ledger = None
     if trace.config is not None:
-        model = analysis.EnergyModel(**trace.config["energy"])
+        model = RunConfig.from_dict(trace.config).energy
         ledger = analysis.energy_from_trace(trace, model)
     summary = analysis.summarize_trace(trace, report=report, ledger=ledger)
     analysis.write_measurements_csv(os.path.join(out_dir, "measurements.csv"), trace)

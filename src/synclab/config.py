@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, fields
 
 from . import protocol
 from .clock import ClockConfig, DriftModel, MAX_DRIFT_SEGMENTS, NS_PER_S
-from .estimators import WINDOW_LSQ, TWO_POINT, default_window
-from .protocol import RadioConfig, SchemeConfig
+from .estimators import ESTIMATOR_METHODS, WINDOW_LSQ, TWO_POINT, default_window
+from .protocol import RadioConfig
 from .simnet import LinkConfig
 
 
@@ -44,7 +44,12 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete description of one experiment."""
+    """Complete description of one experiment, checked when it is built.
+
+    ``report_interval_ns=None`` sends a report per filled measurement bundle
+    instead of on a schedule; ``radio=None`` takes a radio whose schedule
+    follows the scheme.
+    """
 
     scheme: str = protocol.REVERSE_ONEWAY
     hops: int = 1
@@ -67,64 +72,62 @@ class RunConfig:
     collect_events: bool = False
 
     def __post_init__(self) -> None:
+        # integer -> (value, least value or None where its own class checks it)
         integers = {
-            "hops": self.hops,
-            "seed": self.seed,
-            "bundle_size": self.bundle_size,
-            "node_window": self.node_window,
-            "head_window": self.head_window,
-            "bitrate_bps": self.radio_config().bitrate_bps,
+            "hops": (self.hops, 1),
+            "seed": (self.seed, 0),
+            "bundle_size": (self.bundle_size, 1),
+            "node_window": (self.node_window, 2),
+            "head_window": (self.head_window, 2),
+            "bitrate_bps": (self.radio_config().bitrate_bps, None),
             # every time is a whole number of nanoseconds
-            "duration_ns": self.duration_ns,
-            "si_ns": self.si_ns,
-            "measurement_interval_ns": self.measurement_interval_ns,
-            "report_interval_ns": self.report_interval_ns,
-            "clock.tick_ns": self.clock.tick_ns,
-            "clock.drift.step_ns": self.clock.drift.step_ns,
-            "link.propagation_ns": self.link.propagation_ns,
-            "link.jitter_ns": self.link.jitter_ns,
+            "duration_ns": (self.duration_ns, 1),
+            "si_ns": (self.si_ns, 1),
+            "measurement_interval_ns": (self.measurement_interval_ns, 1),
+            "report_interval_ns": (self.report_interval_ns, 1),
+            "clock.tick_ns": (self.clock.tick_ns, None),
+            "clock.drift.step_ns": (self.clock.drift.step_ns, None),
+            "link.propagation_ns": (self.link.propagation_ns, None),
+            "link.jitter_ns": (self.link.jitter_ns, None),
         }
+        # None: an unbounded head window, no report schedule, a continuous clock
         nullable = ("head_window", "report_interval_ns", "clock.tick_ns")
-        for name, value in integers.items():
+        for name, (value, least) in integers.items():
             if value is None and name in nullable:
                 continue
             if type(value) is not int:  # bool and float are rejected, not truncated
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
         if type(self.collect_events) is not bool:
             raise ConfigError("collect_events must be true or false")
-        if self.hops < 1:
-            raise ConfigError("hops must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         if (
             self.scheme
             in (protocol.REVERSE_TWOWAY, protocol.CONVENTIONAL_TWOWAY)
             and self.hops != 1
         ):
             raise ConfigError("two-way baselines are single-hop only")
-        if self.duration_ns <= 0:
-            raise ConfigError("duration must be positive")
         walk, cap = self.clock.drift, MAX_DRIFT_SEGMENTS
         if walk.kind == "random-walk" and self.duration_ns // walk.step_ns > cap:
             raise ConfigError(f"drift.step_s too short: over {cap} segments per node")
-        try:
-            self.scheme_config()
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+        choices = {
+            "scheme": (self.scheme, protocol.SCHEMES),
+            "head method": (self.head_method, ESTIMATOR_METHODS),
+            "bundling mode": (self.bundling, protocol.BUNDLING_MODES),
+            "node precision": (self.node_precision, protocol.PRECISION_MODES),
+            "node estimator": (self.node_method, (TWO_POINT, WINDOW_LSQ)),
+        }
+        for what, (value, allowed) in choices.items():
+            if value not in allowed:
+                raise ConfigError(f"unknown {what} {value!r}")
         if self.link.jitter_ns > protocol.EPOCH_NS:
             raise ConfigError(
                 f"SFD jitter {self.link.jitter_ns} ns exceeds {protocol.EPOCH_NS} ns, "
                 "the time of the first stamp, so a stamp could fall before t = 0"
             )
 
-    def scheme_config(self) -> SchemeConfig:
-        names = (f.name for f in fields(SchemeConfig))
-        return SchemeConfig(**{name: getattr(self, name) for name in names})
-
     def radio_config(self) -> RadioConfig:
-        if self.radio is not None:
-            return self.radio
-        return RadioConfig(schedule=protocol.default_radio_schedule(self.scheme))
+        return self.radio if self.radio is not None else _radio(self.scheme)
 
     def to_dict(self) -> dict:
         """Canonical plain-dict form; integers only for times (nanoseconds)."""
@@ -146,8 +149,7 @@ class RunConfig:
             clock["drift"] = DriftModel(**clock.get("drift", {}))
             radio = rest.pop("radio", None)
             if radio is not None:
-                schedule = protocol.default_radio_schedule(rest["scheme"])
-                radio = RadioConfig(**{"schedule": schedule, **radio})
+                radio = _radio(rest["scheme"], **radio)
             link = LinkConfig(**rest.pop("link", {}))
             energy = EnergyModel(**rest.pop("energy", {}))
             required = {k: rest.pop(k) for k in ("scheme", "duration_ns", "si_ns")}
@@ -169,6 +171,12 @@ class RunConfig:
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
+
+
+def _radio(scheme: str, **given) -> RadioConfig:
+    """A radio of the ``given`` fields whose schedule, unless given, follows
+    the scheme."""
+    return RadioConfig(**{"schedule": protocol.default_radio_schedule(scheme), **given})
 
 
 # -- the documented JSON schema ----------------------------------------------

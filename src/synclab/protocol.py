@@ -24,16 +24,16 @@ additionally carries its sender's send timestamp as one 4 B field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .clock import ClockParams, HardwareClock
+from .clock import HardwareClock
 from .estimators import (
-    ESTIMATOR_METHODS,
     RegressionWindow,
     TimestampPair,
-    TWO_POINT,
     WINDOW_LSQ,
     interpolate_params,
     logical_time,
@@ -41,6 +41,9 @@ from .estimators import (
     EstimationError,
 )
 from .precision import CHOP, NEAREST, Float32Emu, convert_timestamps
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 REVERSE_ONEWAY = "reverse-oneway"
 REVERSE_TWOWAY = "reverse-twoway"
@@ -59,10 +62,6 @@ RESPONSE = "response"
 REPORT = "report"
 MEASUREMENT = "measurement"
 KINDS = (BEACON, REQUEST, RESPONSE, REPORT, MEASUREMENT)
-
-HEAD = "head"
-GATEWAY = "gateway"
-LEAF = "leaf"
 
 BUNDLE_NONE = "none"
 BUNDLE_SELF = "self"
@@ -219,53 +218,6 @@ class JitterModel:
 
 
 @dataclass(frozen=True)
-class SchemeConfig:
-    """Protocol parameters for one run.
-
-    ``report_interval_ns=None`` sends reverse-scheme reports immediately per
-    filled measurement bundle; a value schedules reports on that period, and
-    a scheduled report with an empty buffer is emitted as a timestamp-only
-    frame only if at least one sync interval passed since the node's last
-    sync-bearing transmission.  Event timing within a run is fixed by the
-    module constants ``EPOCH_NS`` through ``RESPONSE_DELAY_NS``.
-    """
-
-    scheme: str
-    si_ns: int
-    measurement_interval_ns: int
-    report_interval_ns: int | None = None
-    bundling: str = BUNDLE_NONE
-    bundle_size: int = 1
-    head_method: str = WINDOW_LSQ
-    head_window: int | None = 19
-    node_method: str = TWO_POINT
-    node_window: int = 8
-    node_precision: str = FP64
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.head_method not in ESTIMATOR_METHODS:
-            raise ValueError(f"unknown head method {self.head_method!r}")
-        if self.head_window is not None and self.head_window < 2:
-            raise ValueError("head window must be at least 2 (or None: unbounded)")
-        if self.node_window < 2:
-            raise ValueError("node window must be at least 2")
-        if self.si_ns <= 0 or self.measurement_interval_ns <= 0:
-            raise ValueError("intervals must be positive")
-        if self.report_interval_ns is not None and self.report_interval_ns <= 0:
-            raise ValueError("report interval must be positive or None")
-        if self.bundling not in BUNDLING_MODES:
-            raise ValueError(f"unknown bundling mode {self.bundling!r}")
-        if self.bundle_size < 1:
-            raise ValueError("bundle size must be at least 1")
-        if self.node_precision not in PRECISION_MODES:
-            raise ValueError(f"unknown node precision {self.node_precision!r}")
-        if self.node_method not in (TWO_POINT, WINDOW_LSQ):
-            raise ValueError(f"unknown node estimator {self.node_method!r}")
-
-
-@dataclass(frozen=True)
 class RadioConfig:
     """Radio bit rate and duty-cycle schedule (drives energy accounting)."""
 
@@ -297,7 +249,8 @@ class NodeState:
 
     Builds and consumes frames; knows its static place in the tree (parent,
     children, hop level) but nothing about event scheduling or links.  The
-    engine routes frames and calls these methods at the right times.
+    engine routes frames and calls these methods at the right times.  What
+    the run's configuration makes a node do is decided once, in ``__init__``.
     """
 
     def __init__(
@@ -308,7 +261,7 @@ class NodeState:
         children: tuple[int, ...],
         clock: HardwareClock,
         jitter: JitterModel,
-        cfg: SchemeConfig,
+        cfg: RunConfig,
     ) -> None:
         self.node_id = node_id
         self.level = level
@@ -316,13 +269,7 @@ class NodeState:
         self.children = children
         self.clock = clock
         self.jitter = jitter
-        self.cfg = cfg
-        if level == 0:
-            self.role = HEAD
-        elif children:
-            self.role = GATEWAY
-        else:
-            self.role = LEAF
+        self.si_ns = cfg.si_ns
         self.records: list[MeasurementRecord] = []
         self.pending_pairs: list[HopRecord] = []
         self.sync_counter = 0
@@ -335,6 +282,20 @@ class NodeState:
         self.beacon_window = RegressionWindow(cfg.node_window)
         self._node_fit = None
         self._node_dirty = True
+        # only a conventional one-way sensor translates its own measurements
+        self._estimates = cfg.scheme == CONVENTIONAL_ONEWAY
+        # a timestamp enters the node's arithmetic as a float under fp64 and
+        # as a Float32Emu under fp32; plain functions, so no reference cycle
+        rounding = _ROUNDING.get(cfg.node_precision)
+        self._fp32 = rounding is not None
+        self._number = float if rounding is None else partial(
+            Float32Emu.from_number, mode=rounding
+        )
+        # an fp64 window keeps exact sums, so window-lsq reads them in O(1); a
+        # Float32Emu window takes lsq_fit's centered fit, one rounding per step
+        self._fit = lsq_fit if cfg.node_method == WINDOW_LSQ else (
+            lambda window: interpolate_params(*window.pairs[-2:])
+        )
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -359,9 +320,7 @@ class NodeState:
     def record_measurement(self, t: int, value: int) -> MeasurementRecord:
         """Sense one sample at simulation time ``t`` and buffer it."""
         ticks = self.clock.read(t)
-        est = None
-        if self.cfg.scheme == CONVENTIONAL_ONEWAY:
-            est = self.node_estimate(ticks)
+        est = self.node_estimate(ticks) if self._estimates else None
         self.record_seq += 1
         record = MeasurementRecord(self.node_id, self.record_seq, ticks, value, est)
         self.records.append(record)
@@ -382,7 +341,7 @@ class NodeState:
             and not self.records
             and not self.pending_pairs
             and self.last_sync_tx_ns is not None
-            and t - self.last_sync_tx_ns < self.cfg.si_ns
+            and t - self.last_sync_tx_ns < self.si_ns
         ):
             return None
         records = tuple(self.records)
@@ -476,8 +435,8 @@ class NodeState:
             t_parent=own,
             sync_index=message.sync_index,
         )
-        if self.cfg.node_precision != FP64:
-            pair = convert_timestamps(pair, self._node_number)
+        if self._fp32:
+            pair = convert_timestamps(pair, self._number)
         added = self.beacon_window.push(pair)
         if added:
             self._node_dirty = True
@@ -495,30 +454,13 @@ class NodeState:
             return None
         if self._node_dirty:
             try:
-                self._node_fit = self._fit_node_params()
+                self._node_fit = self._fit(self.beacon_window)
             except EstimationError:
                 pass
             self._node_dirty = False
         if self._node_fit is None:
             return None
-        return float(logical_time(self._node_fit, self._node_number(local_ticks)))
-
-    def _node_number(self, value):
-        """A timestamp as the node's arithmetic holds it."""
-        if self.cfg.node_precision == FP64:
-            return float(value)
-        return Float32Emu.from_number(float(value), _ROUNDING[self.cfg.node_precision])
-
-    def _fit_node_params(self) -> ClockParams:
-        """Fit the node's beacon window, already held at node precision.
-
-        An fp64 window keeps exact sums, so ``window-lsq`` reads them in
-        O(1); a window of :class:`Float32Emu` pairs takes the centered
-        left-to-right fit of :func:`lsq_fit`, one rounding per operation.
-        """
-        if self.cfg.node_method == TWO_POINT:
-            return interpolate_params(*self.beacon_window.pairs[-2:])
-        return lsq_fit(self.beacon_window)
+        return float(logical_time(self._node_fit, self._number(local_ticks)))
 
     def build_measurement_frame(self, t: int) -> Message | None:
         """Upward measurement frame of the node's own buffered records

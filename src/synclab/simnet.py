@@ -20,10 +20,11 @@ interleaving can never change which random draw lands where.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -41,10 +42,11 @@ from .protocol import (
     Message,
     NodeState,
     JitterModel,
-    RadioConfig,
-    SchemeConfig,
     MeasurementRecord,
 )
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass(frozen=True)
@@ -158,6 +160,50 @@ def _outcome_dict(o: MeasurementOutcome) -> dict:
     return row
 
 
+def _outcome(row) -> MeasurementOutcome:
+    """The outcome an :func:`_outcome_dict` row describes."""
+    if type(row) is not dict or row.keys() != set(_OUTCOME_FIELDS):
+        raise ValueError(f"not a measurement outcome: {row!r:.80}")
+    if row["local_ticks"] is None:
+        return MeasurementOutcome(**{**row, "local_ticks": math.nan})
+    return MeasurementOutcome(**row)
+
+
+_EVENT_LENGTHS = {"pair": 7, "measurement": 8}
+
+
+def _event(ev) -> tuple:
+    """A saved head event; a pair has seven fields and a measurement eight."""
+    if type(ev) is not list or not ev or _EVENT_LENGTHS.get(ev[0]) != len(ev):
+        raise ValueError(f"not a head event: {ev!r:.80}")
+    return tuple(ev)
+
+
+_NULL = type(None)
+# trace key -> the JSON types its value may take; a key that may be null may
+# also be left out (the event log and the config stamp)
+_TRACE_TYPES = {
+    "scheme": (str,), "seed": (int,), "duration_ns": (int,), "tick_ns": (int, _NULL),
+    "head_method": (str,), "head_window": (int, _NULL), "radio": (dict,),
+    "levels": (dict,), "chains": (dict,), "head_events": (list,), "outcomes": (list,),
+    "node_counts": (dict,), "airtime": (dict,), "pair_accounting": (dict,),
+    "record_accounting": (dict,), "event_log": (list, _NULL), "config": (dict, _NULL),
+    "config_hash": (str, _NULL),
+}
+# trace key -> its value in memory, where that differs from the saved value
+_TRACE_READERS = {
+    "levels": lambda v: {int(n): level for n, level in v.items()},
+    "chains": lambda v: {int(n): tuple(chain) for n, chain in v.items()},
+    "head_events": lambda v: [_event(ev) for ev in v],
+    "outcomes": lambda v: [_outcome(row) for row in v],
+    "node_counts": lambda v: {
+        int(n): {k: (c[0], c[1]) for k, c in kinds.items()} for n, kinds in v.items()
+    },
+    "airtime": lambda v: {int(n): (a[0], a[1]) for n, a in v.items()},
+    "event_log": lambda v: None if v is None else [tuple(e) for e in v],
+}
+
+
 @dataclass
 class RunTrace:
     """Everything a run produced, sufficient to replay head-side estimation.
@@ -215,38 +261,27 @@ class RunTrace:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "RunTrace":
-        return RunTrace(
-            scheme=data["scheme"],
-            seed=data["seed"],
-            duration_ns=data["duration_ns"],
-            tick_ns=data["tick_ns"],
-            head_method=data["head_method"],
-            head_window=data["head_window"],
-            radio=dict(data["radio"]),
-            levels={int(k): v for k, v in data["levels"].items()},
-            chains={int(k): tuple(v) for k, v in data["chains"].items()},
-            head_events=[tuple(ev) for ev in data["head_events"]],
-            outcomes=[
-                MeasurementOutcome(**{**o, "local_ticks": math.nan})
-                if o["local_ticks"] is None else MeasurementOutcome(**o)
-                for o in data["outcomes"]
-            ],
-            node_counts={
-                int(n): {k: (v[0], v[1]) for k, v in kinds.items()}
-                for n, kinds in data["node_counts"].items()
-            },
-            airtime={int(n): (v[0], v[1]) for n, v in data["airtime"].items()},
-            pair_accounting=dict(data["pair_accounting"]),
-            record_accounting=dict(data["record_accounting"]),
-            event_log=(
-                None
-                if data.get("event_log") is None
-                else [tuple(e) for e in data["event_log"]]
-            ),
-            config=data.get("config"),
-            config_hash=data.get("config_hash"),
-        )
+    def from_dict(data) -> "RunTrace":
+        """The trace :meth:`to_dict` wrote.  Anything else, a value that is
+        not an object holding each key in the shape written, raises
+        ValueError naming the key."""
+        if type(data) is not dict:
+            raise ValueError(f"a trace is a JSON object, got {data!r:.80}")
+        unknown = sorted(set(data) - set(_TRACE_TYPES))
+        if unknown:
+            raise ValueError(f"unknown trace keys: {unknown}")
+        values = {}
+        for key, kinds in _TRACE_TYPES.items():
+            value = data.get(key)
+            if type(value) not in kinds:
+                what = f"not {kinds[0].__name__}: {value!r:.80}" if key in data else "missing"
+                raise ValueError(f"trace key {key!r} is {what}")
+            read = _TRACE_READERS.get(key)
+            try:
+                values[key] = value if read is None else read(value)
+            except (TypeError, ValueError, AttributeError, IndexError) as exc:
+                raise ValueError(f"trace key {key!r} is malformed: {exc}") from exc
+        return RunTrace(**values)
 
 
 def error_seconds(est_ticks: float, true_ns: int, tick_ns: int | None) -> float:
@@ -302,44 +337,28 @@ def apply_head_event(
 
 
 class Engine:
-    """One simulation run: topology + scheme + seed -> RunTrace.
+    """One simulation run: a :class:`~synclab.config.RunConfig` -> RunTrace.
 
-    The scheme is decided here, once, in ``__init__``.  It binds one handler
-    per frame kind that does something at its receiver (reports,
-    measurement frames, two-way requests, and beacons under conventional
-    one-way only; any other frame costs its receiver only the reception) and
-    sets three plain values the handlers read: whether a sensor's upward
-    frame is a report, whether a gateway merges a child's reported records
-    into its own buffer, and why the head leaves a delivered record
-    untranslated.  No handler compares the scheme, a frame's kind or a
-    node's role again; the head is ``node is self.head``.
+    The config checked itself when it was built, so the engine checks
+    nothing again.  The scheme is decided here, once, in ``__init__``.  It
+    binds one handler per frame kind that does something at its receiver
+    (reports, measurement frames, two-way requests, and beacons under
+    conventional one-way only; any other frame costs its receiver only the
+    reception) and sets three plain values the handlers read: whether a
+    sensor's upward frame is a report, whether a gateway merges a child's
+    reported records into its own buffer, and why the head leaves a
+    delivered record untranslated.  No handler compares the scheme or a
+    frame's kind again; the head is ``node is self.head``.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        cfg: SchemeConfig,
-        seed: int,
-        radio: RadioConfig | None = None,
-        collect_events: bool = False,
-    ) -> None:
+    def __init__(self, cfg: RunConfig) -> None:
         scheme = cfg.scheme
-        if (
-            scheme in (protocol.REVERSE_TWOWAY, protocol.CONVENTIONAL_TWOWAY)
-            and topology.hops > 1
-        ):
-            raise ValueError(
-                "two-way baselines are message-flow level only and support "
-                "single-hop topologies"
-            )
+        topology = build_chain(cfg.hops, cfg.clock, cfg.link, cfg.seed)
         self.topology = topology
         self.cfg = cfg
-        self.seed = seed
-        self.radio = radio or RadioConfig(
-            schedule=protocol.default_radio_schedule(scheme)
-        )
-        self.link = topology.link
-        base = np.random.SeedSequence(entropy=seed, spawn_key=(1,))
+        self.radio = cfg.radio_config()
+        self.link = cfg.link
+        base = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,))
         node_ids = sorted(topology.nodes)
         streams = base.spawn(3 * len(node_ids) + 1)
         self.nodes: dict[int, NodeState] = {}
@@ -357,7 +376,7 @@ class Engine:
             )
             # the head holds the reference that defines the timescale
             drift = DriftModel.constant() if spec.level == 0 else None
-            clock = topology.clock.build(spec.params, drift_rng, drift=drift)
+            clock = cfg.clock.build(spec.params, drift_rng, drift=drift)
             self.nodes[node_id] = NodeState(
                 node_id, spec.level, spec.parent, spec.children, clock, jitter, cfg
             )
@@ -388,7 +407,7 @@ class Engine:
         }.get(scheme, "scheme")
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
-        self._horizon: int = 0
+        self._horizon = cfg.duration_ns
         # true time of each measurement not yet delivered to the head
         self._truth: dict[tuple[int, int], int] = {}
         self.head_events: list[tuple] = []
@@ -401,7 +420,7 @@ class Engine:
             "generated": 0, "delivered": 0, "duplicates": 0,
             "lost": 0, "in_flight": 0,
         }
-        self.event_log: list[tuple] | None = [] if collect_events else None
+        self.event_log: list[tuple] | None = [] if cfg.collect_events else None
 
     # -- scheduling ---------------------------------------------------------
 
@@ -573,13 +592,10 @@ class Engine:
         node = self.nodes[node_id]
         self._transmit(node, node.build_response(request, rx_stamp, t), t)
 
-    def run(self, duration_ns: int) -> RunTrace:
-        if duration_ns <= 0:
-            raise ValueError("duration must be positive")
-        self._horizon = duration_ns
+    def run(self) -> RunTrace:
         cfg = self.cfg
         scheme = cfg.scheme
-        hops = self.topology.hops
+        hops = cfg.hops
         for node_id in self.topology.sensor_ids():
             self._push(EPOCH_NS + MEASUREMENT_OFFSET_NS, self._on_measure, (node_id,))
             if cfg.report_interval_ns is not None:
@@ -596,9 +612,9 @@ class Engine:
             t, _, handler, payload = heapq.heappop(heap)
             handler(t, *payload)
 
-        return self._finish(scheme, duration_ns)
+        return self._finish()
 
-    def _finish(self, scheme: str, duration_ns: int) -> RunTrace:
+    def _finish(self) -> RunTrace:
         # anything still buffered at a node never reached the head
         for node in self.nodes.values():
             self.pair_accounting["in_flight"] += len(node.pending_pairs)
@@ -619,17 +635,13 @@ class Engine:
             n: (node.tx_seconds, node.rx_seconds) for n, node in self.nodes.items()
         }
         return RunTrace(
-            scheme=scheme,
-            seed=self.seed,
-            duration_ns=duration_ns,
+            scheme=self.cfg.scheme,
+            seed=self.cfg.seed,
+            duration_ns=self.cfg.duration_ns,
             tick_ns=self.topology.clock.tick_ns,
             head_method=self.cfg.head_method,
             head_window=self.cfg.head_window,
-            radio={
-                "bitrate_bps": self.radio.bitrate_bps,
-                "schedule": self.radio.schedule,
-                "lpl_duty": self.radio.lpl_duty,
-            },
+            radio=dataclasses.asdict(self.radio),
             levels={n: spec.level for n, spec in self.topology.nodes.items()},
             chains=dict(self.chains),
             head_events=self.head_events,
@@ -641,15 +653,3 @@ class Engine:
             event_log=self.event_log,
         )
 
-
-def run(
-    topology: Topology,
-    cfg: SchemeConfig,
-    duration_ns: int,
-    seed: int,
-    radio: RadioConfig | None = None,
-    collect_events: bool = False,
-) -> RunTrace:
-    """Simulate one run and return its trace."""
-    engine = Engine(topology, cfg, seed, radio=radio, collect_events=collect_events)
-    return engine.run(duration_ns)

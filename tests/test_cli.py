@@ -234,6 +234,30 @@ def test_replay_reproduces_run_outputs(tmp_path, config_path):
     )
 
 
+def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
+    run_dir = tmp_path / "run"
+    main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace"])
+    saved = (run_dir / "trace.json").read_text()
+    extra_key, cut_event, bad_energy = (json.loads(saved) for _ in range(3))
+    extra_key["outcomes"][0]["extra"] = 1
+    cut_event["head_events"][3] = ["pair", 1]
+    bad_energy["config"]["energy"] = {"i_tx": 0.02}
+    cases = (
+        ({}, "'scheme'"),
+        ([1, 2], "JSON object"),
+        (extra_key, "'outcomes'"),
+        (cut_event, "'head_events'"),
+        (bad_energy, "'i_tx'"),
+    )
+    for i, (data, named) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err, err
+
+
 def test_missing_config_is_a_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -54,31 +54,36 @@ UNITS = {
 def test_default_config_is_valid():
     cfg = RunConfig()
     assert cfg.scheme == REVERSE_ONEWAY
-    assert cfg.scheme_config().si_ns == cfg.si_ns
     assert cfg.radio_config().schedule == SCHEDULED_WAKE
 
 
 def test_run_config_validation():
-    with pytest.raises(ConfigError):
-        RunConfig(scheme="semaphore")
-    with pytest.raises(ConfigError):
-        RunConfig(hops=0)
-    with pytest.raises(ConfigError):
-        RunConfig(scheme=CONVENTIONAL_TWOWAY, hops=2)
-    with pytest.raises(ConfigError):
-        RunConfig(duration_ns=0)
-    with pytest.raises(ConfigError):
-        RunConfig(head_method="spline")
-    with pytest.raises(ConfigError):
-        RunConfig(bundling="zip")
+    for bad in (
+        {"scheme": "semaphore"},
+        {"hops": 0},
+        {"seed": -1},
+        {"scheme": CONVENTIONAL_TWOWAY, "hops": 2},
+        {"duration_ns": 0},
+        {"head_method": "spline"},
+        {"bundling": "zip"},
+        {"si_ns": 0},
+        {"measurement_interval_ns": 0},
+        {"report_interval_ns": -1},
+        {"bundle_size": 0},
+        {"node_precision": "fp16"},
+        {"node_method": "cumulative-ratio"},
+        {"head_window": 1},
+        {"node_window": 1},
+    ):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
     canonical = RunConfig().to_dict()
     with pytest.raises(ConfigError):  # a misspelled current draw
         RunConfig.from_dict({**canonical, "energy": {"voltage_v": 3.3, "i_tx": 0.02}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({**canonical, "energy": {"i_tx_a": -1.0}})
-    with pytest.raises(ConfigError):
-        RunConfig(bundle_size=0)  # nested scheme validation surfaces here
     RunConfig(scheme=CONVENTIONAL_TWOWAY, hops=1)
+    RunConfig(head_window=None, report_interval_ns=None)
 
 
 def test_radio_default_follows_scheme():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from synclab.clock import ClockParams, HardwareClock
+from synclab.config import RunConfig
 from synclab.estimators import EstimationError
 from synclab.protocol import (
     ALWAYS_ON,
@@ -19,10 +20,7 @@ from synclab.protocol import (
     CONVENTIONAL_TWOWAY,
     FP32_CHOP,
     FP32_NEAREST,
-    GATEWAY,
-    HEAD,
     HEADER_BYTES,
-    LEAF,
     MEASUREMENT,
     RECORD_BYTES,
     REPORT,
@@ -41,7 +39,6 @@ from synclab.protocol import (
     Message,
     NodeState,
     RadioConfig,
-    SchemeConfig,
     default_radio_schedule,
 )
 
@@ -49,9 +46,7 @@ SI = 1_000_000_000  # 1 s
 
 
 def make_node(scheme=REVERSE_ONEWAY, level=1, children=(), tick_ns=None, **cfg_kwargs):
-    cfg = SchemeConfig(
-        scheme=scheme, si_ns=SI, measurement_interval_ns=SI, **cfg_kwargs
-    )
+    cfg = RunConfig(scheme=scheme, si_ns=SI, measurement_interval_ns=SI, **cfg_kwargs)
     clock = HardwareClock(ClockParams(1.0, 0.0), tick_ns=tick_ns)
     parent = None if level == 0 else level - 1
     return NodeState(level, level, parent, children, clock, JitterModel.zero(), cfg)
@@ -131,31 +126,6 @@ def test_sfd_timestamp_without_jitter_is_clock_read():
     assert node.stamp(SEND, 5_000_500) == 5000
 
 
-def test_scheme_config_validation():
-    good = dict(scheme=REVERSE_ONEWAY, si_ns=SI, measurement_interval_ns=SI)
-    SchemeConfig(**good)
-    with pytest.raises(ValueError):
-        SchemeConfig(**{**good, "scheme": "carrier-pigeon"})
-    with pytest.raises(ValueError):
-        SchemeConfig(**{**good, "si_ns": 0})
-    with pytest.raises(ValueError):
-        SchemeConfig(**{**good, "report_interval_ns": -1})
-    with pytest.raises(ValueError):
-        SchemeConfig(**{**good, "bundling": "sideways"})
-    with pytest.raises(ValueError):
-        SchemeConfig(**{**good, "bundle_size": 0})
-    with pytest.raises(ValueError):
-        SchemeConfig(**{**good, "node_precision": "fp16"})
-    with pytest.raises(ValueError):
-        SchemeConfig(**{**good, "node_method": "cumulative-ratio"})
-    with pytest.raises(ValueError):
-        SchemeConfig(**{**good, "head_method": "spline"})
-    for window in ("head_window", "node_window"):
-        with pytest.raises(ValueError):
-            SchemeConfig(**{**good, window: 1})
-    SchemeConfig(**{**good, "head_window": None})
-
-
 def test_radio_config_airtime_and_validation():
     radio = RadioConfig(bitrate_bps=250_000)
     frame = Message(kind=REPORT, src=1, dst=0, send_stamp=1.0, sync_index=1)
@@ -173,12 +143,6 @@ def test_default_radio_schedule():
     assert default_radio_schedule(REVERSE_TWOWAY) == SCHEDULED_WAKE
     assert default_radio_schedule(CONVENTIONAL_ONEWAY) == ALWAYS_ON
     assert default_radio_schedule(CONVENTIONAL_TWOWAY) == ALWAYS_ON
-
-
-def test_node_roles():
-    assert make_node(level=0, children=(1,)).role == HEAD
-    assert make_node(level=1, children=(2,)).role == GATEWAY
-    assert make_node(level=1).role == LEAF
 
 
 def test_report_carries_and_drains_buffers():

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 from synclab.clock import ClockConfig, ClockParams
+from synclab.config import RunConfig, table1_config
 from synclab.estimators import HeadEstimator
 from synclab.protocol import (
     BUNDLE_SELF,
@@ -15,7 +16,6 @@ from synclab.protocol import (
     CONVENTIONAL_TWOWAY,
     REVERSE_ONEWAY,
     REVERSE_TWOWAY,
-    SchemeConfig,
 )
 from synclab.simnet import (
     Engine,
@@ -25,20 +25,9 @@ from synclab.simnet import (
     apply_head_event,
     build_chain,
     error_seconds,
-    run,
 )
 
 S = 1_000_000_000  # ns per second
-
-
-def table1_scheme(scheme, si_s):
-    # hour-long run, one measurement per 36 s, immediate per-sample sending
-    return SchemeConfig(
-        scheme=scheme,
-        si_ns=si_s * S,
-        measurement_interval_ns=36 * S,
-        report_interval_ns=None,
-    )
 
 
 def totals(trace, node_id):
@@ -106,7 +95,7 @@ def test_apply_head_event_bootstrap_then_translation():
 
 
 def test_hourlong_reverse_oneway_message_totals():
-    trace = run(build_chain(1), table1_scheme(REVERSE_ONEWAY, 1), 3600 * S, seed=0)
+    trace = Engine(table1_config(REVERSE_ONEWAY, 1)).run()
     assert totals(trace, 1) == (100, 0)
     head_tx, head_rx = totals(trace, 0)
     assert (head_tx, head_rx) == (0, 100)
@@ -115,31 +104,34 @@ def test_hourlong_reverse_oneway_message_totals():
 
 
 def test_hourlong_reverse_twoway_message_totals():
-    trace = run(build_chain(1), table1_scheme(REVERSE_TWOWAY, 10), 3600 * S, seed=0)
+    trace = Engine(table1_config(REVERSE_TWOWAY, 10)).run()
     assert totals(trace, 1) == (100, 360)
 
 
 def test_hourlong_conventional_twoway_message_totals():
-    trace = run(build_chain(1), table1_scheme(CONVENTIONAL_TWOWAY, 100), 3600 * S, seed=0)
+    trace = Engine(table1_config(CONVENTIONAL_TWOWAY, 100)).run()
     assert totals(trace, 1) == (136, 36)
 
 
 def test_hourlong_conventional_oneway_message_totals():
-    trace = run(build_chain(1), table1_scheme(CONVENTIONAL_ONEWAY, 10), 3600 * S, seed=0)
+    trace = Engine(table1_config(CONVENTIONAL_ONEWAY, 10)).run()
     assert totals(trace, 1) == (100, 360)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_accounting_conservation_under_loss(seed):
-    topo = build_chain(3, link=LinkConfig(loss=0.25), seed=seed)
-    cfg = SchemeConfig(
+    cfg = RunConfig(
         scheme=REVERSE_ONEWAY,
+        hops=3,
+        duration_ns=60 * S,
+        seed=seed,
         si_ns=S,
         measurement_interval_ns=5 * S,
         report_interval_ns=S,
         bundling=BUNDLE_SELF,
+        link=LinkConfig(loss=0.25),
     )
-    trace = run(topo, cfg, 60 * S, seed=seed)
+    trace = Engine(cfg).run()
     pairs = trace.pair_accounting
     records = trace.record_accounting
     assert pairs["created"] == (
@@ -158,25 +150,23 @@ def test_accounting_conservation_under_loss(seed):
 
 
 def test_same_seed_reproduces_trace_exactly():
-    topo = build_chain(2, seed=5)
-    cfg = SchemeConfig(
-        scheme=REVERSE_ONEWAY, si_ns=S, measurement_interval_ns=2 * S,
-        report_interval_ns=S, bundling=BUNDLE_SELF,
+    cfg = RunConfig(
+        scheme=REVERSE_ONEWAY, hops=2, duration_ns=30 * S, seed=5, si_ns=S,
+        measurement_interval_ns=2 * S, report_interval_ns=S, bundling=BUNDLE_SELF,
     )
-    first = run(topo, cfg, 30 * S, seed=5)
-    second = run(build_chain(2, seed=5), cfg, 30 * S, seed=5)
+    first = Engine(cfg).run()
+    second = Engine(cfg).run()
     assert first.to_dict() == second.to_dict()
-    third = run(build_chain(2, seed=5), cfg, 30 * S, seed=6)
+    third = Engine(cfg.replace(seed=6)).run()
     assert first.head_events != third.head_events
 
 
 def test_trace_round_trips_through_json():
-    topo = build_chain(2, seed=1)
-    cfg = SchemeConfig(
-        scheme=REVERSE_ONEWAY, si_ns=S, measurement_interval_ns=3 * S,
-        report_interval_ns=S,
+    cfg = RunConfig(
+        scheme=REVERSE_ONEWAY, hops=2, duration_ns=20 * S, seed=1, si_ns=S,
+        measurement_interval_ns=3 * S, report_interval_ns=S, collect_events=True,
     )
-    trace = run(topo, cfg, 20 * S, seed=1, collect_events=True)
+    trace = Engine(cfg).run()
     data = json.loads(json.dumps(trace.to_dict()))
     restored = RunTrace.from_dict(data)
     assert restored.to_dict() == trace.to_dict()
@@ -184,25 +174,19 @@ def test_trace_round_trips_through_json():
     assert restored.chains == trace.chains
 
 
-def test_two_way_schemes_are_single_hop_only():
-    cfg = SchemeConfig(
-        scheme=CONVENTIONAL_TWOWAY, si_ns=S, measurement_interval_ns=S
-    )
-    with pytest.raises(ValueError):
-        Engine(build_chain(2), cfg, seed=0)
-    Engine(build_chain(1), cfg, seed=0)  # single hop is fine
-
-
 @pytest.mark.parametrize("scheme", [REVERSE_ONEWAY, CONVENTIONAL_ONEWAY, REVERSE_TWOWAY])
 def test_finished_engine_is_freed_without_the_cycle_collector(scheme):
     # a run's state (nodes, clocks, outcomes) is freed as soon as the last
     # reference to its engine goes; a reference cycle through the engine
     # would hold it until the cyclic collector runs, which raises peak memory
-    cfg = SchemeConfig(scheme=scheme, si_ns=S, measurement_interval_ns=S)
+    cfg = RunConfig(
+        scheme=scheme, duration_ns=5 * S, seed=2, si_ns=S,
+        measurement_interval_ns=S, report_interval_ns=None,
+    )
     gc.disable()
     try:
-        engine = Engine(build_chain(1, seed=2), cfg, seed=2)
-        engine.run(5 * S)
+        engine = Engine(cfg)
+        engine.run()
         ref = weakref.ref(engine)
         del engine
         assert ref() is None
@@ -211,27 +195,23 @@ def test_finished_engine_is_freed_without_the_cycle_collector(scheme):
 
 
 def test_no_events_at_or_past_horizon():
-    topo = build_chain(2, seed=3)
-    cfg = SchemeConfig(
-        scheme=REVERSE_ONEWAY, si_ns=S, measurement_interval_ns=S,
-        report_interval_ns=S,
-    )
     duration = 10 * S
-    trace = run(topo, cfg, duration, seed=3, collect_events=True)
+    cfg = RunConfig(
+        scheme=REVERSE_ONEWAY, hops=2, duration_ns=duration, seed=3, si_ns=S,
+        measurement_interval_ns=S, report_interval_ns=S, collect_events=True,
+    )
+    trace = Engine(cfg).run()
     assert trace.event_log, "expected a populated event log"
     assert max(t for t, _, _ in trace.event_log) < duration
-    with pytest.raises(ValueError):
-        run(topo, cfg, 0, seed=3)
 
 
 def test_undelivered_measurements_get_placeholder_outcomes():
     # near-total loss: most measurements never reach the head
-    topo = build_chain(1, link=LinkConfig(loss=0.9), seed=9)
-    cfg = SchemeConfig(
-        scheme=REVERSE_ONEWAY, si_ns=S, measurement_interval_ns=S,
-        report_interval_ns=S,
+    cfg = RunConfig(
+        scheme=REVERSE_ONEWAY, duration_ns=20 * S, seed=9, si_ns=S,
+        measurement_interval_ns=S, report_interval_ns=S, link=LinkConfig(loss=0.9),
     )
-    trace = run(topo, cfg, 20 * S, seed=9)
+    trace = Engine(cfg).run()
     undelivered = [o for o in trace.outcomes if o.reason == "undelivered"]
     assert undelivered, "expected losses at 90% drop rate"
     for outcome in undelivered:
