@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from synclab.clock import ClockParams, HardwareClock
-from synclab.config import RunConfig
+from synclab.config import ConfigError, RunConfig
 from synclab.estimators import EstimationError
 from synclab.protocol import (
     ALWAYS_ON,
@@ -124,6 +124,31 @@ def test_jitter_blocks_equal_scalar_draws(width, seed):
 def test_sfd_timestamp_without_jitter_is_clock_read():
     node = make_node(tick_ns=1000)
     assert node.stamp(SEND, 5_000_500) == 5000
+
+
+def test_scheme_config_validation():
+    good = dict(scheme=REVERSE_ONEWAY, si_ns=SI, measurement_interval_ns=SI)
+    RunConfig(**good)
+    with pytest.raises(ConfigError):
+        RunConfig(**{**good, "scheme": "carrier-pigeon"})
+    with pytest.raises(ConfigError):
+        RunConfig(**{**good, "si_ns": 0})
+    with pytest.raises(ConfigError):
+        RunConfig(**{**good, "report_interval_ns": -1})
+    with pytest.raises(ConfigError):
+        RunConfig(**{**good, "bundling": "sideways"})
+    with pytest.raises(ConfigError):
+        RunConfig(**{**good, "bundle_size": 0})
+    with pytest.raises(ConfigError):
+        RunConfig(**{**good, "node_precision": "fp16"})
+    with pytest.raises(ConfigError):
+        RunConfig(**{**good, "node_method": "cumulative-ratio"})
+    with pytest.raises(ConfigError):
+        RunConfig(**{**good, "head_method": "spline"})
+    for window in ("head_window", "node_window"):
+        with pytest.raises(ConfigError):
+            RunConfig(**{**good, window: 1})
+    RunConfig(**{**good, "head_window": None})
 
 
 def test_radio_config_airtime_and_validation():
