@@ -69,12 +69,11 @@ from .protocol import (
 from .simnet import (
     Engine,
     LinkConfig,
-    MeasurementOutcome,
     NodeSpec,
-    RunTrace,
     Topology,
     build_chain,
 )
+from .trace import MeasurementOutcome, RunTrace
 from .config import (
     ConfigError,
     EnergyModel,

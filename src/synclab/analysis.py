@@ -1,6 +1,6 @@
 """Offline analysis: message-count formulas, energy, accuracy, replay, sweeps.
 
-Everything here consumes a :class:`~synclab.simnet.RunTrace` (or builds one
+Everything here consumes a :class:`~synclab.trace.RunTrace` (or builds one
 from a :class:`~synclab.config.RunConfig`) and reduces it to numbers: message
 counts, per-node energy under a radio duty schedule, measurement-time error
 statistics, or a sweep table.  Replay re-folds a stored head event stream
@@ -22,7 +22,7 @@ from . import protocol, simnet
 from .clock import NS_PER_S
 from .config import EnergyModel, RunConfig
 from .estimators import HeadEstimator, multihop_from_head
-from .simnet import MeasurementOutcome, RunTrace, apply_head_event
+from .trace import RunTrace, apply_head_event, derive_outcomes
 
 
 # -- closed-form message counts ----------------------------------------------
@@ -302,17 +302,9 @@ def replay(
     window = trace.head_window if head_window is _KEEP else head_window
     if window == "all":
         window = None
-    estimator = HeadEstimator(method, window)
-    outcomes = []
-    for event in trace.head_events:
-        out = apply_head_event(estimator, trace.chains, trace.tick_ns, tuple(event))
-        if out is not None:
-            outcomes.append(out)
-    for out in trace.outcomes:
-        if out.reason == "undelivered":
-            outcomes.append(dataclasses.replace(out))
     return dataclasses.replace(
-        trace, head_method=method, head_window=window, outcomes=outcomes
+        trace, head_method=method, head_window=window,
+        outcomes=derive_outcomes(trace, method, window),
     )
 
 
@@ -327,7 +319,7 @@ def command_local_time(trace: RunTrace, origin: int, t_reference) -> float | Non
         raise ValueError("local-time commands need head-side estimation traces")
     estimator = HeadEstimator(trace.head_method, trace.head_window)
     for event in trace.head_events:
-        apply_head_event(estimator, trace.chains, trace.tick_ns, tuple(event))
+        apply_head_event(estimator, trace.chains, trace.tick_ns, event)
     chain = trace.chains[origin]
     params = estimator.chain_params(chain)
     if params is None:
@@ -567,32 +559,47 @@ def write_summary_json(path, summary: dict) -> None:
 _ENCODE = json.JSONEncoder(allow_nan=False).encode
 _TRACE_SLICE = 128
 """List items per encoder call: the C encoder holds a call's fragments until it
-joins them, about 1 MB for 512 outcomes against 0.25 MB for 128."""
+joins them, so one call per long list would hold all of its text at once."""
+
+
+def _write_json(fh, value) -> None:
+    """Write ``json.dumps(value, allow_nan=False)``, one object member and
+    ``_TRACE_SLICE`` list items per encoder call."""
+    if isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(f"{', ' if i else '{'}{_ENCODE(key)}: ")
+            _write_json(fh, item)
+        fh.write("}")
+    elif isinstance(value, list) and value:
+        for start in range(0, len(value), _TRACE_SLICE):
+            items = _ENCODE(value[start:start + _TRACE_SLICE])[1:-1]
+            fh.write(f"{', ' if start else '['}{items}")
+        fh.write("]")
+    else:
+        fh.write(_ENCODE(value))
 
 
 def save_trace(path, trace: RunTrace) -> None:
     """Write ``trace`` as strict JSON: the text of ``json.dumps(trace.to_dict(),
     allow_nan=False)`` plus a newline.
 
-    The text is encoded by the C encoder, one top-level key at a time and
-    each long list ``_TRACE_SLICE`` items at a time, so the run's largest
-    lists (head events, outcomes, the event log) are never held as one
-    string.  A non-finite number raises ``ValueError``.
+    The text is encoded by the C encoder a piece at a time (see
+    :func:`_write_json`), so the run's largest values (the head-event columns
+    and the event log) are never held as one string.  A non-finite number
+    raises ``ValueError``.
     """
     with open(path, "w") as fh:
-        fh.write("{")
-        for i, (key, value) in enumerate(trace.to_dict().items()):
-            fh.write(f"{', ' if i else ''}{_ENCODE(key)}: ")
-            if not isinstance(value, list) or not value:
-                fh.write(_ENCODE(value))
-                continue
-            for start in range(0, len(value), _TRACE_SLICE):
-                items = _ENCODE(value[start:start + _TRACE_SLICE])[1:-1]
-                fh.write(f"{', ' if start else '['}{items}")
-            fh.write("]")
-        fh.write("}\n")
+        _write_json(fh, trace.to_dict())
+        fh.write("\n")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"a trace is strict JSON, got {name}")
 
 
 def load_trace(path) -> RunTrace:
+    """Read a trace that :func:`save_trace` wrote, in this format or the
+    version-less one.  Its outcomes are derived from its head events when
+    first read (see :class:`~synclab.trace.RunTrace`)."""
     with open(path) as fh:
-        return RunTrace.from_dict(json.load(fh))
+        return RunTrace.from_dict(json.load(fh, parse_constant=_reject_constant))

@@ -27,8 +27,8 @@ with an unbounded window refits in constant time per new pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import deque
+from typing import Iterable, NamedTuple, Sequence
 
 from .clock import ClockParams
 
@@ -45,12 +45,12 @@ class SingularSystemError(EstimationError):
     """The fit is degenerate (no spread in the regressor timestamps)."""
 
 
-@dataclass(frozen=True)
-class TimestampPair:
+class TimestampPair(NamedTuple):
     """One synchronization sample: child send stamp and parent receive stamp.
 
     ``sync_index`` is the child's per-frame sync counter, used for ordering
-    and duplicate suppression.
+    and duplicate suppression.  A named tuple, as the head builds one per
+    pair it ingests.
     """
 
     t_child: float
@@ -84,37 +84,53 @@ class _Sums:
     def __init__(self) -> None:
         self.n = self.k = self.x = self.y = self.xx = self.xy = 0
 
-    def add(self, pair: TimestampPair, sign: int = 1) -> bool:
-        """Add a pair's terms (subtract them with ``sign=-1``).
+    def _scale(self, x, y) -> tuple[int, int] | None:
+        """``x`` and ``y`` as integers at the sums' scale, which first grows
+        to hold them; None for a value that is not a plain int or finite
+        float."""
+        ex, ey = _exact(x), _exact(y)
+        if ex is None or ey is None:
+            return None
+        (x, kx), (y, ky) = ex, ey
+        shift = max(kx, ky) - self.k
+        if shift > 0:
+            self.x <<= shift
+            self.y <<= shift
+            self.xx <<= 2 * shift
+            self.xy <<= 2 * shift
+            self.k += shift
+        return x << (self.k - kx), y << (self.k - ky)
+
+    def add(self, pair: TimestampPair, evicted: TimestampPair | None = None) -> bool:
+        """Add a pair's terms, less those of ``evicted`` (a pair already in
+        the sums) when one is given, in one update.
 
         Returns False, leaving the sums unchanged, for a pair whose
         timestamps are not plain ints or finite floats.
         """
         x, y = pair.t_parent, pair.t_child
-        if type(x) is int and type(y) is int:  # tick stamps: scale 2**0
-            kx = ky = 0
-        else:
-            ex, ey = _exact(x), _exact(y)
-            if ex is None or ey is None:
+        if self.k or type(x) is not int or type(y) is not int:
+            scaled = self._scale(x, y)
+            if scaled is None:
                 return False
-            (x, kx), (y, ky) = ex, ey
-            shift = max(kx, ky) - self.k
-            if shift > 0:
-                self.x <<= shift
-                self.y <<= shift
-                self.xx <<= 2 * shift
-                self.xy <<= 2 * shift
-                self.k += shift
-        x <<= self.k - kx
-        y <<= self.k - ky
-        self.n += sign
-        self.x += sign * x
-        self.y += sign * y
-        self.xx += sign * x * x
-        self.xy += sign * x * y
+            x, y = scaled
+        if evicted is None:
+            self.n += 1
+            self.x += x
+            self.y += y
+            self.xx += x * x
+            self.xy += x * y
+            return True
+        ox, oy = evicted.t_parent, evicted.t_child
+        if self.k or type(ox) is not int or type(oy) is not int:
+            ox, oy = self._scale(ox, oy)  # held, so already exact at this scale
+        self.x += x - ox
+        self.y += y - oy
+        self.xx += x * x - ox * ox
+        self.xy += x * y - ox * oy
         return True
 
-    def fit(self) -> ClockParams:
+    def solve(self) -> tuple[float, float]:
         """The least-squares ratio and offset, each correctly rounded.
 
         ``ratio = (nΣxy - ΣxΣy) / (nΣx² - (Σx)²)`` and ``offset = (ΣyΣx² -
@@ -129,8 +145,7 @@ class _Sums:
         ratio = (n * self.xy - self.x * self.y) / det
         if not ratio > 0.0:
             raise EstimationError(f"fitted ratio {ratio!r} is not positive")
-        offset = (self.y * self.xx - self.x * self.xy) / (det << self.k)
-        return ClockParams(ratio, offset)
+        return ratio, (self.y * self.xx - self.x * self.xy) / (det << self.k)
 
 
 class RegressionWindow:
@@ -147,7 +162,7 @@ class RegressionWindow:
         if capacity is not None and capacity < 2:
             raise ValueError("window capacity must be at least 2 (or None)")
         self._capacity = capacity
-        self._pairs: list[TimestampPair] = []
+        self._pairs: deque[TimestampPair] = deque(maxlen=capacity)
         self._sums: _Sums | None = _Sums()
 
     @property
@@ -163,15 +178,13 @@ class RegressionWindow:
 
     def push(self, pair: TimestampPair) -> bool:
         """Insert a pair; returns False if its sync_index is not new."""
-        if self._pairs and pair.sync_index <= self._pairs[-1].sync_index:
+        pairs = self._pairs
+        if pairs and pair.sync_index <= pairs[-1].sync_index:
             return False
-        self._pairs.append(pair)
-        if self._sums is not None and not self._sums.add(pair):
+        evicted = pairs[0] if len(pairs) == pairs.maxlen else None
+        pairs.append(pair)  # a full deque drops the evicted pair itself
+        if self._sums is not None and not self._sums.add(pair, evicted):
             self._sums = None
-        if self._capacity is not None and len(self._pairs) > self._capacity:
-            evicted = self._pairs.pop(0)
-            if self._sums is not None:
-                self._sums.add(evicted, sign=-1)
         return True
 
 
@@ -195,13 +208,13 @@ def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
     """
     if isinstance(window, RegressionWindow):
         if window._sums is not None:
-            return window._sums.fit()
+            return ClockParams(*window._sums.solve())
         pairs = window.pairs
     else:
         pairs = tuple(window)
     sums = _Sums()
     if all(sums.add(p) for p in pairs):
-        return sums.fit()
+        return ClockParams(*sums.solve())
     n = len(pairs)
     if n < 2:
         raise InsufficientDataError(f"least squares needs >= 2 pairs, got {n}")
@@ -340,23 +353,110 @@ def default_window(si_s: float) -> int:
     return 19
 
 
-class _Stream:
-    __slots__ = ("window", "first", "latest", "dirty", "params")
+class _Link:
+    """One link's estimate at the head: the last good fit, redone lazily
+    once new pairs have arrived.  A subclass per method keeps the pairs its
+    fit reads and nothing else: ``push`` takes a pair (False for a stale or
+    duplicate sync index) and ``fit`` returns ``(ratio, offset)`` or raises
+    :class:`EstimationError`, :class:`InsufficientDataError` while the link
+    has fewer than two pairs."""
+
+    __slots__ = ("dirty", "ratio", "offset")
+
+    def __init__(self) -> None:
+        self.dirty = False
+        self.ratio = self.offset = None
+
+    def current(self) -> bool:
+        """Refit if pairs arrived since the last fit; False while the link
+        is still bootstrapping.  A refit that raises :class:`EstimationError`
+        (say, a non-positive ratio from pairs that SFD jitter put out of
+        order) is rejected and the last good fit kept."""
+        if self.dirty:
+            self.dirty = False
+            try:
+                self.ratio, self.offset = self.fit()
+            except EstimationError:
+                pass
+        return self.ratio is not None
+
+
+class _WindowLink(_Link):
+    """window-lsq: the exact least-squares sums of the last ``capacity`` pairs."""
+
+    __slots__ = ("window", "push")
 
     def __init__(self, capacity: int | None) -> None:
+        super().__init__()
         self.window = RegressionWindow(capacity)
-        self.first: TimestampPair | None = None
-        self.latest: TimestampPair | None = None
-        self.dirty = True
-        self.params: ClockParams | None = None
+        self.push = self.window.push  # bound once: no wrapper call per pair
+
+    def fit(self) -> tuple[float, float]:
+        sums = self.window._sums
+        if sums is None:  # a timestamp that is not a plain int or float
+            params = lsq_fit(self.window)
+            return params.ratio, params.offset
+        return sums.solve()
+
+
+class _AnchoredLink(_Link):
+    """cumulative-ratio: the first pair ever and the latest one."""
+
+    __slots__ = ("first", "latest")
+
+    def __init__(self, capacity: int | None) -> None:
+        super().__init__()
+        self.first = self.latest = None
+
+    def push(self, pair: TimestampPair) -> bool:
+        latest = self.latest
+        if latest is None:
+            self.first = pair
+        elif pair.sync_index <= latest.sync_index:
+            return False
+        self.latest = pair
+        return True
+
+    def fit(self) -> tuple[float, float]:
+        if self.first is self.latest:
+            raise InsufficientDataError("the anchored rate needs 2 pairs, got 1")
+        params = cumulative_params(self.first, self.latest)
+        return params.ratio, params.offset
+
+
+class _TwoPointLink(_Link):
+    """two-point: the latest two pairs."""
+
+    __slots__ = ("previous", "latest")
+
+    def __init__(self, capacity: int | None) -> None:
+        super().__init__()
+        self.previous = self.latest = None
+
+    def push(self, pair: TimestampPair) -> bool:
+        latest = self.latest
+        if latest is not None and pair.sync_index <= latest.sync_index:
+            return False
+        self.previous, self.latest = latest, pair
+        return True
+
+    def fit(self) -> tuple[float, float]:
+        if self.previous is None:
+            raise InsufficientDataError("two-point needs 2 pairs, got 1")
+        params = interpolate_params(self.previous, self.latest)
+        return params.ratio, params.offset
+
+
+_LINKS = {WINDOW_LSQ: _WindowLink, CUMULATIVE_RATIO: _AnchoredLink, TWO_POINT: _TwoPointLink}
 
 
 class HeadEstimator:
     """Head-side registry of per-node estimates (one estimate per link layer).
 
     Keyed by the child node id; in a chain topology node ids coincide with
-    layer numbers.  Fits are cached and recomputed lazily after new pairs
-    arrive.  Duplicate or stale sync indices leave the state unchanged.
+    layer numbers.  The method picks the kind of link once, at construction.
+    Fits are cached and recomputed lazily after new pairs arrive.  Duplicate
+    or stale sync indices leave the state unchanged.
     """
 
     def __init__(self, method: str = WINDOW_LSQ, window: int | None = 19) -> None:
@@ -364,7 +464,8 @@ class HeadEstimator:
             raise ValueError(f"unknown estimator method {method!r}")
         self._method = method
         self._capacity = 2 if method == TWO_POINT else window
-        self._streams: dict[int, _Stream] = {}
+        self._new_link = _LINKS[method]
+        self._links: dict[int, _Link] = {}
 
     @property
     def method(self) -> str:
@@ -376,49 +477,24 @@ class HeadEstimator:
 
     def ingest(self, node_id: int, pair: TimestampPair) -> bool:
         """Add a pair for a node's link; returns False for duplicates."""
-        stream = self._streams.get(node_id)
-        if stream is None:
-            stream = self._streams[node_id] = _Stream(self._capacity)
-        added = stream.window.push(pair)
-        if added:
-            if stream.first is None:
-                stream.first = pair
-            stream.latest = pair
-            stream.dirty = True
-        return added
+        link = self._links.get(node_id)
+        if link is None:
+            link = self._links[node_id] = self._new_link(self._capacity)
+        if not link.push(pair):
+            return False
+        link.dirty = True
+        return True
 
     def params_for(self, node_id: int) -> ClockParams | None:
         """Current estimate for a node's link, or None before bootstrap.
 
-        A refit that raises :class:`EstimationError` (say, a non-positive
-        ratio from pairs that SFD jitter put out of order) is rejected and
-        the last good fit kept.
+        A refit that raises :class:`EstimationError` is rejected and the
+        last good fit kept.
         """
-        stream = self._streams.get(node_id)
-        if stream is None:
+        link = self._links.get(node_id)
+        if link is None or not link.current():
             return None
-        if stream.dirty:
-            try:
-                stream.params = self._fit(stream)
-            except EstimationError:
-                pass
-            stream.dirty = False
-        return stream.params
-
-    def _fit(self, stream: _Stream) -> ClockParams | None:
-        if self._method == CUMULATIVE_RATIO:
-            if (
-                stream.first is None
-                or stream.latest is None
-                or stream.first.sync_index == stream.latest.sync_index
-            ):
-                return None
-            return cumulative_params(stream.first, stream.latest)
-        if len(stream.window) < 2:
-            return None
-        if self._method == TWO_POINT:
-            return interpolate_params(*stream.window.pairs)
-        return lsq_fit(stream.window)
+        return ClockParams(link.ratio, link.offset)
 
     def chain_params(self, chain: Sequence[int]) -> list[ClockParams] | None:
         """Params along an ancestor chain (head-adjacent first), or None."""
@@ -435,9 +511,18 @@ class HeadEstimator:
 
         ``chain`` lists the ancestor node ids from the head-adjacent node
         down to the origin.  Returns None while any layer on the chain is
-        still bootstrapping (fewer than two pairs).
+        still bootstrapping (fewer than two pairs).  Links are refitted
+        head-adjacent first, up to the first one still bootstrapping; the
+        inverse maps then compose from the origin upward, as
+        :func:`multihop_to_head` composes them.
         """
-        params = self.chain_params(chain)
-        if params is None:
-            return None
-        return float(multihop_to_head(params, t_local))
+        links = self._links
+        for node_id in chain:
+            link = links.get(node_id)
+            if link is None or not link.current():
+                return None
+        t = t_local
+        for node_id in reversed(chain):
+            link = links[node_id]
+            t = (t - link.offset) / link.ratio
+        return float(t)

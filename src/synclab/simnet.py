@@ -6,7 +6,7 @@ execute in insertion order, so a run is a pure function of
 its configuration and seed.  Nodes are :class:`~synclab.protocol.NodeState`
 machines; the engine routes frames over links (fixed propagation, optional
 Bernoulli loss), fires timers, feeds the head-side estimator, and accumulates
-the replayable :class:`RunTrace`.
+the replayable :class:`~synclab.trace.RunTrace`.
 
 What the scheme makes each node do per frame is decided once per run, when
 :class:`Engine` is built: a received frame goes through a table from frame
@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .clock import ClockConfig, ClockParams, DriftModel
-from .estimators import HeadEstimator, TimestampPair
+from .estimators import HeadEstimator
 from . import protocol
 from .protocol import (
     EPOCH_NS,
@@ -43,6 +42,14 @@ from .protocol import (
     NodeState,
     JitterModel,
     MeasurementRecord,
+)
+from .trace import (
+    UNTRANSLATED,
+    MeasurementOutcome,
+    RunTrace,
+    apply_head_event,
+    measurement_outcome,
+    undelivered_outcomes,
 )
 
 if TYPE_CHECKING:
@@ -130,212 +137,6 @@ def build_chain(
     return Topology(nodes=nodes, clock=clock, link=link)
 
 
-@dataclass
-class MeasurementOutcome:
-    """Per-measurement result: truth, head-side estimate, error."""
-
-    origin: int
-    level: int
-    seq: int
-    true_ns: int
-    local_ticks: float
-    arrival_ns: int | None
-    est_ticks: float | None
-    err_s: float | None
-    translated: bool
-    reason: str | None
-
-
-_OUTCOME_FIELDS = tuple(f.name for f in fields(MeasurementOutcome))
-
-
-def _outcome_dict(o: MeasurementOutcome) -> dict:
-    """An outcome's fields as a dict.  An undelivered measurement has no
-    local timestamp: NaN in memory, None here so that a saved trace is strict
-    JSON.  The fields are read one by one because ``vars`` would materialize
-    every outcome's ``__dict__`` (Python 3.11+) for the rest of the run."""
-    row = {name: getattr(o, name) for name in _OUTCOME_FIELDS}
-    if math.isnan(o.local_ticks):
-        row["local_ticks"] = None
-    return row
-
-
-def _outcome(row) -> MeasurementOutcome:
-    """The outcome an :func:`_outcome_dict` row describes."""
-    if type(row) is not dict or row.keys() != set(_OUTCOME_FIELDS):
-        raise ValueError(f"not a measurement outcome: {row!r:.80}")
-    if row["local_ticks"] is None:
-        return MeasurementOutcome(**{**row, "local_ticks": math.nan})
-    return MeasurementOutcome(**row)
-
-
-_EVENT_LENGTHS = {"pair": 7, "measurement": 8}
-
-
-def _event(ev) -> tuple:
-    """A saved head event; a pair has seven fields and a measurement eight."""
-    if type(ev) is not list or not ev or _EVENT_LENGTHS.get(ev[0]) != len(ev):
-        raise ValueError(f"not a head event: {ev!r:.80}")
-    return tuple(ev)
-
-
-_NULL = type(None)
-# trace key -> the JSON types its value may take; a key that may be null may
-# also be left out (the event log and the config stamp)
-_TRACE_TYPES = {
-    "scheme": (str,), "seed": (int,), "duration_ns": (int,), "tick_ns": (int, _NULL),
-    "head_method": (str,), "head_window": (int, _NULL), "radio": (dict,),
-    "levels": (dict,), "chains": (dict,), "head_events": (list,), "outcomes": (list,),
-    "node_counts": (dict,), "airtime": (dict,), "pair_accounting": (dict,),
-    "record_accounting": (dict,), "event_log": (list, _NULL), "config": (dict, _NULL),
-    "config_hash": (str, _NULL),
-}
-# trace key -> its value in memory, where that differs from the saved value
-_TRACE_READERS = {
-    "levels": lambda v: {int(n): level for n, level in v.items()},
-    "chains": lambda v: {int(n): tuple(chain) for n, chain in v.items()},
-    "head_events": lambda v: [_event(ev) for ev in v],
-    "outcomes": lambda v: [_outcome(row) for row in v],
-    "node_counts": lambda v: {
-        int(n): {k: (c[0], c[1]) for k, c in kinds.items()} for n, kinds in v.items()
-    },
-    "airtime": lambda v: {int(n): (a[0], a[1]) for n, a in v.items()},
-    "event_log": lambda v: None if v is None else [tuple(e) for e in v],
-}
-
-
-@dataclass
-class RunTrace:
-    """Everything a run produced, sufficient to replay head-side estimation.
-
-    ``head_events`` is the exact ordered stream the head saw: unique
-    timestamp pairs and delivered measurement records.  Re-folding it with a
-    different estimator or window reproduces what that head would have
-    computed from the same radio traffic.
-    """
-
-    scheme: str
-    seed: int
-    duration_ns: int
-    tick_ns: int | None
-    head_method: str
-    head_window: int | None
-    radio: dict
-    levels: dict[int, int]
-    chains: dict[int, tuple[int, ...]]
-    head_events: list[tuple]
-    outcomes: list[MeasurementOutcome]
-    node_counts: dict[int, dict[str, tuple[int, int]]]
-    airtime: dict[int, tuple[float, float]]
-    pair_accounting: dict[str, int]
-    record_accounting: dict[str, int]
-    event_log: list[tuple] | None = None
-    config: dict | None = None
-    config_hash: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "duration_ns": self.duration_ns,
-            "tick_ns": self.tick_ns,
-            "head_method": self.head_method,
-            "head_window": self.head_window,
-            "radio": dict(self.radio),
-            "levels": {str(k): v for k, v in self.levels.items()},
-            "chains": {str(k): list(v) for k, v in self.chains.items()},
-            "head_events": [list(ev) for ev in self.head_events],
-            "outcomes": [_outcome_dict(o) for o in self.outcomes],
-            "node_counts": {
-                str(n): {k: list(v) for k, v in kinds.items()}
-                for n, kinds in self.node_counts.items()
-            },
-            "airtime": {str(n): list(v) for n, v in self.airtime.items()},
-            "pair_accounting": dict(self.pair_accounting),
-            "record_accounting": dict(self.record_accounting),
-            "event_log": (
-                None if self.event_log is None else [list(e) for e in self.event_log]
-            ),
-            "config": self.config,
-            "config_hash": self.config_hash,
-        }
-
-    @staticmethod
-    def from_dict(data) -> "RunTrace":
-        """The trace :meth:`to_dict` wrote.  Anything else, a value that is
-        not an object holding each key in the shape written, raises
-        ValueError naming the key."""
-        if type(data) is not dict:
-            raise ValueError(f"a trace is a JSON object, got {data!r:.80}")
-        unknown = sorted(set(data) - set(_TRACE_TYPES))
-        if unknown:
-            raise ValueError(f"unknown trace keys: {unknown}")
-        values = {}
-        for key, kinds in _TRACE_TYPES.items():
-            value = data.get(key)
-            if type(value) not in kinds:
-                what = f"not {kinds[0].__name__}: {value!r:.80}" if key in data else "missing"
-                raise ValueError(f"trace key {key!r} is {what}")
-            read = _TRACE_READERS.get(key)
-            try:
-                values[key] = value if read is None else read(value)
-            except (TypeError, ValueError, AttributeError, IndexError) as exc:
-                raise ValueError(f"trace key {key!r} is malformed: {exc}") from exc
-        return RunTrace(**values)
-
-
-def error_seconds(est_ticks: float, true_ns: int, tick_ns: int | None) -> float:
-    """Head-estimate error in seconds for a tick-valued estimate."""
-    est_ns = est_ticks * tick_ns if tick_ns is not None else est_ticks
-    return (est_ns - true_ns) / 1e9
-
-
-def measurement_outcome(
-    origin: int,
-    level: int,
-    seq: int,
-    true_ns: int,
-    local_ticks: float,
-    arrival_ns: int | None,
-    est_ticks: float | None,
-    tick_ns: int | None,
-    reason: str = "bootstrap",
-) -> MeasurementOutcome:
-    """The outcome of one measurement: translated exactly when ``est_ticks``
-    is set, with its error; otherwise untranslated for ``reason``."""
-    if est_ticks is None:
-        return MeasurementOutcome(
-            origin, level, seq, true_ns, local_ticks, arrival_ns,
-            None, None, False, reason,
-        )
-    return MeasurementOutcome(
-        origin, level, seq, true_ns, local_ticks, arrival_ns,
-        est_ticks, error_seconds(est_ticks, true_ns, tick_ns), True, None,
-    )
-
-
-def apply_head_event(
-    estimator: HeadEstimator,
-    chains: dict[int, tuple[int, ...]],
-    tick_ns: int | None,
-    event: tuple,
-) -> MeasurementOutcome | None:
-    """Fold one head event into the estimator; measurements yield outcomes.
-
-    This is the single translation path shared by the live run and offline
-    replay, which is what makes replay bit-identical.
-    """
-    if event[0] == "pair":
-        _, _, origin, _, t_child, t_parent, sync_index = event
-        estimator.ingest(origin, TimestampPair(t_child, t_parent, sync_index))
-        return None
-    _, arrival_ns, origin, level, seq, local_ticks, true_ns, _ = event
-    est_ticks = estimator.translate_to_reference(chains[origin], local_ticks)
-    return measurement_outcome(
-        origin, level, seq, true_ns, local_ticks, arrival_ns, est_ticks, tick_ns
-    )
-
-
 class Engine:
     """One simulation run: a :class:`~synclab.config.RunConfig` -> RunTrace.
 
@@ -399,12 +200,7 @@ class Engine:
         # all-data bundling merges a child's reported records into the
         # gateway's buffer; measurement frames are forwarded as they arrived
         self._merge_records = self._reports and cfg.bundling == protocol.BUNDLE_ALL
-        # only reverse one-way translates at the head; conventional one-way
-        # delivers the sensor's own estimate, absent until it bootstraps
-        self._untranslated = {
-            protocol.REVERSE_ONEWAY: None,
-            protocol.CONVENTIONAL_ONEWAY: "bootstrap",
-        }.get(scheme, "scheme")
+        self._untranslated = UNTRANSLATED[scheme]
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self._horizon = cfg.duration_ns
@@ -619,14 +415,11 @@ class Engine:
         for node in self.nodes.values():
             self.pair_accounting["in_flight"] += len(node.pending_pairs)
             self.record_accounting["in_flight"] += len(node.records)
-        for (origin, seq), true_ns in sorted(self._truth.items()):
-            level = self.topology.nodes[origin].level
-            self.outcomes.append(
-                measurement_outcome(
-                    origin, level, seq, true_ns, math.nan,
-                    arrival_ns=None, est_ticks=None, tick_ns=None, reason="undelivered",
-                )
-            )
+        undelivered = [
+            (origin, seq, true_ns) for (origin, seq), true_ns in sorted(self._truth.items())
+        ]
+        levels = {n: spec.level for n, spec in self.topology.nodes.items()}
+        self.outcomes += undelivered_outcomes(levels, undelivered)
         node_counts = {
             n: {k: (v[0], v[1]) for k, v in node.counts.items()}
             for n, node in self.nodes.items()
@@ -642,14 +435,15 @@ class Engine:
             head_method=self.cfg.head_method,
             head_window=self.cfg.head_window,
             radio=dataclasses.asdict(self.radio),
-            levels={n: spec.level for n, spec in self.topology.nodes.items()},
+            levels=levels,
             chains=dict(self.chains),
             head_events=self.head_events,
-            outcomes=self.outcomes,
             node_counts=node_counts,
             airtime=airtime,
             pair_accounting=self.pair_accounting,
             record_accounting=self.record_accounting,
+            undelivered=undelivered,
+            outcomes=self.outcomes,
             event_log=self.event_log,
         )
 

@@ -1,0 +1,423 @@
+"""Run traces: what a run hands to analysis, and the file it is saved as.
+
+A :class:`RunTrace` holds everything one run produced.  Its head events are
+the exact ordered stream the head saw; :func:`apply_head_event` folds them
+through a head estimator, which is how a live run translates its
+measurements and how :func:`derive_outcomes` translates them again, so a
+trace replayed at its run's own settings gives byte-identical outcomes.
+
+A saved trace is strict JSON in format :data:`TRACE_FORMAT`: the head
+events as columns and no outcomes, which loading derives.
+A trace written before format 1 is converted on load and checked the same
+way.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+
+from . import protocol
+from .estimators import HeadEstimator, TimestampPair
+
+
+@dataclass
+class MeasurementOutcome:
+    """Per-measurement result: truth, head-side estimate, error."""
+
+    origin: int
+    level: int
+    seq: int
+    true_ns: int
+    local_ticks: float
+    arrival_ns: int | None
+    est_ticks: float | None
+    err_s: float | None
+    translated: bool
+    reason: str | None
+
+
+_OUTCOME_FIELDS = tuple(f.name for f in fields(MeasurementOutcome))
+
+TRACE_FORMAT = 1
+"""The ``format_version`` of a saved trace.  A trace without one is read as
+the version-less layout before it: head events as rows, every outcome stored."""
+
+_INT = {int}
+_STAMP = {int, float}
+# head event kind -> its letter in the saved ``kinds`` string, and the table
+# of its fields after the kind: (column, the JSON types its values may take)
+_HEAD_EVENTS = {
+    "pair": ("p", (
+        ("t_ns", _INT), ("origin", _INT), ("layer", _INT),
+        ("t_child", _STAMP), ("t_parent", _STAMP), ("sync_index", _INT),
+    )),
+    "measurement": ("m", (
+        ("t_ns", _INT), ("origin", _INT), ("level", _INT), ("seq", _INT),
+        ("local_ticks", _STAMP), ("true_ns", _INT), ("est_ticks", {int, float, type(None)}),
+    )),
+}
+_UNDELIVERED = (("origin", _INT), ("seq", _INT), ("true_ns", _INT))
+
+
+def _columns(rows, table) -> dict[str, list]:
+    """Rows of a table's fields as one list per field."""
+    columns = list(zip(*rows)) or [()] * len(table)
+    return {name: list(column) for (name, _), column in zip(table, columns)}
+
+
+def _head_event_columns(events) -> dict:
+    """Head events as saved: one letter per event, in order, and a table of
+    columns per kind."""
+    data = {"kinds": "".join([_HEAD_EVENTS[event[0]][0] for event in events])}
+    for kind, (_, table) in _HEAD_EVENTS.items():
+        data[kind] = _columns([event[1:] for event in events if event[0] == kind], table)
+    return data
+
+
+def _table(data, table, origins, what: str) -> list[list]:
+    """The columns of a saved table in field order, checked: exactly the
+    table's columns, of one length, each value of its column's JSON types,
+    and each origin a key of ``origins``."""
+    names = [name for name, _ in table]
+    if type(data) is not dict or data.keys() != set(names):
+        raise ValueError(f"{what} are not the columns {names}: {data!r:.80}")
+    for name, kinds in table:
+        column = data[name]
+        if type(column) is not list:
+            raise ValueError(f"{what} column {name!r} is not a list: {column!r:.80}")
+        if not set(map(type, column)) <= kinds:
+            bad = next(value for value in column if type(value) not in kinds)
+            raise ValueError(f"{what} column {name!r} holds {bad!r:.80}")
+    if len({len(data[name]) for name in names}) > 1:
+        raise ValueError(f"{what} columns differ in length")
+    unknown = set(data["origin"]) - origins.keys()
+    if unknown:
+        raise ValueError(f"{what} name origins that are not trace nodes: {sorted(unknown)}")
+    return [data[name] for name in names]
+
+
+def _read_head_events(data, chains) -> list[tuple]:
+    """The head events of a saved ``head_events`` object, in order."""
+    if type(data) is not dict or data.keys() != {"kinds", *_HEAD_EVENTS}:
+        raise ValueError(f"not 'kinds' and a table per kind: {data!r:.80}")
+    kinds = data["kinds"]
+    letters = {letter for letter, _ in _HEAD_EVENTS.values()}
+    if type(kinds) is not str or not set(kinds) <= letters:
+        raise ValueError(f"'kinds' is not a string of {sorted(letters)}: {kinds!r:.80}")
+    streams = {}
+    for kind, (letter, table) in _HEAD_EVENTS.items():
+        columns = _table(data[kind], table, chains, f"{kind} events")
+        if kinds.count(letter) != len(columns[0]):
+            raise ValueError(f"'kinds' counts {kinds.count(letter)} {kind} events, "
+                             f"the columns hold {len(columns[0])}")
+        streams[letter] = zip([kind] * len(columns[0]), *columns)
+    return [next(streams[letter]) for letter in kinds]
+
+
+def _read_undelivered(data, levels) -> list[tuple[int, int, int]]:
+    return list(zip(*_table(data, _UNDELIVERED, levels, "undelivered measurements")))
+
+
+def _read_chain(chain) -> tuple[int, ...]:
+    if type(chain) is not list or not set(map(type, chain)) <= _INT:
+        raise ValueError(f"a chain is a list of node ids, got {chain!r:.80}")
+    return tuple(chain)
+
+
+def _read_scheme(scheme, _values) -> str:
+    if scheme not in UNTRANSLATED:
+        raise ValueError(f"unknown scheme {scheme!r:.80}")
+    return scheme
+
+
+@contextmanager
+def _reading(key: str):
+    """Re-raise a failure to read a trace key as ValueError naming the key."""
+    try:
+        yield
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ValueError(f"trace key {key!r} is malformed: {exc}") from exc
+
+
+_NULL = type(None)
+# trace key, in saved order -> the JSON types its value may take; a key that
+# may be null may also be left out (the event log and the config stamp)
+_TRACE_TYPES = {
+    "scheme": (str,), "seed": (int,), "duration_ns": (int,), "tick_ns": (int, _NULL),
+    "head_method": (str,), "head_window": (int, _NULL), "radio": (dict,),
+    "levels": (dict,), "chains": (dict,), "head_events": (dict,),
+    "node_counts": (dict,), "airtime": (dict,), "pair_accounting": (dict,),
+    "record_accounting": (dict,), "undelivered": (dict,), "event_log": (list, _NULL),
+    "config": (dict, _NULL), "config_hash": (str, _NULL),
+}
+# trace key -> its saved value, where that differs from the value in memory
+_TRACE_WRITERS = {
+    "radio": dict,
+    "levels": lambda v: {str(n): level for n, level in v.items()},
+    "chains": lambda v: {str(n): list(chain) for n, chain in v.items()},
+    "head_events": _head_event_columns,
+    "node_counts": lambda v: {
+        str(n): {k: list(c) for k, c in kinds.items()} for n, kinds in v.items()
+    },
+    "airtime": lambda v: {str(n): list(a) for n, a in v.items()},
+    "pair_accounting": dict,
+    "record_accounting": dict,
+    "undelivered": lambda v: _columns(v, _UNDELIVERED),
+    "event_log": lambda v: None if v is None else [list(e) for e in v],
+}
+# trace key -> (saved value, keys read so far) -> its value in memory
+_TRACE_READERS = {
+    "scheme": _read_scheme,
+    "levels": lambda v, _: {int(n): level for n, level in v.items()},
+    "chains": lambda v, _: {int(n): _read_chain(chain) for n, chain in v.items()},
+    "head_events": lambda v, read: _read_head_events(v, read["chains"]),
+    "node_counts": lambda v, _: {
+        int(n): {k: (c[0], c[1]) for k, c in kinds.items()} for n, kinds in v.items()
+    },
+    "airtime": lambda v, _: {int(n): (a[0], a[1]) for n, a in v.items()},
+    "undelivered": lambda v, read: _read_undelivered(v, read["levels"]),
+    "event_log": lambda v, _: None if v is None else [tuple(e) for e in v],
+}
+
+_EVENT_LENGTHS = {"pair": 7, "measurement": 8}
+
+
+def _upgrade(data: dict) -> dict:
+    """A version-less trace in the format-1 layout, to be checked as one.
+
+    Its head events go from rows to columns.  Of its stored outcomes only
+    the undelivered ones are kept, as the undelivered table: the rest are
+    derived from the head events, as for any trace.  A key that is missing
+    or not a list is left as it is, for the check to name.
+    """
+    data = dict(data)
+    events = data.get("head_events")
+    if type(events) is list:
+        with _reading("head_events"):
+            for event in events:
+                if type(event) is not list or not event or (
+                    _EVENT_LENGTHS.get(event[0]) != len(event)
+                ):
+                    raise ValueError(f"not a head event: {event!r:.80}")
+            data["head_events"] = _head_event_columns(events)
+    outcomes = data.pop("outcomes", None)
+    if type(outcomes) is list:
+        with _reading("outcomes"):
+            for row in outcomes:
+                if type(row) is not dict or row.keys() != set(_OUTCOME_FIELDS):
+                    raise ValueError(f"not a measurement outcome: {row!r:.80}")
+            data["undelivered"] = _columns([
+                (row["origin"], row["seq"], row["true_ns"])
+                for row in outcomes if row["reason"] == "undelivered"
+            ], _UNDELIVERED)
+    return data
+
+
+class _Outcomes:
+    """The descriptor behind :attr:`RunTrace.outcomes`: the list a run built,
+    or, for a trace built with ``outcomes=None`` (one read from a file), the
+    list :func:`derive_outcomes` gives at the trace's own settings, derived
+    on first read.  So a trace that is only replayed is folded only once."""
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return None  # the field's default: derive on first read
+        outcomes = trace.__dict__["_outcomes"]
+        if outcomes is None:
+            outcomes = trace.__dict__["_outcomes"] = derive_outcomes(
+                trace, trace.head_method, trace.head_window
+            )
+        return outcomes
+
+    def __set__(self, trace, outcomes) -> None:
+        trace.__dict__["_outcomes"] = outcomes
+
+
+@dataclass
+class RunTrace:
+    """Everything a run produced, sufficient to replay head-side estimation.
+
+    ``head_events`` is the exact ordered stream the head saw: unique
+    timestamp pairs and delivered measurement records.  Re-folding it with a
+    different estimator or window reproduces what that head would have
+    computed from the same radio traffic.  ``undelivered`` lists the
+    ``(origin, seq, true_ns)`` of each measurement that never reached the
+    head.  ``outcomes`` follow from those two and the scheme (see
+    :func:`derive_outcomes`): a run sets them as it goes, and a trace read
+    from a file derives them when they are first read.
+    """
+
+    scheme: str
+    seed: int
+    duration_ns: int
+    tick_ns: int | None
+    head_method: str
+    head_window: int | None
+    radio: dict
+    levels: dict[int, int]
+    chains: dict[int, tuple[int, ...]]
+    head_events: list[tuple]
+    node_counts: dict[int, dict[str, tuple[int, int]]]
+    airtime: dict[int, tuple[float, float]]
+    pair_accounting: dict[str, int]
+    record_accounting: dict[str, int]
+    undelivered: list[tuple[int, int, int]] = dataclasses.field(default_factory=list)
+    outcomes: list[MeasurementOutcome] = _Outcomes()
+    event_log: list[tuple] | None = None
+    config: dict | None = None
+    config_hash: str | None = None
+
+    def to_dict(self) -> dict:
+        """The trace in the saved layout, format :data:`TRACE_FORMAT`: every
+        field but the outcomes, which are derived on load."""
+        data = {"format_version": TRACE_FORMAT}
+        for key in _TRACE_TYPES:
+            value = getattr(self, key)
+            write = _TRACE_WRITERS.get(key)
+            data[key] = value if write is None else write(value)
+        return data
+
+    @staticmethod
+    def from_dict(data) -> "RunTrace":
+        """The trace :meth:`to_dict` wrote, or a version-less one (converted
+        first).  Anything else, a value that is not an object holding each
+        key in the shape written, raises ValueError naming the key: each
+        column of the head events and the undelivered table is checked for
+        type and length, and each origin must be a node of the trace."""
+        if type(data) is not dict:
+            raise ValueError(f"a trace is a JSON object, got {data!r:.80}")
+        if "format_version" not in data:
+            data = _upgrade(data)
+        elif type(data["format_version"]) is not int or data["format_version"] != TRACE_FORMAT:
+            raise ValueError(
+                f"trace format_version {data['format_version']!r:.80} is not {TRACE_FORMAT}"
+            )
+        unknown = sorted(set(data) - set(_TRACE_TYPES) - {"format_version"})
+        if unknown:
+            raise ValueError(f"unknown trace keys: {unknown}")
+        values = {}
+        for key, kinds in _TRACE_TYPES.items():
+            value = data.get(key)
+            if type(value) not in kinds:
+                what = f"not {kinds[0].__name__}: {value!r:.80}" if key in data else "missing"
+                raise ValueError(f"trace key {key!r} is {what}")
+            read = _TRACE_READERS.get(key)
+            with _reading(key):
+                values[key] = value if read is None else read(value, values)
+        return RunTrace(**values)
+
+
+def error_seconds(est_ticks: float, true_ns: int, tick_ns: int | None) -> float:
+    """Head-estimate error in seconds for a tick-valued estimate."""
+    est_ns = est_ticks * tick_ns if tick_ns is not None else est_ticks
+    return (est_ns - true_ns) / 1e9
+
+
+def measurement_outcome(
+    origin: int,
+    level: int,
+    seq: int,
+    true_ns: int,
+    local_ticks: float,
+    arrival_ns: int | None,
+    est_ticks: float | None,
+    tick_ns: int | None,
+    reason: str = "bootstrap",
+) -> MeasurementOutcome:
+    """The outcome of one measurement: translated exactly when ``est_ticks``
+    is set, with its error; otherwise untranslated for ``reason``."""
+    if est_ticks is None:
+        return MeasurementOutcome(
+            origin, level, seq, true_ns, local_ticks, arrival_ns,
+            None, None, False, reason,
+        )
+    return MeasurementOutcome(
+        origin, level, seq, true_ns, local_ticks, arrival_ns,
+        est_ticks, error_seconds(est_ticks, true_ns, tick_ns), True, None,
+    )
+
+
+def apply_head_event(
+    estimator: HeadEstimator,
+    chains: dict[int, tuple[int, ...]],
+    tick_ns: int | None,
+    event: tuple,
+) -> MeasurementOutcome | None:
+    """Fold one head event into the estimator; measurements yield outcomes.
+
+    This is the single translation path shared by the live run and offline
+    replay, which is what makes replay bit-identical.
+    """
+    if event[0] == "pair":
+        _, _, origin, _, t_child, t_parent, sync_index = event
+        estimator.ingest(origin, TimestampPair(t_child, t_parent, sync_index))
+        return None
+    _, arrival_ns, origin, level, seq, local_ticks, true_ns, _ = event
+    est_ticks = estimator.translate_to_reference(chains[origin], local_ticks)
+    return measurement_outcome(
+        origin, level, seq, true_ns, local_ticks, arrival_ns, est_ticks, tick_ns
+    )
+
+
+UNTRANSLATED = {
+    protocol.REVERSE_ONEWAY: None,
+    protocol.REVERSE_TWOWAY: "scheme",
+    protocol.CONVENTIONAL_ONEWAY: "bootstrap",
+    protocol.CONVENTIONAL_TWOWAY: "scheme",
+}
+"""Why the head leaves a delivered measurement untranslated, per scheme.
+Only reverse one-way translates at the head (None: through
+:func:`apply_head_event`); conventional one-way delivers the sensor's own
+estimate, absent until the sensor bootstraps; the two-way schemes are kept
+at message-flow fidelity and translate nothing."""
+
+
+def undelivered_outcomes(
+    levels: dict[int, int], undelivered: list[tuple[int, int, int]]
+) -> list[MeasurementOutcome]:
+    """Placeholder outcomes for ``(origin, seq, true_ns)`` measurements that
+    never reached the head: no arrival, no local timestamp (NaN)."""
+    return [
+        measurement_outcome(
+            origin, levels[origin], seq, true_ns, math.nan,
+            arrival_ns=None, est_ticks=None, tick_ns=None, reason="undelivered",
+        )
+        for origin, seq, true_ns in undelivered
+    ]
+
+
+def derive_outcomes(
+    trace: RunTrace, method: str, window: int | None
+) -> list[MeasurementOutcome]:
+    """A trace's outcomes under a head estimator with ``method`` and
+    ``window``: one per delivered measurement in head-event order, then one
+    per undelivered measurement.
+
+    Under reverse one-way this folds the head events once through a fresh
+    estimator, by :func:`apply_head_event`, the path the live run takes.
+    Under the other schemes the head translates nothing: each outcome takes
+    the sensor's own estimate stored in its measurement event, and the
+    scheme's reason from :data:`UNTRANSLATED`.
+    """
+    reason = UNTRANSLATED[trace.scheme]
+    tick_ns = trace.tick_ns
+    outcomes = []
+    if reason is None:
+        estimator = HeadEstimator(method, window)
+        chains = trace.chains
+        for event in trace.head_events:
+            outcome = apply_head_event(estimator, chains, tick_ns, event)
+            if outcome is not None:
+                outcomes.append(outcome)
+    else:
+        for event in trace.head_events:
+            if event[0] == "measurement":
+                _, arrival_ns, origin, level, seq, local_ticks, true_ns, est_ticks = event
+                outcomes.append(measurement_outcome(
+                    origin, level, seq, true_ns, local_ticks, arrival_ns,
+                    est_ticks, tick_ns, reason,
+                ))
+    return outcomes + undelivered_outcomes(trace.levels, trace.undelivered)

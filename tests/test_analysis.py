@@ -1,8 +1,10 @@
 """Counting formulas, energy accounting, accuracy metrics, replay, sweeps."""
 
 import csv
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -53,7 +55,8 @@ from synclab.protocol import (
     SCHEDULED_WAKE,
     SCHEMES,
 )
-from synclab.simnet import LinkConfig, MeasurementOutcome, RunTrace
+from synclab.simnet import LinkConfig
+from synclab.trace import MeasurementOutcome, RunTrace
 
 S = 1_000_000_000
 
@@ -384,7 +387,7 @@ def test_command_local_time_round_trip():
     local = command_local_time(trace, 1, t_reference)
     assert local is not None
     estimator = HeadEstimator(trace.head_method, trace.head_window)
-    from synclab.simnet import apply_head_event
+    from synclab.trace import apply_head_event
 
     for event in trace.head_events:
         apply_head_event(estimator, trace.chains, trace.tick_ns, event)
@@ -479,6 +482,29 @@ def test_save_and_load_trace(tmp_path):
     assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "live.csv").read_bytes()
 
 
+VERSIONLESS = Path(__file__).parent / "data" / "versionless"
+
+
+def test_versionless_trace_loads_to_its_run_outputs(tmp_path):
+    # the fixture is a trace of tests/data/versionless/run.json, written with
+    # every outcome stored and no format_version, and that run's CSV
+    loaded = load_trace(VERSIONLESS / "trace.json")
+    write_measurements_csv(tmp_path / "loaded.csv", loaded)
+    expected = (VERSIONLESS / "measurements.csv").read_bytes()
+    assert (tmp_path / "loaded.csv").read_bytes() == expected
+    reasons = {o.reason for o in loaded.outcomes}
+    assert {"bootstrap", "undelivered"} <= reasons
+
+
+def test_versionless_trace_stored_outcomes_equal_the_derived_ones():
+    stored = json.loads((VERSIONLESS / "trace.json").read_text())["outcomes"]
+    derived = [
+        {**dataclasses.asdict(o), "local_ticks": None if math.isnan(o.local_ticks) else o.local_ticks}
+        for o in load_trace(VERSIONLESS / "trace.json").outcomes
+    ]
+    assert derived == stored
+
+
 reverse_oneway_configs = st.fixed_dictionaries(
     {
         "scheme": st.just(REVERSE_ONEWAY),
@@ -569,6 +595,28 @@ run_settings = st.fixed_dictionaries(
 any_scheme_configs = st.tuples(scheme_and_hops, run_settings).map(
     lambda parts: {**parts[0], **parts[1]}
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_scheme_configs)
+def test_saved_trace_of_every_scheme_is_strict_json_and_loads_as_the_run(
+    tmp_path_factory, data
+):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    tmp_path = tmp_path_factory.mktemp("trace")
+    trace = run_config(cfg)
+    path = tmp_path / "trace.json"
+    save_trace(path, trace)
+    json.loads(path.read_text(), parse_constant=reject_constant)
+    loaded = load_trace(path)
+    assert loaded.to_dict() == trace.to_dict()
+    # the loaded trace derives its outcomes; the live run built them
+    write_measurements_csv(tmp_path / "live.csv", trace)
+    write_measurements_csv(tmp_path / "loaded.csv", loaded)
+    assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "live.csv").read_bytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,10 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from synclab.cli import main
+from synclab.estimators import HeadEstimator
 
 CONFIG = {"scheme": "reverse-oneway", "duration_s": 20, "si_s": 1}
 
@@ -106,7 +108,7 @@ def test_reverse_oneway_run_outputs_are_pinned(tmp_path):
     assert got == (
         "4a687ac100d11fe48cf5c6e0997af91731f74d5bd840b4cbcd7766a8608eac44",
         "1d8878d38f3ee1e8aaa4f6e22f82ed7e77685a5ce06ee9ac4baf753fd7a0f811",
-        "af004393f8c004c5366b830f1af8293f98b2d302e80ba1e1c6a29020767b4487",
+        "1a372ede455c6bf370f7f82f920dcf8fcaa432e1adb135ddf17c5e3acd7bb669",
         "2cedd7db6a6250156e63edf51ecf945ea3721eba0960f580296664055b3348d3",
     )
 
@@ -118,14 +120,14 @@ def test_reverse_oneway_run_outputs_are_pinned(tmp_path):
             {"scheme": "reverse-twoway", "duration_s": 60, "si_s": 1, "seed": 7},
             ("fe27b7fa4011375ed5c22da042fdaa9b9b9d437898b6e3e8a0fe24a453f06abe",
              "8b0c8cc57eba89ee7d3e6f97c0684064b761cde2ad0b270e7c95f0a86089d5a8",
-             "48568f5c680bb739df4a4e348230100db5f5a0dc0580148fe2c34d1f29ac543d",
+             "9432fb4bbf3ec196b0d337e8ea4dbfe56f6671272256ded717b44e216278fc03",
              "4fa408c254b01e577c9f1ecaafba81215bf284ed86a9bfa6de2e2e57434a75b3"),
         ),
         (
             {"scheme": "conventional-twoway", "duration_s": 60, "si_s": 1, "seed": 7},
             ("ffcb1ff381f4d522bd9b3aeca1d12ca5f819812ce5bc7c6221d3a364a371fefc",
              "6a156f3cc2d3fa90e62a5bffdea2fb7f203f3613db3a59dc845f6cf20bd281f9",
-             "5c7ec63918f9565b5da955b0d6f8cc2fa92f35655b50b6e4a684e5d797d2cd60",
+             "002dbcc013011fead2c6d972cb82cd8f4a506056c786e01752fbfc42be9c1e7f",
              "ab30115a5feceb5c9bf71a71402778208b55d786737975640fa50e99a067a281"),
         ),
         (
@@ -134,7 +136,7 @@ def test_reverse_oneway_run_outputs_are_pinned(tmp_path):
              "bundle_size": 2, "link": {"loss": 0.05}},
             ("b7ee044bd1b9ca6e45753ebc003f4ad94d8f1ccfa3d4785d46f565bb90bee8ee",
              "4b3fb77a5caf5a21d5c38500f6636838106f31eb11facfc3d19171a5663723e6",
-             "403b03b87c4eef05b38b7042f36033948cebe300d9f92e7e07a03a19a7514d4c",
+             "403b2fec9f9776a582e6a8b4bf800a3fb4882342bc890a5cad5a30ec97092c06",
              "1911b4c509adf3c79d560b13e3918d1c3d7429d6db3cc6c7c32973d1309c97b0"),
         ),
         (
@@ -143,7 +145,7 @@ def test_reverse_oneway_run_outputs_are_pinned(tmp_path):
              "node": {"precision": "fp64"}, "radio": {"schedule": "lpl"}},
             ("fc5801ba2114ca94d96f8a72a7d4efcd5d4f9c0d48aa706d802d9ddfd1cd5a9e",
              "9cebaadf2b81df6b26e39256db3e176a0b0fde0c86bef69080d176ad18415de7",
-             "924550ab20cfb943ecf86d53c55ee718a8a7ae25e3a852a3fbf660f1c4cd6312",
+             "ceb248ceb3abe252779a675e5b7699af29be29c43bff395eb76d3723bec2ab37",
              "8c9ec22ea8bd5761634a7a79999cf3bbba714ccce7dba6d434a2235235f1e3aa"),
         ),
     ],
@@ -234,20 +236,45 @@ def test_replay_reproduces_run_outputs(tmp_path, config_path):
     )
 
 
+VERSIONLESS = Path(__file__).parent / "data" / "versionless"
+
+
 def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     run_dir = tmp_path / "run"
     main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace"])
     saved = (run_dir / "trace.json").read_text()
-    extra_key, cut_event, bad_energy = (json.loads(saved) for _ in range(3))
-    extra_key["outcomes"][0]["extra"] = 1
-    cut_event["head_events"][3] = ["pair", 1]
+    (bad_energy, extra_column, cut_column, bad_version, unknown_origin,
+     string_stamp) = (json.loads(saved) for _ in range(6))
     bad_energy["config"]["energy"] = {"i_tx": 0.02}
+    extra_column["undelivered"]["extra"] = []
+    cut_column["head_events"]["pair"]["t_child"].pop()
+    bad_version["format_version"] = 2
+    unknown_origin["head_events"]["measurement"]["origin"][0] = 99
+    string_stamp["head_events"]["pair"]["t_child"][3] = "5"
+    # a version-less trace is converted, then checked as the current format
+    versionless = (VERSIONLESS / "trace.json").read_text()
+    old_extra_key, old_cut_event, old_unknown_origin, old_string_stamp = (
+        json.loads(versionless) for _ in range(4)
+    )
+    old_extra_key["outcomes"][0]["extra"] = 1
+    old_cut_event["head_events"][3] = ["pair", 1]
+    events = old_unknown_origin["head_events"]
+    events[[ev[0] for ev in events].index("measurement")][2] = 99
+    events = old_string_stamp["head_events"]
+    events[[ev[0] for ev in events].index("pair")][4] = "5"
     cases = (
         ({}, "'scheme'"),
         ([1, 2], "JSON object"),
-        (extra_key, "'outcomes'"),
-        (cut_event, "'head_events'"),
         (bad_energy, "'i_tx'"),
+        (extra_column, "'undelivered'"),
+        (cut_column, "'head_events'"),
+        (bad_version, "format_version"),
+        (unknown_origin, "'head_events'"),
+        (string_stamp, "'head_events'"),
+        (old_extra_key, "'outcomes'"),
+        (old_cut_event, "'head_events'"),
+        (old_unknown_origin, "'head_events'"),
+        (old_string_stamp, "'head_events'"),
     )
     for i, (data, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -256,6 +283,26 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         assert main(["replay", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and named in err, err
+
+
+@pytest.mark.parametrize("window", [[], ["--window", "2"]], ids=["own", "window-2"])
+def test_replay_folds_the_head_events_once(tmp_path, config_path, monkeypatch, window):
+    run_dir = tmp_path / "run"
+    main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace"])
+    saved = json.loads((run_dir / "trace.json").read_text())
+    pairs = saved["head_events"]["kinds"].count("p")
+    calls = []
+    ingest = HeadEstimator.ingest
+
+    def counted(self, node_id, pair):
+        calls.append(node_id)
+        return ingest(self, node_id, pair)
+
+    monkeypatch.setattr(HeadEstimator, "ingest", counted)
+    out = tmp_path / "replayed"
+    assert main(["replay", "--trace", str(run_dir / "trace.json"), "--out-dir", str(out),
+                 *window]) == 0
+    assert len(calls) == pairs > 0
 
 
 def test_missing_config_is_a_usage_error(tmp_path, capsys):

@@ -17,15 +17,8 @@ from synclab.protocol import (
     REVERSE_ONEWAY,
     REVERSE_TWOWAY,
 )
-from synclab.simnet import (
-    Engine,
-    LinkConfig,
-    RunTrace,
-    Topology,
-    apply_head_event,
-    build_chain,
-    error_seconds,
-)
+from synclab.simnet import Engine, LinkConfig, Topology, build_chain
+from synclab.trace import RunTrace, apply_head_event, error_seconds
 
 S = 1_000_000_000  # ns per second
 
