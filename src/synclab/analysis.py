@@ -453,26 +453,20 @@ def _fmt(value) -> str:
 
 def write_measurements_csv(path, trace: RunTrace) -> None:
     """One row per measurement, fixed column order, full float precision."""
+    scheme, seed = trace.scheme, trace.seed
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MEASUREMENT_COLUMNS)
-        for out in trace.outcomes:
-            writer.writerow(
-                [
-                    trace.scheme,
-                    trace.seed,
-                    out.origin,
-                    out.level,
-                    out.seq,
-                    out.true_ns,
-                    _fmt(out.local_ticks),
-                    _fmt(out.arrival_ns),
-                    _fmt(out.est_ticks),
-                    _fmt(out.err_s),
-                    _fmt(out.translated),
-                    _fmt(out.reason),
-                ]
+        # the cells as _fmt writes them: csv writes None as an empty cell and
+        # a float by its repr, and the outcome fields hold plain ints and floats
+        writer.writerows(
+            (
+                scheme, seed, out.origin, out.level, out.seq, out.true_ns,
+                out.local_ticks, out.arrival_ns, out.est_ticks, out.err_s,
+                "true" if out.translated else "false", out.reason,
             )
+            for out in trace.outcomes
+        )
 
 
 def write_sweep_csv(path, rows) -> None:

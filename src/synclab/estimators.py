@@ -134,7 +134,9 @@ class _Sums:
         """The least-squares ratio and offset, each correctly rounded.
 
         ``ratio = (nΣxy - ΣxΣy) / (nΣx² - (Σx)²)`` and ``offset = (ΣyΣx² -
-        ΣxΣxy) / (nΣx² - (Σx)²)``, each one int/int true division.
+        ΣxΣxy) / (nΣx² - (Σx)²)``, each one int/int true division.  Raises
+        :class:`EstimationError` when either overflows a float or the ratio
+        is not positive.
         """
         n = self.n
         if n < 2:
@@ -142,10 +144,14 @@ class _Sums:
         det = n * self.xx - self.x * self.x
         if det == 0:
             raise SingularSystemError("all parent timestamps coincide")
-        ratio = (n * self.xy - self.x * self.y) / det
+        try:
+            ratio = (n * self.xy - self.x * self.y) / det
+            offset = (self.y * self.xx - self.x * self.xy) / (det << self.k)
+        except OverflowError:  # a quotient beyond the float range
+            raise EstimationError("fitted ratio or offset overflows a float") from None
         if not ratio > 0.0:
             raise EstimationError(f"fitted ratio {ratio!r} is not positive")
-        return ratio, (self.y * self.xx - self.x * self.xy) / (det << self.k)
+        return ratio, offset
 
 
 class RegressionWindow:

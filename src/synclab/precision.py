@@ -6,11 +6,14 @@ formulas in 64-bit floats.  This module provides
 
 * :func:`round32`: rounding of a 64-bit value into the single-precision grid
   under round-to-nearest-even (a native float32 round trip) or chop (round
-  toward zero, by integer significand arithmetic on the exact value);
+  toward zero: the same round trip, stepped one unit toward zero when it
+  rounded away from zero);
 * :class:`Float32Emu`: a number type whose every arithmetic operation rounds
   its result to single precision in a chosen mode, so the estimator functions
   of :mod:`synclab.estimators`, written over generic numbers, run at node
-  fidelity when handed :class:`Float32Emu` timestamps;
+  fidelity when handed :class:`Float32Emu` timestamps; chop mode rounds the
+  fp64 result when that is exact, and otherwise truncates the exact value by
+  integer significand arithmetic;
 * :class:`PrecisionLoss` and :func:`psi_error`: the affine model of the time
   translation error caused by finite precision, err(T) = eps_alpha * T +
   eps_beta for a local timestamp T, and :func:`empirical_loss`, which
@@ -39,6 +42,7 @@ FLOAT32_MAX = 3.4028234663852886e38
 _FLOAT32_MAX_INT = int(FLOAT32_MAX)
 
 _F32 = struct.Struct("<f")
+_U32 = struct.Struct("<I")
 
 NEAREST = "nearest"
 CHOP = "chop"
@@ -73,6 +77,23 @@ def _chop(num: int, den: int) -> float:
     return -value if num < 0 else value
 
 
+def _chop_exact(x: float) -> float:
+    """:func:`_chop` of a value that fp64 holds exactly.
+
+    Packing rounds to nearest; when that lands above ``|x|``, the answer is
+    the next single-precision value toward zero, one less in the float32 bit
+    pattern (sign-magnitude, so this holds across binades and down into the
+    subnormals, and a nonzero value that chops to zero keeps its sign).
+    """
+    if abs(x) > FLOAT32_MAX:
+        raise PrecisionOverflowError(f"{x!r} overflows single precision")
+    packed = _F32.pack(x)
+    value = _F32.unpack(packed)[0]
+    if abs(value) > abs(x):
+        value = _F32.unpack(_U32.pack(_U32.unpack(packed)[0] - 1))[0]
+    return value
+
+
 def round32(x: float, mode: str = NEAREST) -> float:
     """Round a finite 64-bit value to the single-precision grid.
 
@@ -89,14 +110,26 @@ def round32(x: float, mode: str = NEAREST) -> float:
     if not math.isfinite(x):
         raise ValueError(f"round32 needs a finite value, got {x!r}")
     if mode == CHOP:
-        if abs(x) > FLOAT32_MAX:
-            raise PrecisionOverflowError(f"{x!r} overflows single precision")
-        return _chop(*x.as_integer_ratio()) if x else x
+        return _chop_exact(x)
     try:
         # packing raises exactly when the rounded value is infinite
         return _F32.unpack(_F32.pack(x))[0]
     except OverflowError:
         raise PrecisionOverflowError(f"{x!r} overflows single precision") from None
+
+
+def _chop_sum(a: float, b: float) -> float:
+    """``a + b`` chopped, for single-precision ``a`` and ``b``.
+
+    The fp64 sum is exact when its TwoSum error term is zero (it then also
+    carries the IEEE sign of an exact zero); otherwise the exact sum is
+    formed with integers.
+    """
+    t = a + b
+    bp = t - a
+    if (a - (t - bp)) + (b - bp) == 0.0:
+        return _chop_exact(t)
+    return _chop(*_exact_sum(a, b))
 
 
 def _exact_sum(a: float, b: float) -> tuple[int, int]:
@@ -128,14 +161,16 @@ class Float32Emu:
     single-precision grid under the attached mode, mirroring hardware
     behaviour.  Nearest mode rounds through fp64 (safe: the fp64 format
     is wide enough that the double rounding is invisible for +, -, *, /
-    of single-precision operands).  Chop mode forms sums, differences and
-    quotients exactly with integer significand arithmetic and truncates
-    that, because a nearest-rounded fp64 intermediate can overshoot the
+    of single-precision operands).  Chop mode must truncate the exact
+    result, since a nearest-rounded fp64 intermediate can overshoot the
     true value onto a representable single, leaving the directed rounding
-    nothing to trim; products of single-precision values are exact in fp64
-    already.  An exact zero result carries the IEEE sign in both modes:
-    that of the fp64 result, so ``(-0.0) + (-0.0)`` and ``0.0 / -1.0`` are
-    -0.0.
+    nothing to trim.  Products of single-precision values are exact in
+    fp64, and so are sums and differences whose TwoSum error term is zero;
+    those are chopped on the fp64 value.  Other sums and differences, and
+    all quotients, are formed exactly with integer significand arithmetic
+    and truncated.  An exact zero result carries the IEEE sign in both
+    modes: that of the fp64 result, so ``(-0.0) + (-0.0)`` and
+    ``0.0 / -1.0`` are -0.0.
 
     The type is an immutable value with two slots, ``value`` and ``mode``:
     assignment raises :class:`AttributeError`, and equality, hashing and
@@ -198,8 +233,7 @@ class Float32Emu:
     def __add__(self, other) -> "Float32Emu":
         other = self._coerce(other)
         if self.mode == CHOP:
-            num, den = _exact_sum(self.value, other.value)
-            return _new(_chop(num, den) if num else self.value + other.value, CHOP)
+            return _new(_chop_sum(self.value, other.value), CHOP)
         return self._wrap(self.value + other.value)
 
     __radd__ = __add__
@@ -207,8 +241,7 @@ class Float32Emu:
     def __sub__(self, other) -> "Float32Emu":
         other = self._coerce(other)
         if self.mode == CHOP:
-            num, den = _exact_sum(self.value, -other.value)
-            return _new(_chop(num, den) if num else self.value - other.value, CHOP)
+            return _new(_chop_sum(self.value, -other.value), CHOP)
         return self._wrap(self.value - other.value)
 
     def __rsub__(self, other) -> "Float32Emu":
@@ -217,6 +250,8 @@ class Float32Emu:
 
     def __mul__(self, other) -> "Float32Emu":
         other = self._coerce(other)
+        if self.mode == CHOP:
+            return _new(_chop_exact(self.value * other.value), CHOP)
         return self._wrap(self.value * other.value)
 
     __rmul__ = __mul__

@@ -99,8 +99,9 @@ def _table(data, table, origins, what: str) -> list[list]:
     return [data[name] for name in names]
 
 
-def _read_head_events(data, chains) -> list[tuple]:
-    """The head events of a saved ``head_events`` object, in order."""
+def _read_head_events(data, chains, levels) -> list[tuple]:
+    """The head events of a saved ``head_events`` object, in order.  Each
+    event's ``layer`` or ``level`` must be the level of its origin."""
     if type(data) is not dict or data.keys() != {"kinds", *_HEAD_EVENTS}:
         raise ValueError(f"not 'kinds' and a table per kind: {data!r:.80}")
     kinds = data["kinds"]
@@ -110,6 +111,9 @@ def _read_head_events(data, chains) -> list[tuple]:
     streams = {}
     for kind, (letter, table) in _HEAD_EVENTS.items():
         columns = _table(data[kind], table, chains, f"{kind} events")
+        if list(map(levels.get, columns[1])) != columns[2]:
+            raise ValueError(f"{kind} events column {table[2][0]!r} is not "
+                             "the levels of their origins")
         if kinds.count(letter) != len(columns[0]):
             raise ValueError(f"'kinds' counts {kinds.count(letter)} {kind} events, "
                              f"the columns hold {len(columns[0])}")
@@ -173,7 +177,7 @@ _TRACE_READERS = {
     "scheme": _read_scheme,
     "levels": lambda v, _: {int(n): level for n, level in v.items()},
     "chains": lambda v, _: {int(n): _read_chain(chain) for n, chain in v.items()},
-    "head_events": lambda v, read: _read_head_events(v, read["chains"]),
+    "head_events": lambda v, read: _read_head_events(v, read["chains"], read["levels"]),
     "node_counts": lambda v, _: {
         int(n): {k: (c[0], c[1]) for k, c in kinds.items()} for n, kinds in v.items()
     },
@@ -286,7 +290,8 @@ class RunTrace:
         first).  Anything else, a value that is not an object holding each
         key in the shape written, raises ValueError naming the key: each
         column of the head events and the undelivered table is checked for
-        type and length, and each origin must be a node of the trace."""
+        type and length, each origin must be a node of the trace, and each
+        head event's layer or level must be its origin's level."""
         if type(data) is not dict:
             raise ValueError(f"a trace is a JSON object, got {data!r:.80}")
         if "format_version" not in data:

@@ -1,7 +1,9 @@
 """End-to-end command-line tests in temporary directories."""
 
+import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -244,24 +246,26 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace"])
     saved = (run_dir / "trace.json").read_text()
     (bad_energy, extra_column, cut_column, bad_version, unknown_origin,
-     string_stamp) = (json.loads(saved) for _ in range(6))
+     string_stamp, wrong_layer) = (json.loads(saved) for _ in range(7))
     bad_energy["config"]["energy"] = {"i_tx": 0.02}
     extra_column["undelivered"]["extra"] = []
     cut_column["head_events"]["pair"]["t_child"].pop()
     bad_version["format_version"] = 2
     unknown_origin["head_events"]["measurement"]["origin"][0] = 99
     string_stamp["head_events"]["pair"]["t_child"][3] = "5"
+    wrong_layer["head_events"]["pair"]["layer"][0] = 7
     # a version-less trace is converted, then checked as the current format
     versionless = (VERSIONLESS / "trace.json").read_text()
-    old_extra_key, old_cut_event, old_unknown_origin, old_string_stamp = (
-        json.loads(versionless) for _ in range(4)
-    )
+    (old_extra_key, old_cut_event, old_unknown_origin, old_string_stamp,
+     old_wrong_level) = (json.loads(versionless) for _ in range(5))
     old_extra_key["outcomes"][0]["extra"] = 1
     old_cut_event["head_events"][3] = ["pair", 1]
     events = old_unknown_origin["head_events"]
     events[[ev[0] for ev in events].index("measurement")][2] = 99
     events = old_string_stamp["head_events"]
     events[[ev[0] for ev in events].index("pair")][4] = "5"
+    events = old_wrong_level["head_events"]
+    events[[ev[0] for ev in events].index("measurement")][3] = 7
     cases = (
         ({}, "'scheme'"),
         ([1, 2], "JSON object"),
@@ -271,10 +275,12 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         (bad_version, "format_version"),
         (unknown_origin, "'head_events'"),
         (string_stamp, "'head_events'"),
+        (wrong_layer, "'head_events'"),
         (old_extra_key, "'outcomes'"),
         (old_cut_event, "'head_events'"),
         (old_unknown_origin, "'head_events'"),
         (old_string_stamp, "'head_events'"),
+        (old_wrong_level, "'head_events'"),
     )
     for i, (data, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -283,6 +289,23 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         assert main(["replay", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and named in err, err
+
+
+def test_replay_rejects_a_refit_that_overflows_a_float(tmp_path):
+    # a pair stamp far past the float range makes every fit over it
+    # overflow: the head rejects those refits and keeps its last good fit
+    data = json.loads((VERSIONLESS / "trace.json").read_text())
+    pairs = [event for event in data["head_events"] if event[0] == "pair"]
+    pairs[len(pairs) // 2][4] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["replay", "--trace", str(path), "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "measurements.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    translated = [row for row in rows if row["translated"] == "true"]
+    assert translated
+    assert all(math.isfinite(float(row[col])) for row in translated
+               for col in ("est_ticks", "err_s"))
 
 
 @pytest.mark.parametrize("window", [[], ["--window", "2"]], ids=["own", "window-2"])

@@ -19,6 +19,7 @@ from synclab.estimators import (
     RegressionWindow,
     SingularSystemError,
     TimestampPair,
+    _Sums,
     cumulative_params,
     cumulative_ratio,
     default_window,
@@ -202,6 +203,17 @@ def test_estimator_error_paths():
         rate_corrected_advance(0.0, 10.0, 0.0, 0.0)
     with pytest.raises(EstimationError):
         rate_corrected_advance(0.0, 0.0, 10.0, 1.0)
+
+
+def test_lsq_sums_reject_a_fit_that_overflows_a_float():
+    # a stamp past the float range is still a plain int; a fit whose ratio,
+    # or whose offset alone, overflows a float is an EstimationError
+    for child_stamps in ((0, 10**400), (10**400, 10**400 + 1)):
+        sums = _Sums()
+        for parent, child in enumerate(child_stamps):
+            sums.add(TimestampPair(child, parent, parent))
+        with pytest.raises(EstimationError, match="overflows a float"):
+            sums.solve()
 
 
 def test_rate_corrected_advance_examples():

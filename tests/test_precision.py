@@ -92,6 +92,60 @@ SMALLEST = 2.0**-149
 ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
+def with_exponent_gap(a: float, significand: int, gap: int, negative: bool) -> tuple:
+    """``a`` and a single-precision value ``gap`` binades from it."""
+    exponent = math.frexp(a)[1] + gap - 24
+    with np.errstate(over="ignore"):
+        b = float(np.float32(math.ldexp(significand, exponent)))
+    b = min(b, FLOAT32_MAX)
+    return (a, -b if negative else b)
+
+
+# pairs whose exponents differ by at most 29: their exact sum and difference
+# span at most 53 bits, so fp64 holds them
+exact_sum_pairs = st.builds(
+    with_exponent_gap,
+    f32, st.integers(2**23, 2**24 - 1), st.integers(-29, 29), st.booleans(),
+)
+
+
+def chopped(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda v: round32(v, CHOP))
+
+
+def fit_operands(x: float, mean_offset: float, y_offset: float, acc: float) -> list:
+    """Operand pairs of a node's centred fit at a stamp ``x``: the stamp and
+    the window mean, a centred difference squared, two centred differences
+    multiplied, and a running sum of squares plus one more square."""
+    mean = round32(x + mean_offset, CHOP)
+    dx = round32(x - mean, CHOP)
+    dy = round32(x + y_offset - mean, CHOP)
+    return [(x, mean), (dx, dx), (dx, dy), (acc, round32(dx * dx, CHOP))]
+
+
+# those operands at timestamp scale: stamps of 1e8-1e9 ticks, window means
+# within 1e7 ticks of them
+offsets = st.floats(-1e7, 1e7)
+timestamp_pairs = st.builds(
+    fit_operands, chopped(1e8, 1e9), offsets, offsets, chopped(0.0, 1e15)
+).flatmap(st.sampled_from)
+
+
+def assert_chop_matches_oracle(a: float, b: float, ops=ARITHMETIC) -> None:
+    """Each chop-mode ``op(a, b)`` equals the oracle by ``float.hex``,
+    including which operations raise."""
+    ea, eb = Float32Emu(a, CHOP), Float32Emu(b, CHOP)
+    for op in ops:
+        if b == 0.0 and op is operator.truediv:
+            expected = "ZeroDivisionError"
+        elif op(Fraction(a), Fraction(b)) == 0:
+            # an exact zero carries the IEEE sign, that of the fp64 result
+            expected = op(a, b).hex()
+        else:
+            expected = outcome(lambda: chop_oracle(op(Fraction(a), Fraction(b))))
+        assert outcome(lambda: op(ea, eb)) == expected, (op.__name__, a, b)
+
+
 @given(finite32)
 def test_round32_nearest_minimizes_distance(x):
     r = round32(x, NEAREST)
@@ -116,6 +170,8 @@ def test_round32_nearest_ties_to_even():
 @example(FLOAT32_MAX)
 @example(FLOAT32_MAX * (1.0 + 2.0**-40))
 @example(-(2.0**128))
+@example(2.0 - 2.0**-30)
+@example(-0.75 * SMALLEST)
 def test_round32_chop_is_largest_float32_toward_zero(x):
     expected = x.hex() if x == 0.0 else outcome(lambda: chop_oracle(Fraction(x)))
     assert outcome(lambda: round32(x, CHOP)) == expected
@@ -177,17 +233,57 @@ def test_emu_nearest_matches_hardware_float32(pair):
 @example((1.0 + 2.0**-23, 1.0))
 @example((1.0, 0.0))
 def test_emu_chop_results_bound_exact_value(pair):
-    a, b = pair
-    ea, eb = Float32Emu(a, CHOP), Float32Emu(b, CHOP)
-    for op in ARITHMETIC:
-        if b == 0.0 and op is operator.truediv:
-            expected = "ZeroDivisionError"
-        elif op(Fraction(a), Fraction(b)) == 0:
-            # an exact zero carries the IEEE sign, that of the fp64 result
-            expected = op(a, b).hex()
-        else:
-            expected = outcome(lambda: chop_oracle(op(Fraction(a), Fraction(b))))
-        assert outcome(lambda: op(ea, eb)) == expected, op.__name__
+    assert_chop_matches_oracle(*pair)
+
+
+@settings(max_examples=400)
+@given(st.one_of(exact_sum_pairs, timestamp_pairs))
+# exact sums and products just below a power of two, where rounding to
+# nearest lands on the power
+@example((2.0 - 2.0**-23, 3.0 * 2.0**-25))
+@example((1.0, 1.0 - 2.0**-24))
+@example((1.0 + 2.0**-23, 1.0 - 2.0**-23))
+@example((-(2.0**100), 2.0**73))
+# the subnormal floor, and products that underflow to a signed zero
+@example((2.0**-126, -SMALLEST))
+@example((SMALLEST, 1.5))
+@example((SMALLEST, 0.75))
+@example((-SMALLEST, 0.75))
+@example((SMALLEST, -0.5))
+# results at and just past FLOAT32_MAX
+@example((FLOAT32_MAX, 1.0))
+@example((-FLOAT32_MAX, 1.0 + 2.0**-23))
+@example((FLOAT32_MAX, 2.0**103))
+@example((-FLOAT32_MAX, -(2.0**102)))
+@example((-FLOAT32_MAX, 2.0**104))
+# sums whose fp64 value is inexact, left to the integer routine
+@example((1.0, 2.0**-40))
+@example((1.0, -(2.0**-40)))
+def test_emu_chop_exact_fp64_results_match_oracle(pair):
+    assert_chop_matches_oracle(*pair, ops=(operator.add, operator.sub, operator.mul))
+
+
+def test_emu_chop_matches_oracle_on_seeded_pairs():
+    rng = np.random.default_rng(20261018)
+    n = 1000
+
+    def random_f32():
+        # finite magnitudes from every binade, either sign
+        bits = rng.integers(0, 0x7F800000, n, dtype=np.uint32)
+        return bits.view(np.float32).astype(np.float64) * rng.choice([-1.0, 1.0], n)
+
+    a = random_f32()
+    within_29 = a * np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-29, 30, n))
+    stamps = rng.uniform(1e8, 1e9, n)
+    columns = [
+        (a, random_f32()),
+        (a, np.clip(within_29, -FLOAT32_MAX, FLOAT32_MAX).astype(np.float32)),
+        (stamps.astype(np.float32),
+         (stamps + rng.uniform(-1e7, 1e7, n)).astype(np.float32)),
+    ]
+    for xs, ys in columns:
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            assert_chop_matches_oracle(x, y)
 
 
 def test_emu_guards():
