@@ -21,7 +21,6 @@ from .clock import (
     TimeRegressionError,
     draw_clock_params,
     seconds,
-    to_seconds,
 )
 from .precision import (
     CHOP,
@@ -54,7 +53,6 @@ from .estimators import (
     lsq_fit,
     multihop_from_head,
     multihop_to_head,
-    rate_corrected_advance,
     translate_child_to_parent,
 )
 from .protocol import (
@@ -91,7 +89,6 @@ from .analysis import (
     ErrorStats,
     NodeEnergy,
     accuracy_metrics,
-    command_local_time,
     count_conventional,
     count_proposed,
     energy_from_trace,
@@ -100,7 +97,6 @@ from .analysis import (
     sensor_totals,
     summarize_trace,
     sweep,
-    sync_event_total,
     table1_counts,
 )
 

@@ -21,8 +21,7 @@ import numpy as np
 from . import protocol, simnet
 from .clock import NS_PER_S
 from .config import EnergyModel, RunConfig
-from .estimators import HeadEstimator, multihop_from_head
-from .trace import RunTrace, apply_head_event, derive_outcomes
+from .trace import RunTrace, derive_outcomes
 
 
 # -- closed-form message counts ----------------------------------------------
@@ -96,17 +95,6 @@ def sensor_totals(trace: RunTrace) -> dict[int, tuple[int, int]]:
         rx = sum(v[1] for v in kinds.values())
         totals[node] = (tx, rx)
     return totals
-
-
-def sync_event_total(trace: RunTrace) -> int:
-    """Total sync-bearing report events (TX+RX) across all sensor nodes."""
-    total = 0
-    for node, kinds in trace.node_counts.items():
-        if trace.levels[node] == 0:
-            continue
-        tx, rx = kinds.get(protocol.REPORT, (0, 0))
-        total += tx + rx
-    return total
 
 
 # -- energy --------------------------------------------------------------------
@@ -306,25 +294,6 @@ def replay(
         trace, head_method=method, head_window=window,
         outcomes=derive_outcomes(trace, method, window),
     )
-
-
-def command_local_time(trace: RunTrace, origin: int, t_reference) -> float | None:
-    """Head-side helper for optional downlink commands: the local clock value
-    at which node ``origin`` should act to hit reference time ``t_reference``.
-
-    Uses the same per-layer parameters the head learned from the trace;
-    returns None while any layer on the path is still unsynchronized.
-    """
-    if trace.scheme != protocol.REVERSE_ONEWAY:
-        raise ValueError("local-time commands need head-side estimation traces")
-    estimator = HeadEstimator(trace.head_method, trace.head_window)
-    for event in trace.head_events:
-        apply_head_event(estimator, trace.chains, trace.tick_ns, event)
-    chain = trace.chains[origin]
-    params = estimator.chain_params(chain)
-    if params is None:
-        return None
-    return multihop_from_head(params, t_reference)
 
 
 # -- sweeps -----------------------------------------------------------------------

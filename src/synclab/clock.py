@@ -55,11 +55,6 @@ def seconds(value: float) -> SimTime:
     return int(round(value * NS_PER_S))
 
 
-def to_seconds(t: SimTime) -> float:
-    """Convert simulation nanoseconds to float seconds."""
-    return t / NS_PER_S
-
-
 @dataclass(frozen=True)
 class ClockParams:
     """Affine clock model: local = ratio * reference + offset.

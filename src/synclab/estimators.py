@@ -15,7 +15,12 @@ Each formula is written once, here, over generic numbers: plain floats (or
 integer ticks) give the 64-bit head-side arithmetic, and timestamps wrapped
 as :class:`~synclab.precision.Float32Emu` reproduce the single-precision
 node-side arithmetic operation by operation.  The node protocol and
-:func:`~synclab.precision.empirical_loss` call these same functions.
+:func:`~synclab.precision.empirical_loss` call these same functions.  The
+centered least-squares fit, :func:`centered_fit`, is written over an
+:class:`Arithmetic`: Python's operators on the numbers themselves, or a
+table of rounded float operations such as
+:data:`~synclab.precision.ROUNDED`, on which an fp32 node refits without an
+object per operation.
 
 The 64-bit least-squares fit is exact up to one final rounding: a
 :class:`RegressionWindow` keeps exact integer sums of its pairs, updated in
@@ -27,8 +32,10 @@ with an unbounded window refits in constant time per new pair.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
-from typing import Iterable, NamedTuple, Sequence
+from functools import reduce
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .clock import ClockParams
 
@@ -194,9 +201,48 @@ class RegressionWindow:
         return True
 
 
-def _sum(terms: list):
-    """Sum left to right in the terms' own arithmetic, as a node's loop adds."""
-    return sum(terms[1:], terms[0])
+class Arithmetic(NamedTuple):
+    """The operations a formula is written over: ``add``, ``sub``, ``mul`` and
+    ``div`` of two numbers, and ``number``, which turns a count into one."""
+
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable
+    number: Callable
+
+
+OPERATORS = Arithmetic(operator.add, operator.sub, operator.mul, operator.truediv, lambda n: n)
+"""Python's operators on the numbers themselves: plain floats round in fp64,
+a :class:`~synclab.precision.Float32Emu` rounds each result to single
+precision, a ``Fraction`` stays exact."""
+
+
+def centered_fit(xs: Sequence, ys: Sequence, arithmetic: Arithmetic = OPERATORS) -> tuple:
+    """Least-squares ``(ratio, offset)`` of ``ys`` on ``xs``, centered on the
+    means, one operation at a time in ``arithmetic``, as a node's loop
+    computes it: every sum runs left to right.
+
+    Raises :class:`InsufficientDataError` for fewer than two pairs,
+    :class:`SingularSystemError` when all ``xs`` coincide and
+    :class:`EstimationError` for a ratio that is not positive.
+    """
+    add, sub, mul, div, number = arithmetic
+    n = len(xs)
+    if n < 2:
+        raise InsufficientDataError(f"least squares needs >= 2 pairs, got {n}")
+    count = number(n)
+    x_mean = div(reduce(add, xs), count)
+    y_mean = div(reduce(add, ys), count)
+    dxs = [sub(x, x_mean) for x in xs]
+    sxx = reduce(add, [mul(dx, dx) for dx in dxs])
+    if float(sxx) == 0.0:
+        raise SingularSystemError("all parent timestamps coincide")
+    sxy = reduce(add, [mul(dx, sub(y, y_mean)) for dx, y in zip(dxs, ys)])
+    ratio = div(sxy, sxx)
+    if not float(ratio) > 0.0:
+        raise EstimationError(f"fitted ratio {float(ratio)!r} is not positive")
+    return ratio, sub(y_mean, mul(ratio, x_mean))
 
 
 def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
@@ -207,10 +253,10 @@ def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
     least-squares solution, solved from exact integer sums: O(1) on a
     :class:`RegressionWindow`, which keeps them, and one pass over any other
     iterable.  Any other number type, such as
-    :class:`~synclab.precision.Float32Emu`, gets a centered (mean-subtracted)
-    fit with left-to-right sums in its own arithmetic, one rounding per
-    operation as a node's single-precision loop computes it.  Needs at least
-    two pairs with distinct parent timestamps.
+    :class:`~synclab.precision.Float32Emu`, gets :func:`centered_fit` in its
+    own arithmetic, one rounding per operation as a node's single-precision
+    loop computes it.  Needs at least two pairs with distinct parent
+    timestamps.
     """
     if isinstance(window, RegressionWindow):
         if window._sums is not None:
@@ -221,22 +267,7 @@ def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
     sums = _Sums()
     if all(sums.add(p) for p in pairs):
         return ClockParams(*sums.solve())
-    n = len(pairs)
-    if n < 2:
-        raise InsufficientDataError(f"least squares needs >= 2 pairs, got {n}")
-    xs = [p.t_parent for p in pairs]
-    ys = [p.t_child for p in pairs]
-    x_mean = _sum(xs) / n
-    y_mean = _sum(ys) / n
-    dxs = [x - x_mean for x in xs]
-    sxx = _sum([dx * dx for dx in dxs])
-    if float(sxx) == 0.0:
-        raise SingularSystemError("all parent timestamps coincide")
-    sxy = _sum([dx * (y - y_mean) for dx, y in zip(dxs, ys)])
-    ratio = sxy / sxx
-    if not float(ratio) > 0.0:
-        raise EstimationError(f"fitted ratio {float(ratio)!r} is not positive")
-    return ClockParams(ratio, y_mean - ratio * x_mean)
+    return ClockParams(*centered_fit([p.t_parent for p in pairs], [p.t_child for p in pairs]))
 
 
 def cumulative_ratio(initial: TimestampPair, latest: TimestampPair):
@@ -258,15 +289,20 @@ def cumulative_params(initial: TimestampPair, latest: TimestampPair) -> ClockPar
 
     Equivalent to translating via ``parent = initial.t_parent +
     (child - initial.t_child) * cumulative_ratio`` but expressed in the same
-    ``ClockParams`` orientation the other estimators use.
+    ``ClockParams`` orientation the other estimators use.  An int stamp
+    that takes the ratio or the offset past the float range raises
+    :class:`EstimationError`.
     """
-    dp = latest.t_parent - initial.t_parent
-    if float(dp) == 0.0:
-        raise SingularSystemError("no elapsed parent time between the pairs")
-    ratio = (latest.t_child - initial.t_child) / dp
-    if not float(ratio) > 0.0:
-        raise EstimationError(f"cumulative ratio {float(ratio)!r} is not positive")
-    return ClockParams(ratio, initial.t_child - ratio * initial.t_parent)
+    try:
+        dp = latest.t_parent - initial.t_parent
+        if float(dp) == 0.0:
+            raise SingularSystemError("no elapsed parent time between the pairs")
+        ratio = (latest.t_child - initial.t_child) / dp
+        if not float(ratio) > 0.0:
+            raise EstimationError(f"cumulative ratio {float(ratio)!r} is not positive")
+        return ClockParams(ratio, initial.t_child - ratio * initial.t_parent)
+    except OverflowError:  # an int stamp beyond the float range
+        raise EstimationError("cumulative ratio or offset overflows a float") from None
 
 
 def interpolate_params(prev: TimestampPair, cur: TimestampPair) -> ClockParams:
@@ -278,13 +314,18 @@ def interpolate_params(prev: TimestampPair, cur: TimestampPair) -> ClockParams:
         offset = (child_{k-1} * parent_k - parent_{k-1} * child_k)
                  / (parent_k - parent_{k-1})
 
-    Equals the least-squares fit restricted to those two pairs.
+    Equals the least-squares fit restricted to those two pairs.  An int
+    stamp that takes either quotient past the float range raises
+    :class:`EstimationError`, as :func:`lsq_fit` does.
     """
-    dp = cur.t_parent - prev.t_parent
-    if float(dp) == 0.0:
-        raise SingularSystemError("parent timestamps coincide")
-    ratio = (cur.t_child - prev.t_child) / dp
-    offset = (prev.t_child * cur.t_parent - prev.t_parent * cur.t_child) / dp
+    try:
+        dp = cur.t_parent - prev.t_parent
+        if float(dp) == 0.0:
+            raise SingularSystemError("parent timestamps coincide")
+        ratio = (cur.t_child - prev.t_child) / dp
+        offset = (prev.t_child * cur.t_parent - prev.t_parent * cur.t_child) / dp
+    except OverflowError:  # an int stamp beyond the float range
+        raise EstimationError("interpolated ratio or offset overflows a float") from None
     if not float(ratio) > 0.0:
         raise EstimationError(f"interpolated ratio {float(ratio)!r} is not positive")
     return ClockParams(ratio, offset)
@@ -298,20 +339,6 @@ def logical_time(params: ClockParams, local):
     orientation and use it to map their own clock to reference time.
     """
     return params.ratio * local + params.offset
-
-
-def rate_corrected_advance(state, local_now, local_at_sync, ratio):
-    """Advance a logical clock by rate-corrected elapsed local time.
-
-    ``state + (local_now - local_at_sync) / ratio`` where ``ratio`` is the
-    local-per-reference rate estimate: the incremental logical clock used by
-    node-side two-way schemes.
-    """
-    if float(ratio) <= 0.0:
-        raise EstimationError("rate must be positive")
-    if float(local_now) < float(local_at_sync):
-        raise EstimationError("local time ran backwards across the sync point")
-    return state + (local_now - local_at_sync) / ratio
 
 
 def translate_child_to_parent(params: ClockParams, t_child):

@@ -8,12 +8,17 @@ formulas in 64-bit floats.  This module provides
   under round-to-nearest-even (a native float32 round trip) or chop (round
   toward zero: the same round trip, stepped one unit toward zero when it
   rounded away from zero);
-* :class:`Float32Emu`: a number type whose every arithmetic operation rounds
-  its result to single precision in a chosen mode, so the estimator functions
-  of :mod:`synclab.estimators`, written over generic numbers, run at node
-  fidelity when handed :class:`Float32Emu` timestamps; chop mode rounds the
-  fp64 result when that is exact, and otherwise truncates the exact value by
-  integer significand arithmetic;
+* :data:`ROUNDED`: one table per rounding mode of ``+ - * /`` on plain
+  floats that hold single-precision values, each result rounded once and
+  checked; chop mode rounds the fp64 result when that is exact, and
+  otherwise truncates the exact value by integer significand arithmetic;
+* :class:`Float32Emu`: a number type whose operators are that table on its
+  value, so the estimator functions of :mod:`synclab.estimators`, written
+  over generic numbers, run at node fidelity when handed :class:`Float32Emu`
+  timestamps;
+* :func:`lsq_fit32`: the estimators' centered least-squares fit of
+  :class:`Float32Emu` pairs run on the table itself, bit for bit the
+  operator result without an object per operation (an fp32 node's refit);
 * :class:`PrecisionLoss` and :func:`psi_error`: the affine model of the time
   translation error caused by finite precision, err(T) = eps_alpha * T +
   eps_beta for a local timestamp T, and :func:`empirical_loss`, which
@@ -29,10 +34,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .clock import ClockParams
-from .estimators import TimestampPair
+from .estimators import Arithmetic, RegressionWindow, TimestampPair, centered_fit
 
 MACHINE_EPS32 = 2.0 ** -23
 """Machine epsilon of the single-precision format (ulp of 1.0)."""
@@ -53,6 +58,17 @@ class PrecisionOverflowError(ArithmeticError):
     """A value exceeds the largest finite single-precision magnitude."""
 
 
+def _checked(value: float) -> float:
+    """``value`` if it is a finite single-precision value, else
+    :class:`ValueError`: the check every :class:`Float32Emu` value passes."""
+    # the range check rejects inf and NaN, which pack, and keeps a value past
+    # the fp32 range from packing, which raises; an int is compared as it is
+    if not (-FLOAT32_MAX <= value <= FLOAT32_MAX
+            and _F32.unpack(_F32.pack(value))[0] == value):
+        raise ValueError(f"{value!r} is not single-precision representable")
+    return value
+
+
 def _chop(num: int, den: int) -> float:
     """The single-precision value of largest magnitude not above ``|num/den|``,
     with the sign of ``num/den`` (``den > 0``).
@@ -61,7 +77,7 @@ def _chop(num: int, den: int) -> float:
     the subnormal floor 2**-149; one floor division then yields the 24-bit
     significand.  A nonzero value that chops to zero keeps its sign, an
     exact zero is +0.0.  A magnitude above :data:`FLOAT32_MAX` raises
-    :class:`PrecisionOverflowError`.
+    :class:`PrecisionOverflowError`.  The result is checked.
     """
     n = abs(num)
     # ulp exponent for a quotient in [2**(e-1), 2**(e+1)), e = bit-length gap;
@@ -74,7 +90,7 @@ def _chop(num: int, den: int) -> float:
     if shift >= 104 and n > _FLOAT32_MAX_INT * den:
         raise PrecisionOverflowError("result overflows single precision")
     value = math.ldexp(q, shift)
-    return -value if num < 0 else value
+    return _checked(-value if num < 0 else value)
 
 
 def _chop_exact(x: float) -> float:
@@ -83,7 +99,8 @@ def _chop_exact(x: float) -> float:
     Packing rounds to nearest; when that lands above ``|x|``, the answer is
     the next single-precision value toward zero, one less in the float32 bit
     pattern (sign-magnitude, so this holds across binades and down into the
-    subnormals, and a nonzero value that chops to zero keeps its sign).
+    subnormals, and a nonzero value that chops to zero keeps its sign).  The
+    result is checked, as :func:`_checked` would (inline: the hot path).
     """
     if abs(x) > FLOAT32_MAX:
         raise PrecisionOverflowError(f"{x!r} overflows single precision")
@@ -91,6 +108,8 @@ def _chop_exact(x: float) -> float:
     value = _F32.unpack(packed)[0]
     if abs(value) > abs(x):
         value = _F32.unpack(_U32.pack(_U32.unpack(packed)[0] - 1))[0]
+    if _F32.unpack(_F32.pack(value))[0] != value:
+        raise ValueError(f"{value!r} is not single-precision representable")
     return value
 
 
@@ -109,13 +128,20 @@ def round32(x: float, mode: str = NEAREST) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"round32 needs a finite value, got {x!r}")
-    if mode == CHOP:
-        return _chop_exact(x)
+    return _chop_exact(x) if mode == CHOP else _nearest(x)
+
+
+def _nearest(x: float) -> float:
+    """``x`` rounded to the nearest single-precision value, ties to even,
+    and checked, as :func:`_checked` would (inline: the hot path)."""
     try:
         # packing raises exactly when the rounded value is infinite
-        return _F32.unpack(_F32.pack(x))[0]
+        value = _F32.unpack(_F32.pack(x))[0]
     except OverflowError:
         raise PrecisionOverflowError(f"{x!r} overflows single precision") from None
+    if _F32.unpack(_F32.pack(value))[0] != value:
+        raise ValueError(f"{value!r} is not single-precision representable")
+    return value
 
 
 def _chop_sum(a: float, b: float) -> float:
@@ -132,6 +158,19 @@ def _chop_sum(a: float, b: float) -> float:
     return _chop(*_exact_sum(a, b))
 
 
+def _chop_quotient(a: float, b: float) -> float:
+    """``a / b`` chopped, for single-precision ``a`` and nonzero ``b``: a
+    zero dividend keeps the IEEE sign of the fp64 quotient, any other is
+    divided exactly with integers."""
+    na, da = a.as_integer_ratio()
+    if not na:
+        return _checked(a / b)
+    nb, db = b.as_integer_ratio()
+    if nb < 0:
+        na, nb = -na, -nb
+    return _chop(na * db, da * nb)
+
+
 def _exact_sum(a: float, b: float) -> tuple[int, int]:
     """``a + b`` exactly, as (numerator, power-of-two denominator)."""
     na, da = a.as_integer_ratio()
@@ -139,6 +178,37 @@ def _exact_sum(a: float, b: float) -> tuple[int, int]:
     if da < db:
         na, da, nb, db = nb, db, na, da
     return na + nb * (da // db), da
+
+
+def _nonzero(b: float) -> float:
+    """A divisor ``b``, or :class:`ZeroDivisionError` when it is zero."""
+    if b == 0.0:
+        raise ZeroDivisionError("single-precision division by zero")
+    return b
+
+
+ROUNDED = {
+    NEAREST: Arithmetic(
+        lambda a, b: _nearest(a + b),
+        lambda a, b: _nearest(a - b),
+        lambda a, b: _nearest(a * b),
+        lambda a, b: _nearest(a / _nonzero(b)),
+        lambda n: round32(n, NEAREST),
+    ),
+    CHOP: Arithmetic(
+        _chop_sum,
+        lambda a, b: _chop_sum(a, -b),
+        lambda a, b: _chop_exact(a * b),  # a product of singles is exact in fp64
+        lambda a, b: _chop_quotient(a, _nonzero(b)),
+        lambda n: round32(n, CHOP),
+    ),
+}
+"""Per rounding mode, ``+ - * /`` of plain floats that hold single-precision
+values, each result rounded once in that mode by a routine that checks it
+as every :class:`Float32Emu` is checked; an overflow raises
+:class:`PrecisionOverflowError` and a zero divisor :class:`ZeroDivisionError`.
+``number`` rounds a plain number into the mode.  :class:`Float32Emu`'s
+operators are this table on their values."""
 
 
 def decompose(value: float) -> tuple[int, float, int]:
@@ -159,25 +229,28 @@ class Float32Emu:
 
     Every arithmetic operation is rounded exactly once into the
     single-precision grid under the attached mode, mirroring hardware
-    behaviour.  Nearest mode rounds through fp64 (safe: the fp64 format
-    is wide enough that the double rounding is invisible for +, -, *, /
-    of single-precision operands).  Chop mode must truncate the exact
-    result, since a nearest-rounded fp64 intermediate can overshoot the
-    true value onto a representable single, leaving the directed rounding
-    nothing to trim.  Products of single-precision values are exact in
-    fp64, and so are sums and differences whose TwoSum error term is zero;
-    those are chopped on the fp64 value.  Other sums and differences, and
-    all quotients, are formed exactly with integer significand arithmetic
-    and truncated.  An exact zero result carries the IEEE sign in both
-    modes: that of the fp64 result, so ``(-0.0) + (-0.0)`` and
-    ``0.0 / -1.0`` are -0.0.
+    behaviour: each operator is its mode's :data:`ROUNDED` entry on the two
+    values, so there is one implementation of each rounded operation.  A
+    plain number operand is first rounded into the mode; operands of two
+    modes raise :class:`ValueError`.  Nearest mode rounds through fp64
+    (safe: the fp64 format is wide enough that the double rounding is
+    invisible for +, -, *, / of single-precision operands).  Chop mode must
+    truncate the exact result, since a nearest-rounded fp64 intermediate
+    can overshoot the true value onto a representable single, leaving the
+    directed rounding nothing to trim.  Products of single-precision values
+    are exact in fp64, and so are sums and differences whose TwoSum error
+    term is zero; those are chopped on the fp64 value.  Other sums and
+    differences, and all quotients, are formed exactly with integer
+    significand arithmetic and truncated.  An exact zero result carries the
+    IEEE sign in both modes: that of the fp64 result, so ``(-0.0) + (-0.0)``
+    and ``0.0 / -1.0`` are -0.0.
 
     The type is an immutable value with two slots, ``value`` and ``mode``:
     assignment raises :class:`AttributeError`, and equality, hashing and
-    ``repr`` go by the pair ``(value, mode)``.  Every instance, whether
-    built by ``Float32Emu(value, mode)`` or as an operator result, is
-    checked: the mode must be ``nearest`` or ``chop`` and the value must be
-    single-precision representable, else :class:`ValueError`.
+    ``repr`` go by the pair ``(value, mode)``.  Every instance is checked:
+    ``Float32Emu(value, mode)`` needs a mode of ``nearest`` or ``chop`` and
+    a finite single-precision value, else :class:`ValueError`, and an
+    operator result is checked the same way by the table that computed it.
     """
 
     __slots__ = ("value", "mode")
@@ -212,7 +285,7 @@ class Float32Emu:
     def from_number(x, mode: str = NEAREST) -> "Float32Emu":
         if isinstance(x, Float32Emu):
             return x
-        return _new(round32(float(x), mode), mode)
+        return _emu(round32(float(x), mode), mode)  # round32 checks both
 
     def _coerce(self, other) -> "Float32Emu":
         if isinstance(other, Float32Emu):
@@ -220,9 +293,6 @@ class Float32Emu:
                 raise ValueError("mixed rounding modes in one expression")
             return other
         return Float32Emu.from_number(other, self.mode)
-
-    def _wrap(self, exact: float) -> "Float32Emu":
-        return _new(round32(exact, self.mode), self.mode)
 
     def __float__(self) -> float:
         return self.value
@@ -232,17 +302,13 @@ class Float32Emu:
 
     def __add__(self, other) -> "Float32Emu":
         other = self._coerce(other)
-        if self.mode == CHOP:
-            return _new(_chop_sum(self.value, other.value), CHOP)
-        return self._wrap(self.value + other.value)
+        return _emu(ROUNDED[self.mode].add(self.value, other.value), self.mode)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Float32Emu":
         other = self._coerce(other)
-        if self.mode == CHOP:
-            return _new(_chop_sum(self.value, -other.value), CHOP)
-        return self._wrap(self.value - other.value)
+        return _emu(ROUNDED[self.mode].sub(self.value, other.value), self.mode)
 
     def __rsub__(self, other) -> "Float32Emu":
         other = self._coerce(other)
@@ -250,25 +316,13 @@ class Float32Emu:
 
     def __mul__(self, other) -> "Float32Emu":
         other = self._coerce(other)
-        if self.mode == CHOP:
-            return _new(_chop_exact(self.value * other.value), CHOP)
-        return self._wrap(self.value * other.value)
+        return _emu(ROUNDED[self.mode].mul(self.value, other.value), self.mode)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Float32Emu":
         other = self._coerce(other)
-        if other.value == 0.0:
-            raise ZeroDivisionError("single-precision division by zero")
-        if self.mode == CHOP:
-            na, da = self.value.as_integer_ratio()
-            if not na:
-                return _new(self.value / other.value, CHOP)
-            nb, db = other.value.as_integer_ratio()
-            if nb < 0:
-                na, nb = -na, -nb
-            return _new(_chop(na * db, da * nb), CHOP)
-        return self._wrap(self.value / other.value)
+        return _emu(ROUNDED[self.mode].div(self.value, other.value), self.mode)
 
     def __rtruediv__(self, other) -> "Float32Emu":
         other = self._coerce(other)
@@ -284,20 +338,41 @@ _set_mode = Float32Emu.mode.__set__
 _alloc = object.__new__
 
 
-def _new(value: float, mode: str, cls: type = Float32Emu) -> Float32Emu:
-    """The checked constructor of every :class:`Float32Emu`."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown rounding mode {mode!r}")
-    try:
-        representable = _F32.unpack(_F32.pack(value))[0] == value
-    except (OverflowError, struct.error):  # struct.error: an int past the fp32 range
-        representable = False
-    if not representable:
-        raise ValueError(f"{value!r} is not single-precision representable")
+def _emu(value: float, mode: str, cls: type = Float32Emu) -> Float32Emu:
+    """A :class:`Float32Emu` of a checked value and a known mode."""
     self = _alloc(cls)
     _set_value(self, value)
     _set_mode(self, mode)
     return self
+
+
+def _new(value: float, mode: str, cls: type = Float32Emu) -> Float32Emu:
+    """The checked constructor: a known mode and a single-precision value
+    (an int is checked as it is, before any ``float()``)."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown rounding mode {mode!r}")
+    return _emu(_checked(value), mode, cls)
+
+
+def lsq_fit32(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
+    """:func:`~synclab.estimators.lsq_fit` of :class:`Float32Emu` pairs, bit
+    for bit, without an object per operation.
+
+    Reads the pairs' values once, checks that they share one mode, runs
+    :func:`~synclab.estimators.centered_fit` on that mode's :data:`ROUNDED`
+    table and wraps only the ratio and the offset.
+    """
+    pairs = window.pairs if isinstance(window, RegressionWindow) else tuple(window)
+    xs = [p.t_parent for p in pairs]
+    ys = [p.t_child for p in pairs]
+    modes = {v.mode for v in xs} | {v.mode for v in ys}
+    if len(modes) > 1:
+        raise ValueError("mixed rounding modes in one expression")
+    mode = modes.pop() if modes else NEAREST  # no pairs: the fit raises
+    ratio, offset = centered_fit(
+        [v.value for v in xs], [v.value for v in ys], ROUNDED[mode]
+    )
+    return ClockParams(_emu(ratio, mode), _emu(offset, mode))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .estimators import (
     lsq_fit,
     EstimationError,
 )
-from .precision import CHOP, NEAREST, Float32Emu, convert_timestamps
+from .precision import CHOP, NEAREST, Float32Emu, convert_timestamps, lsq_fit32
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -156,10 +156,6 @@ class Message:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown message kind {self.kind!r}")
-
-    @property
-    def sync_bearing(self) -> bool:
-        return self.send_stamp is not None
 
     @property
     def size_bytes(self) -> int:
@@ -292,10 +288,11 @@ class NodeState:
             Float32Emu.from_number, mode=rounding
         )
         # an fp64 window keeps exact sums, so window-lsq reads them in O(1); a
-        # Float32Emu window takes lsq_fit's centered fit, one rounding per step
-        self._fit = lsq_fit if cfg.node_method == WINDOW_LSQ else (
-            lambda window: interpolate_params(*window.pairs[-2:])
-        )
+        # Float32Emu window takes the centered fit on its mode's float table
+        if cfg.node_method == WINDOW_LSQ:
+            self._fit = lsq_fit32 if self._fp32 else lsq_fit
+        else:
+            self._fit = lambda window: interpolate_params(*window.pairs[-2:])
 
     # -- bookkeeping ------------------------------------------------------
 

@@ -17,7 +17,6 @@ from synclab.analysis import (
     EnergyLedger,
     EnergyModel,
     accuracy_metrics,
-    command_local_time,
     count_conventional,
     count_proposed,
     energy_from_trace,
@@ -28,7 +27,6 @@ from synclab.analysis import (
     sensor_totals,
     summarize_trace,
     sweep,
-    sync_event_total,
     table1_counts,
     write_measurements_csv,
     write_summary_json,
@@ -42,7 +40,6 @@ from synclab.config import (
     singlehop_accuracy_config,
     table1_config,
 )
-from synclab.estimators import HeadEstimator
 from synclab.protocol import (
     ALWAYS_ON,
     BUNDLE_ALL,
@@ -50,6 +47,7 @@ from synclab.protocol import (
     CONVENTIONAL_ONEWAY,
     CONVENTIONAL_TWOWAY,
     LPL,
+    REPORT,
     REVERSE_ONEWAY,
     REVERSE_TWOWAY,
     SCHEDULED_WAKE,
@@ -132,7 +130,10 @@ def test_one_report_wave_matches_closed_form(hops, mode):
         bundling=mode,
     )
     trace = run_config(cfg)
-    assert sync_event_total(trace) == count_proposed(hops, mode)
+    # sync-bearing report events, sent and received, over every sensor
+    reports = [kinds.get(REPORT, (0, 0)) for node, kinds in trace.node_counts.items()
+               if trace.levels[node] > 0]
+    assert sum(tx + rx for tx, rx in reports) == count_proposed(hops, mode)
 
 
 def test_sensor_totals_excludes_head():
@@ -379,26 +380,6 @@ def test_replay_rejects_other_schemes():
     trace = run_config(table1_config(CONVENTIONAL_ONEWAY, 10.0))
     with pytest.raises(ValueError):
         replay(trace)
-
-
-def test_command_local_time_round_trip():
-    trace = run_config(short_accuracy_config())
-    t_reference = 30e6  # ticks
-    local = command_local_time(trace, 1, t_reference)
-    assert local is not None
-    estimator = HeadEstimator(trace.head_method, trace.head_window)
-    from synclab.trace import apply_head_event
-
-    for event in trace.head_events:
-        apply_head_event(estimator, trace.chains, trace.tick_ns, event)
-    back = estimator.translate_to_reference(trace.chains[1], local)
-    assert math.isclose(back, t_reference, rel_tol=1e-9)
-
-
-def test_command_local_time_needs_bootstrap():
-    trace = run_config(short_accuracy_config())
-    trace.head_events = [e for e in trace.head_events if e[0] != "pair"]
-    assert command_local_time(trace, 1, 1e6) is None
 
 
 def test_sweep_grid_order_and_labels():

@@ -291,21 +291,33 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         assert "error:" in err and named in err, err
 
 
-def test_replay_rejects_a_refit_that_overflows_a_float(tmp_path):
-    # a pair stamp far past the float range makes every fit over it
-    # overflow: the head rejects those refits and keeps its last good fit
+def replay_with_a_huge_stamp(tmp_path, *args):
+    """Replay the version-less trace with one pair's child stamp set far past
+    the float range; exit 0 with finite translated estimates."""
     data = json.loads((VERSIONLESS / "trace.json").read_text())
     pairs = [event for event in data["head_events"] if event[0] == "pair"]
     pairs[len(pairs) // 2][4] = 10**400
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
-    assert main(["replay", "--trace", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert main(["replay", "--trace", str(path), "--out-dir", str(tmp_path), *args]) == 0
     with open(tmp_path / "measurements.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     translated = [row for row in rows if row["translated"] == "true"]
     assert translated
     assert all(math.isfinite(float(row[col])) for row in translated
                for col in ("est_ticks", "err_s"))
+
+
+def test_replay_rejects_a_refit_that_overflows_a_float(tmp_path):
+    # a pair stamp far past the float range makes every fit over it
+    # overflow: the head rejects those refits and keeps its last good fit
+    replay_with_a_huge_stamp(tmp_path)
+
+
+@pytest.mark.parametrize("method", ["cumulative-ratio", "two-point"])
+def test_replay_rejects_a_two_pair_fit_that_overflows_a_float(tmp_path, method):
+    # the two-pair head fits reject a quotient past the float range as well
+    replay_with_a_huge_stamp(tmp_path, "--method", method)
 
 
 @pytest.mark.parametrize("window", [[], ["--window", "2"]], ids=["own", "window-2"])

@@ -28,7 +28,6 @@ from synclab.estimators import (
     lsq_fit,
     multihop_from_head,
     multihop_to_head,
-    rate_corrected_advance,
     translate_child_to_parent,
 )
 
@@ -199,10 +198,6 @@ def test_estimator_error_paths():
         cumulative_ratio(TimestampPair(5.0, 0.0, 0), TimestampPair(5.0, 9.0, 1))
     with pytest.raises(SingularSystemError):
         interpolate_params(TimestampPair(0.0, 5.0, 0), TimestampPair(9.0, 5.0, 1))
-    with pytest.raises(EstimationError):
-        rate_corrected_advance(0.0, 10.0, 0.0, 0.0)
-    with pytest.raises(EstimationError):
-        rate_corrected_advance(0.0, 0.0, 10.0, 1.0)
 
 
 def test_lsq_sums_reject_a_fit_that_overflows_a_float():
@@ -216,12 +211,14 @@ def test_lsq_sums_reject_a_fit_that_overflows_a_float():
             sums.solve()
 
 
-def test_rate_corrected_advance_examples():
-    assert rate_corrected_advance(100.0, 110.0, 100.0, 2.0) == 105.0
-    assert rate_corrected_advance(0.0, 10.0, 10.0, 0.5) == 0.0
-    # a ratio below one means the local clock runs slow: advance exceeds
-    # elapsed local time
-    assert rate_corrected_advance(50.0, 60.0, 50.0, 0.999) > 60.0 - 50.0 + 50.0 - 1
+def test_two_pair_fits_reject_a_quotient_that_overflows_a_float():
+    # an int stamp past the float range: an EstimationError, not an
+    # OverflowError, so a head link keeps its last good fit
+    huge = 10**400
+    for fit in (interpolate_params, cumulative_params):
+        for first, second in (((0, 0), (huge, 1)), ((huge, 0), (huge + 1, 1)), ((0, 0), (1, huge))):
+            with pytest.raises(EstimationError, match="overflows a float"):
+                fit(TimestampPair(*first, 0), TimestampPair(*second, 1))
 
 
 def test_logical_time_is_affine():

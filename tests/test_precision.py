@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from synclab.clock import ClockParams
 from synclab.precision import (
     CHOP,
     FLOAT32_MAX,
@@ -19,10 +20,19 @@ from synclab.precision import (
     PrecisionOverflowError,
     decompose,
     empirical_loss,
+    lsq_fit32,
     psi_error,
     round32,
 )
-from synclab.estimators import TimestampPair, cumulative_ratio, interpolate_params
+from synclab.estimators import (
+    Arithmetic,
+    EstimationError,
+    TimestampPair,
+    centered_fit,
+    cumulative_ratio,
+    interpolate_params,
+    lsq_fit,
+)
 
 finite32 = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e30, max_value=1e30
@@ -286,6 +296,137 @@ def test_emu_chop_matches_oracle_on_seeded_pairs():
             assert_chop_matches_oracle(x, y)
 
 
+def chop_op(op):
+    """``op`` rounded by :func:`chop_oracle`, an exact zero with the sign of
+    the fp64 result."""
+    def rounded(a, b):
+        exact = op(Fraction(a), Fraction(b))
+        return op(a, b) if exact == 0 else chop_oracle(exact)
+    return rounded
+
+
+def hardware_op(op):
+    """``op`` in numpy float32, an infinite result raising as an overflow."""
+    def rounded(a, b):
+        if op is operator.truediv and b == 0.0:
+            raise ZeroDivisionError("division by zero")
+        with np.errstate(over="ignore"):
+            result = float(op(np.float32(a), np.float32(b)))
+        if math.isinf(result):
+            raise PrecisionOverflowError("oracle: overflow")
+        return result
+    return rounded
+
+
+# the centred fit in arithmetic built from the oracles, not from precision
+ORACLE_ARITHMETIC = {
+    CHOP: Arithmetic(*map(chop_op, ARITHMETIC), float),
+    NEAREST: Arithmetic(*map(hardware_op, ARITHMETIC), float),
+}
+
+
+def fit_outcome(fit) -> tuple | str:
+    """``float.hex`` of a fit's ratio and offset, or the name of the error
+    it raises."""
+    try:
+        params = fit()
+    except (EstimationError, PrecisionOverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+    return float(params.ratio).hex(), float(params.offset).hex()
+
+
+def assert_fits_agree(window: list, oracle: bool = True) -> list:
+    """In both modes, the float-level fit of a window of (child, parent)
+    single-precision values and the same fit over Float32Emu objects agree
+    bit for bit, or raise alike; with ``oracle``, so does the centred fit in
+    oracle arithmetic (the two share the rounding table, the oracle does
+    not).  Returns the outcome in each mode."""
+    children = [c for c, _ in window]
+    parents = [p for _, p in window]
+    outcomes = []
+    for mode in (NEAREST, CHOP):
+        pairs = [TimestampPair(Float32Emu(c, mode), Float32Emu(p, mode), i)
+                 for i, (c, p) in enumerate(window)]
+        floats = fit_outcome(lambda: lsq_fit32(pairs))
+        assert fit_outcome(lambda: lsq_fit(pairs)) == floats, (mode, window)
+        if oracle:
+            expected = fit_outcome(
+                lambda: ClockParams(*centered_fit(parents, children, ORACLE_ARITHMETIC[mode]))
+            )
+            assert floats == expected, (mode, window)
+        outcomes.append(floats)
+    return outcomes
+
+
+def stamp_window(start: float, steps: list, ratio: float, offset: float) -> list:
+    """(child, parent) stamps at timestamp scale: parent stamps from
+    ``start`` by ``steps``, child stamps on a line through them, both
+    chopped onto the single-precision grid."""
+    parents = np.cumsum([start, *steps]).tolist()
+    return [(round32(p * ratio + offset, CHOP), round32(p, CHOP)) for p in parents]
+
+
+fit_windows = st.one_of(
+    st.builds(
+        stamp_window,
+        st.floats(1e8, 1e9),
+        st.lists(st.floats(0.0, 2e6), min_size=1, max_size=18),
+        st.floats(0.999, 1.001),
+        st.floats(-1e7, 1e7),
+    ),
+    st.lists(st.tuples(f32, f32), min_size=2, max_size=19),
+)
+
+
+@settings(max_examples=100)
+@given(fit_windows)
+# signed zeros and subnormals
+@example([(-0.0, 0.0), (0.0, 1.0), (-0.0, -0.0)])
+@example([(-0.0, -SMALLEST), (SMALLEST, 0.0), (2 * SMALLEST, SMALLEST)])
+@example([(SMALLEST, 2.0**-126), (-SMALLEST, -(2.0**-126))])
+# values near FLOAT32_MAX: sums and squares overflow, or just fit
+@example([(1.0, FLOAT32_MAX), (2.0, -FLOAT32_MAX)])
+@example([(2.0**63, 2.0**63), (2.0**63 + 2.0**40, 2.0**63 + 2.0**40)])
+def test_float_fit_matches_emu_fit_bit_for_bit(window):
+    assert_fits_agree(window)
+
+
+@pytest.mark.parametrize("window,error", [
+    ([(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)], "SingularSystemError"),  # one parent stamp
+    ([(10.0, 0.0), (0.0, 10.0)], "EstimationError"),  # a negative ratio
+    ([(FLOAT32_MAX, 1.0), (FLOAT32_MAX, 2.0)], "PrecisionOverflowError"),
+])
+def test_float_fit_raises_as_the_emu_fit(window, error):
+    assert assert_fits_agree(window) == [error, error]
+
+
+def test_float_fit_matches_emu_fit_on_seeded_windows():
+    # the Fraction oracle on every window would take this from ~3 s to ~9 s:
+    # every tenth window gets it
+    rng = np.random.default_rng(20261019)
+    for i in range(3000):
+        size = int(rng.integers(2, 20))
+        if rng.random() < 0.8:
+            window = stamp_window(
+                rng.uniform(1e8, 1e9), rng.uniform(0.0, 2e6, size - 1).tolist(),
+                rng.uniform(0.999, 1.001), rng.uniform(-1e7, 1e7),
+            )
+        else:
+            # every binade, subnormals included, either sign
+            bits = rng.integers(0, 0x7F800000, 2 * size, dtype=np.uint32)
+            values = bits.view(np.float32).astype(np.float64) * rng.choice([-1.0, 1.0], 2 * size)
+            window = list(zip(values[::2].tolist(), values[1::2].tolist()))
+        assert_fits_agree(window, oracle=i % 10 == 0)
+
+
+def test_float_fit_rejects_mixed_modes():
+    pairs = [TimestampPair(Float32Emu(1.0, CHOP), Float32Emu(0.0, CHOP), 0),
+             TimestampPair(Float32Emu(2.0, CHOP), Float32Emu(1.0, NEAREST), 1)]
+    for fit in (lsq_fit32, lsq_fit):
+        with pytest.raises(ValueError, match="mixed rounding modes"):
+            fit(pairs)
+
+
 def test_emu_guards():
     one = Float32Emu.from_number(1.0, NEAREST)
     with pytest.raises(ZeroDivisionError):
@@ -349,6 +490,13 @@ def test_emu_rejects_ints_beyond_single_and_double_range(mode):
     # ints past the fp32 range, and past the fp64 range, fail to pack with
     # struct.error rather than OverflowError
     for value in (10**39, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match="not single-precision representable"):
+            Float32Emu(value, mode)
+
+
+@pytest.mark.parametrize("mode", [NEAREST, CHOP])
+def test_emu_rejects_non_finite_values(mode):
+    for value in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="not single-precision representable"):
             Float32Emu(value, mode)
 

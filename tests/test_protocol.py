@@ -55,11 +55,11 @@ def make_node(scheme=REVERSE_ONEWAY, level=1, children=(), tick_ns=None, **cfg_k
 def test_message_sizes():
     bare = Message(kind=MEASUREMENT, src=1, dst=0)
     assert bare.size_bytes == HEADER_BYTES == 5
-    assert not bare.sync_bearing
+    assert bare.send_stamp is None
 
     stamped = Message(kind=REPORT, src=1, dst=0, send_stamp=1.0, sync_index=1)
     assert stamped.size_bytes == HEADER_BYTES + TIMESTAMP_BYTES == 9
-    assert stamped.sync_bearing
+    assert stamped.send_stamp is not None
 
     pair = HopRecord(origin=2, layer=2, t_child=1.0, t_parent=2.0, sync_index=1)
     with_pair = Message(
@@ -179,7 +179,7 @@ def test_report_carries_and_drains_buffers():
     report = node.build_report(200_000_000, scheduled=True)
     assert report.kind == REPORT
     assert report.dst == node.parent
-    assert report.sync_bearing
+    assert report.send_stamp is not None
     assert len(report.bundle) == 1 and report.bundle[0].value == 42
     assert len(report.hop_records) == 1
     assert not node.records and not node.pending_pairs
@@ -212,7 +212,7 @@ def test_relay_is_sync_bearing_and_drains_pairs():
     )
     records = (MeasurementRecord(origin=2, seq=1, local_ticks=5.0, value=9),)
     relay = node.build_relay(records, 300_000_000)
-    assert relay.kind == REPORT and relay.sync_bearing
+    assert relay.kind == REPORT and relay.send_stamp is not None
     assert relay.bundle == records
     assert len(relay.hop_records) == 1
     assert not node.pending_pairs
@@ -323,7 +323,7 @@ def test_measurement_frame_and_forwarding():
     assert node.build_measurement_frame(0) is None
     node.record_measurement(1000, value=5)
     frame = node.build_measurement_frame(2000)
-    assert frame.kind == MEASUREMENT and not frame.sync_bearing
+    assert frame.kind == MEASUREMENT and frame.send_stamp is None
     assert not node.records
 
     relay = make_node(scheme=CONVENTIONAL_ONEWAY, level=1, children=(2,))
@@ -335,7 +335,7 @@ def test_measurement_frame_and_forwarding():
 def test_two_way_exchange_frames():
     sensor = make_node(scheme=CONVENTIONAL_TWOWAY)
     request = sensor.build_request(1_000_000)
-    assert request.kind == REQUEST and request.sync_bearing
+    assert request.kind == REQUEST and request.send_stamp is not None
     assert request.sync_index == 1
 
     head = make_node(scheme=CONVENTIONAL_TWOWAY, level=0, children=(1,))
