@@ -421,21 +421,26 @@ def _fmt(value) -> str:
 
 
 def write_measurements_csv(path, trace: RunTrace) -> None:
-    """One row per measurement, fixed column order, full float precision."""
-    scheme, seed = trace.scheme, trace.seed
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MEASUREMENT_COLUMNS)
-        # the cells as _fmt writes them: csv writes None as an empty cell and
-        # a float by its repr, and the outcome fields hold plain ints and floats
-        writer.writerows(
-            (
-                scheme, seed, out.origin, out.level, out.seq, out.true_ns,
-                out.local_ticks, out.arrival_ns, out.est_ticks, out.err_s,
-                "true" if out.translated else "false", out.reason,
-            )
-            for out in trace.outcomes
+    """One row per measurement, fixed column order, full float precision.
+
+    Each row is the bytes ``csv.writer`` writes for its cells: a number is
+    its ``str`` (a float's shortest repr), None is an empty cell, and
+    ``translated`` is ``true`` or ``false``.  No cell needs quoting: the
+    scheme and the reason are fixed identifiers and the outcome fields hold
+    plain ints and floats.
+    """
+    head = f"{trace.scheme},{trace.seed},"
+    rows = [",".join(MEASUREMENT_COLUMNS)]
+    for out in trace.outcomes:
+        arrival, est, err, reason = out.arrival_ns, out.est_ticks, out.err_s, out.reason
+        rows.append(
+            f"{head}{out.origin},{out.level},{out.seq},{out.true_ns},{out.local_ticks},"
+            f"{'' if arrival is None else arrival},{'' if est is None else est},"
+            f"{'' if err is None else err},{'true' if out.translated else 'false'},"
+            f"{'' if reason is None else reason}"
         )
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 def write_sweep_csv(path, rows) -> None:

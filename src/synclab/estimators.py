@@ -276,12 +276,16 @@ def cumulative_ratio(initial: TimestampPair, latest: TimestampPair):
     The long-baseline rate estimator: anchored at the first pair ever seen,
     it converges as the baseline grows.  The returned value is the parent
     rate per child tick; see :func:`cumulative_params` for the translation
-    orientation used by head-side schemes.
+    orientation used by head-side schemes.  An int stamp that takes the
+    ratio past the float range raises :class:`EstimationError`.
     """
-    dc = latest.t_child - initial.t_child
-    if float(dc) == 0.0:
-        raise SingularSystemError("no elapsed child time between the pairs")
-    return (latest.t_parent - initial.t_parent) / dc
+    try:
+        dc = latest.t_child - initial.t_child
+        if float(dc) == 0.0:
+            raise SingularSystemError("no elapsed child time between the pairs")
+        return (latest.t_parent - initial.t_parent) / dc
+    except OverflowError:  # an int stamp beyond the float range
+        raise EstimationError("cumulative ratio overflows a float") from None
 
 
 def cumulative_params(initial: TimestampPair, latest: TimestampPair) -> ClockParams:

@@ -24,9 +24,10 @@ additionally carries its sender's send timestamp as one 4 B field.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,7 @@ JITTER_BLOCK = 256
 """SFD jitter values each side draws per generator call."""
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """One sensed sample: who measured it, when (locally), and the payload.
 
     ``est_ticks`` is the node-local translation to reference time, filled
@@ -121,8 +121,7 @@ class MeasurementRecord:
     est_ticks: float | None = None
 
 
-@dataclass(frozen=True)
-class HopRecord:
+class HopRecord(NamedTuple):
     """A forwarded timestamp pair: one sync sample for the link at ``layer``.
 
     ``origin`` is the child whose clock produced ``t_child``; ``layer`` is
@@ -136,24 +135,21 @@ class HopRecord:
     t_parent: float
     sync_index: int
 
-    def pair(self) -> TimestampPair:
-        return TimestampPair(self.t_child, self.t_parent, self.sync_index)
 
+class Message(namedtuple(
+    "Message", "kind src dst send_stamp sync_index hop_records bundle extra_stamps",
+    defaults=(None, None, (), (), ()),
+)):
+    """A radio frame.  Fields that are unset do not occupy wire bytes.
 
-@dataclass(frozen=True)
-class Message:
-    """A radio frame.  Fields that are unset do not occupy wire bytes."""
+    Frames and the records they carry are immutable tuple records, as a run
+    builds one per hop.  The base is a plain ``namedtuple``: a
+    ``typing.NamedTuple`` allows no ``__init__`` to check the kind in.
+    """
 
-    kind: str
-    src: int
-    dst: int
-    send_stamp: float | None = None
-    sync_index: int | None = None
-    hop_records: tuple[HopRecord, ...] = ()
-    bundle: tuple[MeasurementRecord, ...] = ()
-    extra_stamps: tuple[float, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown message kind {self.kind!r}")
 
@@ -297,11 +293,13 @@ class NodeState:
     # -- bookkeeping ------------------------------------------------------
 
     def note_tx(self, message: Message, airtime_s: float) -> None:
-        self.counts.setdefault(message.kind, [0, 0])[0] += 1
+        count = self.counts.get(message.kind) or self.counts.setdefault(message.kind, [0, 0])
+        count[0] += 1
         self.tx_seconds += airtime_s
 
     def note_rx(self, message: Message, airtime_s: float) -> None:
-        self.counts.setdefault(message.kind, [0, 0])[1] += 1
+        count = self.counts.get(message.kind) or self.counts.setdefault(message.kind, [0, 0])
+        count[1] += 1
         self.rx_seconds += airtime_s
 
     def stamp(self, side: str, t: int):
@@ -355,14 +353,11 @@ class NodeState:
             raise EstimationError("the head has no parent to report to")
         pairs = tuple(self.pending_pairs)
         self.pending_pairs.clear()
+        # positional, as keywords cost a tuple record a dict per frame:
+        # kind, src, dst, send_stamp, sync_index, hop_records, bundle
         message = Message(
-            kind=REPORT,
-            src=self.node_id,
-            dst=self.parent,
-            send_stamp=self.stamp(SEND, t),
-            sync_index=self._next_sync_index(),
-            hop_records=pairs,
-            bundle=records,
+            REPORT, self.node_id, self.parent,
+            self.stamp(SEND, t), self._next_sync_index(), pairs, records,
         )
         self.last_sync_tx_ns = t
         return message
@@ -378,11 +373,8 @@ class NodeState:
         if message.send_stamp is None or message.sync_index is None:
             raise ValueError("frame carries no sync data")
         return HopRecord(
-            origin=message.src,
-            layer=child_level,
-            t_child=message.send_stamp,
-            t_parent=self.stamp(RECEIVE, t),
-            sync_index=message.sync_index,
+            message.src, child_level, message.send_stamp,
+            self.stamp(RECEIVE, t), message.sync_index,
         )
 
     # -- conventional one-way (flooding) scheme ------------------------------

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .clock import ClockConfig, ClockParams, DriftModel
-from .estimators import HeadEstimator
+from .estimators import HeadEstimator, TimestampPair
 from . import protocol
 from .protocol import (
     EPOCH_NS,
@@ -156,6 +156,7 @@ class Engine:
         scheme = cfg.scheme
         topology = build_chain(cfg.hops, cfg.clock, cfg.link, cfg.seed)
         self.topology = topology
+        self._levels = {n: spec.level for n, spec in topology.nodes.items()}
         self.cfg = cfg
         self.radio = cfg.radio_config()
         self.link = cfg.link
@@ -254,34 +255,30 @@ class Engine:
         self.record_accounting[bucket] += len(message.bundle)
 
     def _ingest_pair(self, hop: protocol.HopRecord, t: int) -> None:
-        added = self.estimator.ingest(hop.origin, hop.pair())
-        if not added:
+        origin, _, t_child, t_parent, sync_index = hop
+        if not self.estimator.ingest(origin, TimestampPair(t_child, t_parent, sync_index)):
             self.pair_accounting["duplicates"] += 1
             return
         self.pair_accounting["ingested"] += 1
-        self.head_events.append(
-            ("pair", t, hop.origin, hop.layer, hop.t_child, hop.t_parent, hop.sync_index)
-        )
+        self.head_events.append(("pair", t, *hop))
 
     def _deliver_record(self, record: MeasurementRecord, t: int) -> None:
-        true_ns = self._truth.pop((record.origin, record.seq), None)
+        origin, seq, local_ticks, _, est_ticks = record
+        true_ns = self._truth.pop((origin, seq), None)
         if true_ns is None:
             self.record_accounting["duplicates"] += 1
             return
         self.record_accounting["delivered"] += 1
-        level = self.topology.nodes[record.origin].level
-        event = (
-            "measurement", t, record.origin, level, record.seq,
-            record.local_ticks, true_ns, record.est_ticks,
-        )
+        level = self._levels[origin]
+        event = ("measurement", t, origin, level, seq, local_ticks, true_ns, est_ticks)
         self.head_events.append(event)
         tick_ns = self.topology.clock.tick_ns
         if self._untranslated is None:
             outcome = apply_head_event(self.estimator, self.chains, tick_ns, event)
         else:
             outcome = measurement_outcome(
-                record.origin, level, record.seq, true_ns, record.local_ticks, t,
-                record.est_ticks, tick_ns, self._untranslated,
+                origin, level, seq, true_ns, local_ticks, t, est_ticks, tick_ns,
+                self._untranslated,
             )
         self.outcomes.append(outcome)
 
@@ -301,14 +298,15 @@ class Engine:
         if message.src not in node.children:
             self.pair_accounting["unknown_child"] += 1
             return
-        child_level = self.topology.nodes[message.src].level
-        pairs = (node.receive_sync_frame(message, t, child_level), *message.hop_records)
+        pair = node.receive_sync_frame(message, t, self._levels[message.src])
         self.pair_accounting["created"] += 1
         if node is self.head:
-            for pair in pairs:
-                self._ingest_pair(pair, t)
+            self._ingest_pair(pair, t)
+            for hop in message.hop_records:
+                self._ingest_pair(hop, t)
         else:
-            node.pending_pairs.extend(pairs)
+            node.pending_pairs.append(pair)
+            node.pending_pairs.extend(message.hop_records)
         self._on_measurement(t, node, message)
 
     def _on_measurement(self, t: int, node: NodeState, message: Message) -> None:
@@ -395,7 +393,7 @@ class Engine:
         for node_id in self.topology.sensor_ids():
             self._push(EPOCH_NS + MEASUREMENT_OFFSET_NS, self._on_measure, (node_id,))
             if cfg.report_interval_ns is not None:
-                level = self.topology.nodes[node_id].level
+                level = self._levels[node_id]
                 phase = EPOCH_NS + REPORT_OFFSET_NS + (hops - level) * REPORT_STAGGER_NS
                 self._push(phase, self._on_report_timer, (node_id,))
             if scheme == protocol.CONVENTIONAL_TWOWAY:
@@ -418,8 +416,7 @@ class Engine:
         undelivered = [
             (origin, seq, true_ns) for (origin, seq), true_ns in sorted(self._truth.items())
         ]
-        levels = {n: spec.level for n, spec in self.topology.nodes.items()}
-        self.outcomes += undelivered_outcomes(levels, undelivered)
+        self.outcomes += undelivered_outcomes(self._levels, undelivered)
         node_counts = {
             n: {k: (v[0], v[1]) for k, v in node.counts.items()}
             for n, node in self.nodes.items()
@@ -435,7 +432,7 @@ class Engine:
             head_method=self.cfg.head_method,
             head_window=self.cfg.head_window,
             radio=dataclasses.asdict(self.radio),
-            levels=levels,
+            levels=self._levels,
             chains=dict(self.chains),
             head_events=self.head_events,
             node_counts=node_counts,

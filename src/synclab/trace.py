@@ -23,7 +23,7 @@ from . import protocol
 from .estimators import HeadEstimator, TimestampPair
 
 
-@dataclass
+@dataclass(slots=True)
 class MeasurementOutcome:
     """Per-measurement result: truth, head-side estimate, error."""
 

@@ -7,7 +7,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synclab.analysis import (
@@ -617,3 +617,51 @@ def test_runs_of_every_scheme_conserve_and_rerun_byte_identically(tmp_path_facto
     assert outputs[0] == outputs[1]
     summary = json.loads(outputs[0][1])
     assert_accounting_conserves(summary["pair_accounting"], summary["record_accounting"])
+
+
+def csv_writer_bytes(path, trace) -> bytes:
+    """What ``csv.writer`` writes for the cells of ``trace``'s measurement
+    rows: the reference that ``write_measurements_csv`` formats by hand."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(MEASUREMENT_COLUMNS)
+        for out in trace.outcomes:
+            writer.writerow((
+                trace.scheme, trace.seed, out.origin, out.level, out.seq, out.true_ns,
+                out.local_ticks, out.arrival_ns, out.est_ticks, out.err_s,
+                "true" if out.translated else "false", out.reason,
+            ))
+    return Path(path).read_bytes()
+
+
+# loss leaves undelivered rows (NaN local ticks, no arrival); float ticks;
+# translated rows (no reason) next to untranslated ones (no estimate, no error)
+CSV_EDGE_CONFIG = {
+    "scheme": REVERSE_ONEWAY, "hops": 2, "duration_s": 20, "si_s": 1, "seed": 3,
+    "clock": {"tick_us": None}, "link": {"loss": 0.15},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_scheme_configs)
+@example(CSV_EDGE_CONFIG)
+def test_measurements_csv_is_what_csv_writer_writes(tmp_path_factory, data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    tmp_path = tmp_path_factory.mktemp("csv")
+    trace = run_config(cfg)
+    write_measurements_csv(tmp_path / "measurements.csv", trace)
+    expected = csv_writer_bytes(tmp_path / "reference.csv", trace)
+    assert (tmp_path / "measurements.csv").read_bytes() == expected
+
+
+def test_csv_edge_config_covers_every_empty_and_nan_cell():
+    trace = run_config(parse_config(CSV_EDGE_CONFIG))
+    assert trace.tick_ns is None
+    outcomes = trace.outcomes
+    assert any(math.isnan(o.local_ticks) and o.arrival_ns is None for o in outcomes)
+    assert any(o.est_ticks is None and o.err_s is None and o.arrival_ns is not None
+               for o in outcomes)
+    assert any(o.translated and o.reason is None for o in outcomes)

@@ -221,6 +221,14 @@ def test_two_pair_fits_reject_a_quotient_that_overflows_a_float():
                 fit(TimestampPair(*first, 0), TimestampPair(*second, 1))
 
 
+def test_cumulative_ratio_rejects_a_quotient_that_overflows_a_float():
+    # the elapsed child time, or the ratio itself, past the float range
+    huge = 10**400
+    for first, second in (((0, 0), (huge, 1)), ((0, 0), (1, huge)), ((0, huge), (2, 0))):
+        with pytest.raises(EstimationError, match="overflows a float"):
+            cumulative_ratio(TimestampPair(*first, 0), TimestampPair(*second, 1))
+
+
 def test_logical_time_is_affine():
     params = ClockParams(1.25, -3.0)
     assert logical_time(params, 0.0) == -3.0

@@ -82,6 +82,24 @@ def test_message_sizes():
         Message(kind="telegram", src=0, dst=1)
 
 
+def test_frames_and_records_are_immutable():
+    pair = HopRecord(origin=2, layer=2, t_child=1.0, t_parent=2.0, sync_index=1)
+    record = MeasurementRecord(origin=1, seq=1, local_ticks=0.0, value=7)
+    frame = Message(kind=REPORT, src=1, dst=0, send_stamp=1.0, sync_index=2,
+                    hop_records=(pair,), bundle=(record,))
+    for value, field in ((frame, "send_stamp"), (pair, "t_parent"), (record, "local_ticks")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 3.0)
+        with pytest.raises(AttributeError):
+            setattr(value, "note", "a field that does not exist")
+    assert frame.send_stamp == 1.0 and pair.t_parent == 2.0 and record.local_ticks == 0.0
+    # the kind check still runs, positional or by keyword
+    with pytest.raises(ValueError, match="unknown message kind"):
+        Message(kind="telegram", src=0, dst=1)
+    with pytest.raises(ValueError, match="unknown message kind"):
+        Message("telegram", 0, 1)
+
+
 def test_jitter_model_validation():
     assert JitterModel.zero().sample(SEND) == 0
     with pytest.raises(ValueError):
