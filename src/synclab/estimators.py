@@ -11,22 +11,23 @@ so the fitted :class:`~synclab.clock.ClockParams` describe the child clock
 as a function of parent time, and translating a child-local timestamp toward
 the head inverts that map layer by layer.
 
-Each formula is written once, here, over generic numbers: plain floats (or
-integer ticks) give the 64-bit head-side arithmetic, and timestamps wrapped
-as :class:`~synclab.precision.Float32Emu` reproduce the single-precision
-node-side arithmetic operation by operation.  The node protocol and
-:func:`~synclab.precision.empirical_loss` call these same functions.  The
-centered least-squares fit, :func:`centered_fit`, is written over an
-:class:`Arithmetic`: Python's operators on the numbers themselves, or a
-table of rounded float operations such as
-:data:`~synclab.precision.ROUNDED`, on which an fp32 node refits without an
-object per operation.
+Each formula is written once, here, over generic numbers.  The fits and the
+readout that a node runs, :func:`centered_fit`, :func:`interpolate_params`
+and :func:`logical_time`, take an :class:`Arithmetic`: Python's operators on
+the numbers themselves (plain floats or integer ticks give the 64-bit
+arithmetic, timestamps wrapped as :class:`~synclab.precision.Float32Emu`
+round each operation to single precision), or a table of rounded float
+operations such as :data:`~synclab.precision.ROUNDED`, on which an fp32 node
+computes from beacon to estimate without an object per operation.  The node
+protocol and :func:`~synclab.precision.empirical_loss` call these same
+functions.
 
-The 64-bit least-squares fit is exact up to one final rounding: a
-:class:`RegressionWindow` keeps exact integer sums of its pairs, updated in
-O(1) as pairs arrive and are evicted, and :func:`lsq_fit` solves the normal
-equations from them with correctly rounded integer division.  So a head
-with an unbounded window refits in constant time per new pair.
+The 64-bit least-squares fit is exact up to one final rounding: once
+:func:`lsq_fit` has read a :class:`RegressionWindow`, the window keeps exact
+integer sums of its pairs, updated in O(1) as pairs arrive and are evicted,
+and :func:`lsq_fit` solves the normal equations from them with correctly
+rounded integer division.  So a head with an unbounded window refits in
+constant time per new pair.
 """
 
 from __future__ import annotations
@@ -167,8 +168,10 @@ class RegressionWindow:
     Holds at most ``capacity`` pairs (``None`` = unbounded), evicting the
     oldest first.  Pairs must arrive with strictly increasing ``sync_index``;
     duplicates and stale indices are ignored, so delivery is idempotent.
-    While every held timestamp is a plain int or float, the window keeps the
-    exact least-squares sums of its pairs, so :func:`lsq_fit` on it is O(1).
+    From the first :func:`lsq_fit` on it, and while every held timestamp is
+    a plain int or float, the window keeps the exact least-squares sums of
+    its pairs, so each later :func:`lsq_fit` on it is O(1).  A window that
+    no :func:`lsq_fit` reads (an fp32 node's) keeps none.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -176,7 +179,7 @@ class RegressionWindow:
             raise ValueError("window capacity must be at least 2 (or None)")
         self._capacity = capacity
         self._pairs: deque[TimestampPair] = deque(maxlen=capacity)
-        self._sums: _Sums | None = _Sums()
+        self._sums: _Sums | None = None  # built by the first lsq_fit
 
     @property
     def capacity(self) -> int | None:
@@ -250,9 +253,9 @@ def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
 
     With plain int or float timestamps (the fp64 head and node paths) the
     ratio and the offset are each the correctly rounded value of the exact
-    least-squares solution, solved from exact integer sums: O(1) on a
-    :class:`RegressionWindow`, which keeps them, and one pass over any other
-    iterable.  Any other number type, such as
+    least-squares solution, solved from exact integer sums: one pass over
+    the pairs, after which a :class:`RegressionWindow` keeps the sums, so
+    each later fit of it is O(1).  Any other number type, such as
     :class:`~synclab.precision.Float32Emu`, gets :func:`centered_fit` in its
     own arithmetic, one rounding per operation as a node's single-precision
     loop computes it.  Needs at least two pairs with distinct parent
@@ -266,6 +269,8 @@ def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
         pairs = tuple(window)
     sums = _Sums()
     if all(sums.add(p) for p in pairs):
+        if isinstance(window, RegressionWindow):
+            window._sums = sums  # kept up to date by every later push
         return ClockParams(*sums.solve())
     return ClockParams(*centered_fit([p.t_parent for p in pairs], [p.t_child for p in pairs]))
 
@@ -309,8 +314,11 @@ def cumulative_params(initial: TimestampPair, latest: TimestampPair) -> ClockPar
         raise EstimationError("cumulative ratio or offset overflows a float") from None
 
 
-def interpolate_params(prev: TimestampPair, cur: TimestampPair) -> ClockParams:
-    """Two-point (four-timestamp) linear interpolation between sync samples.
+def interpolate_params(
+    prev: TimestampPair, cur: TimestampPair, arithmetic: Arithmetic = OPERATORS
+) -> ClockParams:
+    """Two-point (four-timestamp) linear interpolation between sync samples,
+    one operation at a time in ``arithmetic``.
 
     The exact affine map through two timestamp pairs:
 
@@ -322,12 +330,13 @@ def interpolate_params(prev: TimestampPair, cur: TimestampPair) -> ClockParams:
     stamp that takes either quotient past the float range raises
     :class:`EstimationError`, as :func:`lsq_fit` does.
     """
+    _, sub, mul, div, _ = arithmetic
     try:
-        dp = cur.t_parent - prev.t_parent
+        dp = sub(cur.t_parent, prev.t_parent)
         if float(dp) == 0.0:
             raise SingularSystemError("parent timestamps coincide")
-        ratio = (cur.t_child - prev.t_child) / dp
-        offset = (prev.t_child * cur.t_parent - prev.t_parent * cur.t_child) / dp
+        ratio = div(sub(cur.t_child, prev.t_child), dp)
+        offset = div(sub(mul(prev.t_child, cur.t_parent), mul(prev.t_parent, cur.t_child)), dp)
     except OverflowError:  # an int stamp beyond the float range
         raise EstimationError("interpolated ratio or offset overflows a float") from None
     if not float(ratio) > 0.0:
@@ -335,14 +344,15 @@ def interpolate_params(prev: TimestampPair, cur: TimestampPair) -> ClockParams:
     return ClockParams(ratio, offset)
 
 
-def logical_time(params: ClockParams, local):
-    """Affine logical-clock readout: ``ratio * local + offset``.
+def logical_time(params: ClockParams, local, arithmetic: Arithmetic = OPERATORS):
+    """Affine logical-clock readout: ``ratio * local + offset``, in
+    ``arithmetic``.
 
     With params fitted in the child-on-parent orientation this maps a
     parent-side timestamp to child time; node-side schemes fit the swapped
     orientation and use it to map their own clock to reference time.
     """
-    return params.ratio * local + params.offset
+    return arithmetic.add(arithmetic.mul(params.ratio, local), params.offset)
 
 
 def translate_child_to_parent(params: ClockParams, t_child):
@@ -430,7 +440,7 @@ class _WindowLink(_Link):
 
     def fit(self) -> tuple[float, float]:
         sums = self.window._sums
-        if sums is None:  # a timestamp that is not a plain int or float
+        if sums is None:  # the first fit, or a stamp not a plain int or float
             params = lsq_fit(self.window)
             return params.ratio, params.offset
         return sums.solve()

@@ -10,15 +10,16 @@ formulas in 64-bit floats.  This module provides
   rounded away from zero);
 * :data:`ROUNDED`: one table per rounding mode of ``+ - * /`` on plain
   floats that hold single-precision values, each result rounded once and
-  checked; chop mode rounds the fp64 result when that is exact, and
-  otherwise truncates the exact value by integer significand arithmetic;
+  checked: the arithmetic of an fp32 node from beacon to estimate.  Chop
+  mode truncates an fp64 result that is exact (every product, every sum or
+  difference whose TwoSum error term is zero) or whose truncation is exact
+  (every quotient) with one ``fmod`` when it is normal in single precision,
+  by struct packing when it is zero or subnormal, and otherwise truncates
+  the exact value by integer significand arithmetic;
 * :class:`Float32Emu`: a number type whose operators are that table on its
   value, so the estimator functions of :mod:`synclab.estimators`, written
   over generic numbers, run at node fidelity when handed :class:`Float32Emu`
   timestamps;
-* :func:`lsq_fit32`: the estimators' centered least-squares fit of
-  :class:`Float32Emu` pairs run on the table itself, bit for bit the
-  operator result without an object per operation (an fp32 node's refit);
 * :class:`PrecisionLoss` and :func:`psi_error`: the affine model of the time
   translation error caused by finite precision, err(T) = eps_alpha * T +
   eps_beta for a local timestamp T, and :func:`empirical_loss`, which
@@ -34,10 +35,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .clock import ClockParams
-from .estimators import Arithmetic, RegressionWindow, TimestampPair, centered_fit
+from .estimators import Arithmetic, TimestampPair
 
 MACHINE_EPS32 = 2.0 ** -23
 """Machine epsilon of the single-precision format (ulp of 1.0)."""
@@ -94,23 +95,34 @@ def _chop(num: int, den: int) -> float:
 
 
 def _chop_exact(x: float) -> float:
-    """:func:`_chop` of a value that fp64 holds exactly.
+    """:func:`_chop` of a value that fp64 holds exactly, by struct packing:
+    :func:`round32`'s routine, and the table's for the zeros, subnormal
+    results and errors that its inline fast path leaves to it.
 
     Packing rounds to nearest; when that lands above ``|x|``, the answer is
     the next single-precision value toward zero, one less in the float32 bit
     pattern (sign-magnitude, so this holds across binades and down into the
-    subnormals, and a nonzero value that chops to zero keeps its sign).  The
-    result is checked, as :func:`_checked` would (inline: the hot path).
+    subnormals, and a nonzero value that chops to zero keeps its sign).  A
+    value unpacked from ``<f``, or one step toward zero from a finite one, is
+    single precision, so the one check is the range check in front, which
+    also rejects inf and NaN (:func:`_unrepresentable`).
     """
-    if abs(x) > FLOAT32_MAX:
-        raise PrecisionOverflowError(f"{x!r} overflows single precision")
+    if not -FLOAT32_MAX <= x <= FLOAT32_MAX:
+        raise _unrepresentable(x)
     packed = _F32.pack(x)
     value = _F32.unpack(packed)[0]
     if abs(value) > abs(x):
         value = _F32.unpack(_U32.pack(_U32.unpack(packed)[0] - 1))[0]
-    if _F32.unpack(_F32.pack(value))[0] != value:
-        raise ValueError(f"{value!r} is not single-precision representable")
     return value
+
+
+def _unrepresentable(x: float) -> Exception:
+    """The error for a value beyond the finite single-precision range:
+    :class:`ValueError` for NaN, :class:`PrecisionOverflowError` for any
+    other (an infinity, or a finite magnitude above :data:`FLOAT32_MAX`)."""
+    if x != x:
+        return ValueError(f"{x!r} is not single-precision representable")
+    return PrecisionOverflowError(f"{x!r} overflows single precision")
 
 
 def round32(x: float, mode: str = NEAREST) -> float:
@@ -132,19 +144,40 @@ def round32(x: float, mode: str = NEAREST) -> float:
 
 
 def _nearest(x: float) -> float:
-    """``x`` rounded to the nearest single-precision value, ties to even,
-    and checked, as :func:`_checked` would (inline: the hot path)."""
+    """``x`` rounded to the nearest single-precision value, ties to even.
+
+    Packing raises exactly when a finite ``x`` rounds to an infinity; an
+    infinite or NaN ``x`` packs as itself, and the range check on the value
+    unpacked from ``<f`` (which is otherwise single precision) rejects it.
+    """
     try:
-        # packing raises exactly when the rounded value is infinite
         value = _F32.unpack(_F32.pack(x))[0]
     except OverflowError:
         raise PrecisionOverflowError(f"{x!r} overflows single precision") from None
-    if _F32.unpack(_F32.pack(value))[0] != value:
-        raise ValueError(f"{value!r} is not single-precision representable")
+    if not -FLOAT32_MAX <= value <= FLOAT32_MAX:
+        raise _unrepresentable(value)
     return value
 
 
-def _chop_sum(a: float, b: float) -> float:
+_NORMAL32 = 2.0 ** -126
+"""Smallest normal single-precision magnitude."""
+_ulp = math.ulp
+_fmod = math.fmod
+
+# The chop fast path, inline in each operation below.  A value ``x`` that
+# fp64 holds exactly, with ``_NORMAL32 <= |x| <= FLOAT32_MAX`` (which rules
+# out zero, subnormal results, inf and NaN), chops to ``x - fmod(x, ulp)``,
+# where ``ulp = math.ulp(x) * 2**29`` is its single-precision ulp (fp64 has
+# 29 more fraction bits, and both formats are normal there, so the scaling
+# is exact).  ``fmod`` is exact and keeps the sign of ``x``, so the
+# difference is ``n * ulp`` with ``2**23 <= |n| < 2**24`` and the sign of
+# ``x``: single precision by construction.  Zero (whose sign ``fmod`` would
+# lose), subnormal results and errors go to the struct routine,
+# :func:`_chop_exact`, and an fp64 result that is not exact to the integer
+# routine, :func:`_chop`.
+
+
+def _chop_add(a: float, b: float) -> float:
     """``a + b`` chopped, for single-precision ``a`` and ``b``.
 
     The fp64 sum is exact when its TwoSum error term is zero (it then also
@@ -154,18 +187,59 @@ def _chop_sum(a: float, b: float) -> float:
     t = a + b
     bp = t - a
     if (a - (t - bp)) + (b - bp) == 0.0:
+        if _NORMAL32 <= t <= FLOAT32_MAX or -FLOAT32_MAX <= t <= -_NORMAL32:
+            return t - _fmod(t, _ulp(t) * 2.0 ** 29)
         return _chop_exact(t)
     return _chop(*_exact_sum(a, b))
 
 
+def _chop_sub(a: float, b: float) -> float:
+    """``a - b`` chopped, as :func:`_chop_add` with TwoDiff's error term,
+    ``(a - (t - bp)) - (b + bp)``: the TwoSum term of ``a + (-b)``."""
+    t = a - b
+    bp = t - a
+    if (a - (t - bp)) - (b + bp) == 0.0:
+        if _NORMAL32 <= t <= FLOAT32_MAX or -FLOAT32_MAX <= t <= -_NORMAL32:
+            return t - _fmod(t, _ulp(t) * 2.0 ** 29)
+        return _chop_exact(t)
+    return _chop(*_exact_sum(a, -b))
+
+
+def _chop_mul(a: float, b: float) -> float:
+    """``a * b`` chopped: a product of singles is exact in fp64."""
+    t = a * b
+    if _NORMAL32 <= t <= FLOAT32_MAX or -FLOAT32_MAX <= t <= -_NORMAL32:
+        return t - _fmod(t, _ulp(t) * 2.0 ** 29)
+    return _chop_exact(t)
+
+
+def _chop_div(a: float, b: float) -> float:
+    """``a / b`` chopped, for single-precision ``a`` and ``b``.
+
+    The fp64 quotient is rarely exact, yet chopping it is exact whenever it
+    is normal and nonzero in single precision.  With IEEE exponents, let
+    ``m = M * 2**(E-23)`` be a single-precision value (``M`` an integer
+    below ``2**24``) other than ``a/b``, and ``b`` have exponent ``E_b``.
+    Then ``a - m*b`` is a nonzero multiple of ``2**(E+E_b-46)``, so
+    ``|a/b - m| >= 2**(E-47)``, while fp64's half-ulp near ``m`` is at most
+    ``2**(E-52)``.  So the fp64 quotient never reaches or crosses a
+    single-precision value that ``a/b`` does not equal: it chops as ``a/b``
+    does.  A zero dividend, a subnormal quotient and an overflow go to the
+    integer routine, :func:`_chop_quotient`.
+    """
+    t = a / _divisor(b)
+    if _NORMAL32 <= t <= FLOAT32_MAX or -FLOAT32_MAX <= t <= -_NORMAL32:
+        return t - _fmod(t, _ulp(t) * 2.0 ** 29)
+    return _chop_quotient(a, b)
+
+
 def _chop_quotient(a: float, b: float) -> float:
-    """``a / b`` chopped, for single-precision ``a`` and nonzero ``b``: a
-    zero dividend keeps the IEEE sign of the fp64 quotient, any other is
-    divided exactly with integers."""
-    na, da = a.as_integer_ratio()
+    """``a / b`` chopped with integers, for single-precision ``a`` and a
+    nonzero ``b``: a zero dividend keeps the IEEE sign of the fp64 quotient."""
+    na, da = _ratio(a)
+    nb, db = _ratio(b)
     if not na:
-        return _checked(a / b)
-    nb, db = b.as_integer_ratio()
+        return a / b
     if nb < 0:
         na, nb = -na, -nb
     return _chop(na * db, da * nb)
@@ -173,17 +247,30 @@ def _chop_quotient(a: float, b: float) -> float:
 
 def _exact_sum(a: float, b: float) -> tuple[int, int]:
     """``a + b`` exactly, as (numerator, power-of-two denominator)."""
-    na, da = a.as_integer_ratio()
-    nb, db = b.as_integer_ratio()
+    na, da = _ratio(a)
+    nb, db = _ratio(b)
     if da < db:
         na, da, nb, db = nb, db, na, da
     return na + nb * (da // db), da
 
 
-def _nonzero(b: float) -> float:
-    """A divisor ``b``, or :class:`ZeroDivisionError` when it is zero."""
+def _ratio(x: float) -> tuple[int, int]:
+    """``x.as_integer_ratio()``; NaN raises its own :class:`ValueError`, an
+    infinity :class:`PrecisionOverflowError`."""
+    try:
+        return x.as_integer_ratio()
+    except OverflowError:
+        raise PrecisionOverflowError(f"{x!r} overflows single precision") from None
+
+
+def _divisor(b: float) -> float:
+    """A divisor ``b``: :class:`ZeroDivisionError` when it is zero, and
+    :class:`PrecisionOverflowError` when it is infinite (a finite dividend
+    over it gives a zero quotient, which would hide it)."""
     if b == 0.0:
         raise ZeroDivisionError("single-precision division by zero")
+    if abs(b) == math.inf:
+        raise PrecisionOverflowError(f"{b!r} overflows single precision")
     return b
 
 
@@ -192,23 +279,18 @@ ROUNDED = {
         lambda a, b: _nearest(a + b),
         lambda a, b: _nearest(a - b),
         lambda a, b: _nearest(a * b),
-        lambda a, b: _nearest(a / _nonzero(b)),
+        lambda a, b: _nearest(a / _divisor(b)),
         lambda n: round32(n, NEAREST),
     ),
-    CHOP: Arithmetic(
-        _chop_sum,
-        lambda a, b: _chop_sum(a, -b),
-        lambda a, b: _chop_exact(a * b),  # a product of singles is exact in fp64
-        lambda a, b: _chop_quotient(a, _nonzero(b)),
-        lambda n: round32(n, CHOP),
-    ),
+    CHOP: Arithmetic(_chop_add, _chop_sub, _chop_mul, _chop_div, lambda n: round32(n, CHOP)),
 }
 """Per rounding mode, ``+ - * /`` of plain floats that hold single-precision
-values, each result rounded once in that mode by a routine that checks it
-as every :class:`Float32Emu` is checked; an overflow raises
-:class:`PrecisionOverflowError` and a zero divisor :class:`ZeroDivisionError`.
-``number`` rounds a plain number into the mode.  :class:`Float32Emu`'s
-operators are this table on their values."""
+values, each result rounded once in that mode and single precision: an
+overflow, or an infinite operand, raises :class:`PrecisionOverflowError`, a
+NaN operand :class:`ValueError` and a zero divisor
+:class:`ZeroDivisionError`.  ``number`` rounds a plain number into the mode.
+An fp32 node computes on this table from beacon to estimate, and
+:class:`Float32Emu`'s operators are this table on their values."""
 
 
 def decompose(value: float) -> tuple[int, float, int]:
@@ -352,27 +434,6 @@ def _new(value: float, mode: str, cls: type = Float32Emu) -> Float32Emu:
     if mode not in _MODES:
         raise ValueError(f"unknown rounding mode {mode!r}")
     return _emu(_checked(value), mode, cls)
-
-
-def lsq_fit32(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
-    """:func:`~synclab.estimators.lsq_fit` of :class:`Float32Emu` pairs, bit
-    for bit, without an object per operation.
-
-    Reads the pairs' values once, checks that they share one mode, runs
-    :func:`~synclab.estimators.centered_fit` on that mode's :data:`ROUNDED`
-    table and wraps only the ratio and the offset.
-    """
-    pairs = window.pairs if isinstance(window, RegressionWindow) else tuple(window)
-    xs = [p.t_parent for p in pairs]
-    ys = [p.t_child for p in pairs]
-    modes = {v.mode for v in xs} | {v.mode for v in ys}
-    if len(modes) > 1:
-        raise ValueError("mixed rounding modes in one expression")
-    mode = modes.pop() if modes else NEAREST  # no pairs: the fit raises
-    ratio, offset = centered_fit(
-        [v.value for v in xs], [v.value for v in ys], ROUNDED[mode]
-    )
-    return ClockParams(_emu(ratio, mode), _emu(offset, mode))
 
 
 @dataclass(frozen=True)

@@ -26,22 +26,24 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .clock import HardwareClock
+from .clock import ClockParams, HardwareClock
 from .estimators import (
+    OPERATORS,
+    Arithmetic,
     RegressionWindow,
     TimestampPair,
     WINDOW_LSQ,
+    centered_fit,
     interpolate_params,
     logical_time,
     lsq_fit,
     EstimationError,
 )
-from .precision import CHOP, NEAREST, Float32Emu, convert_timestamps, lsq_fit32
+from .precision import CHOP, NEAREST, ROUNDED
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -145,6 +147,8 @@ class Message(namedtuple(
     Frames and the records they carry are immutable tuple records, as a run
     builds one per hop.  The base is a plain ``namedtuple``: a
     ``typing.NamedTuple`` allows no ``__init__`` to check the kind in.
+    ``_make`` bypasses ``__init__``, so it checks the kind too; ``_replace``
+    (and ``copy.replace``) build their frame through ``_make``.
     """
 
     __slots__ = ()
@@ -152,6 +156,12 @@ class Message(namedtuple(
     def __init__(self, *args, **kwargs) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown message kind {self.kind!r}")
+
+    @classmethod
+    def _make(cls, iterable) -> "Message":
+        message = super()._make(iterable)
+        message.__init__()
+        return message
 
     @property
     def size_bytes(self) -> int:
@@ -229,6 +239,15 @@ class RadioConfig:
         return message.size_bytes * 8 / self.bitrate_bps
 
 
+def _centered_window_fit(window: RegressionWindow, arithmetic: Arithmetic) -> ClockParams:
+    """An fp32 node's window-lsq refit: the centered fit of its window's
+    pairs on its mode's table."""
+    pairs = window.pairs
+    return ClockParams(*centered_fit(
+        [p.t_parent for p in pairs], [p.t_child for p in pairs], arithmetic
+    ))
+
+
 def default_radio_schedule(scheme: str) -> str:
     """Reverse schemes duty-cycle the radio; conventional ones listen always."""
     if scheme in (REVERSE_ONEWAY, REVERSE_TWOWAY):
@@ -276,19 +295,21 @@ class NodeState:
         self._node_dirty = True
         # only a conventional one-way sensor translates its own measurements
         self._estimates = cfg.scheme == CONVENTIONAL_ONEWAY
-        # a timestamp enters the node's arithmetic as a float under fp64 and
-        # as a Float32Emu under fp32; plain functions, so no reference cycle
+        # the node's arithmetic: Python's operators under fp64, its mode's
+        # ROUNDED table of plain floats under fp32; plain functions, so no
+        # reference cycle
         rounding = _ROUNDING.get(cfg.node_precision)
-        self._fp32 = rounding is not None
-        self._number = float if rounding is None else partial(
-            Float32Emu.from_number, mode=rounding
-        )
-        # an fp64 window keeps exact sums, so window-lsq reads them in O(1); a
-        # Float32Emu window takes the centered fit on its mode's float table
-        if cfg.node_method == WINDOW_LSQ:
-            self._fit = lsq_fit32 if self._fp32 else lsq_fit
+        arithmetic = OPERATORS if rounding is None else ROUNDED[rounding]
+        self._arithmetic = arithmetic
+        self._number = arithmetic.number
+        # an fp64 window keeps exact sums, so window-lsq reads them in O(1); an
+        # fp32 window takes the centered fit on its mode's table
+        if cfg.node_method != WINDOW_LSQ:
+            self._fit = lambda window: interpolate_params(*window.pairs[-2:], arithmetic)
+        elif rounding is None:
+            self._fit = lsq_fit
         else:
-            self._fit = lambda window: interpolate_params(*window.pairs[-2:])
+            self._fit = lambda window: _centered_window_fit(window, arithmetic)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -382,12 +403,9 @@ class NodeState:
     def build_beacon(self, t: int) -> Message:
         """Head-side reference beacon with the embedded send stamp; beacon
         generations are numbered by the head's sync counter."""
+        # positional, as in build_relay: kind, src, dst, send_stamp, sync_index
         return Message(
-            kind=BEACON,
-            src=self.node_id,
-            dst=BROADCAST,
-            send_stamp=self.stamp(SEND, t),
-            sync_index=self._next_sync_index(),
+            BEACON, self.node_id, BROADCAST, self.stamp(SEND, t), self._next_sync_index()
         )
 
     def build_rebroadcast(self, t: int, generation: int) -> Message | None:
@@ -401,31 +419,23 @@ class NodeState:
         if est is None:
             return None
         embedded = est if self.clock.tick_ns is None else round(est)
-        return Message(
-            kind=BEACON,
-            src=self.node_id,
-            dst=BROADCAST,
-            send_stamp=embedded,
-            sync_index=generation,
-        )
+        # kind, src, dst, send_stamp, sync_index
+        return Message(BEACON, self.node_id, BROADCAST, embedded, generation)
 
     def on_beacon(self, message: Message, t: int) -> bool:
         """Record a beacon's (embedded stamp, own receive stamp) pair.
 
         The pair enters ``beacon_window`` as the node's arithmetic holds it:
-        raw stamps under fp64, converted to :class:`Float32Emu` once, here,
-        under fp32, so a refit reads the window without converting it again.
+        raw stamps under fp64, rounded into the mode once, here, under fp32,
+        so a refit reads the window without converting it again.
         """
         if message.send_stamp is None or message.sync_index is None:
             raise ValueError("beacon carries no sync data")
-        own = self.stamp(RECEIVE, t)
+        number = self._number
+        # positional: t_child, t_parent, sync_index
         pair = TimestampPair(
-            t_child=message.send_stamp,
-            t_parent=own,
-            sync_index=message.sync_index,
+            number(message.send_stamp), number(self.stamp(RECEIVE, t)), message.sync_index
         )
-        if self._fp32:
-            pair = convert_timestamps(pair, self._number)
         added = self.beacon_window.push(pair)
         if added:
             self._node_dirty = True
@@ -449,7 +459,7 @@ class NodeState:
             self._node_dirty = False
         if self._node_fit is None:
             return None
-        return float(logical_time(self._node_fit, self._number(local_ticks)))
+        return logical_time(self._node_fit, self._number(local_ticks), self._arithmetic)
 
     def build_measurement_frame(self, t: int) -> Message | None:
         """Upward measurement frame of the node's own buffered records
@@ -467,27 +477,23 @@ class NodeState:
         a child's, unchanged."""
         if self.parent is None:
             raise EstimationError("the head does not forward")
-        return Message(kind=MEASUREMENT, src=self.node_id, dst=self.parent, bundle=records)
+        # kind, src, dst, send_stamp, sync_index, hop_records, bundle
+        return Message(MEASUREMENT, self.node_id, self.parent, None, None, (), records)
 
     # -- two-way baselines ---------------------------------------------------
 
     def build_request(self, t: int) -> Message:
         if self.parent is None:
             raise EstimationError("the head does not request")
+        # kind, src, dst, send_stamp, sync_index
         return Message(
-            kind=REQUEST,
-            src=self.node_id,
-            dst=self.parent,
-            send_stamp=self.stamp(SEND, t),
-            sync_index=self._next_sync_index(),
+            REQUEST, self.node_id, self.parent, self.stamp(SEND, t), self._next_sync_index()
         )
 
     def build_response(self, request: Message, request_rx_stamp, t: int) -> Message:
+        # kind, src, dst, send_stamp, sync_index, hop_records, bundle,
+        # extra_stamps
         return Message(
-            kind=RESPONSE,
-            src=self.node_id,
-            dst=request.src,
-            send_stamp=self.stamp(SEND, t),
-            sync_index=request.sync_index,
-            extra_stamps=(request_rx_stamp,),
+            RESPONSE, self.node_id, request.src, self.stamp(SEND, t),
+            request.sync_index, (), (), (request_rx_stamp,),
         )

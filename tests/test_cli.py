@@ -67,8 +67,19 @@ FP32_FLOOD = {
             ("ced9d034f456381809e9e4b52cd4f498c3839986bd7e6e72ff5564c6d0903fd8",
              "b246440eb4bb09889bdae371e4a4bd04984596d162cb45c1dc60bb5633b22ab9"),
         ),
+        (
+            {"method": "two-point", "precision": "fp32-chop"},
+            ("6647b9642f89d2e66bb48fe5c219fcd4382ba86ab6ba6f6c8bb1ebc6b98f5262",
+             "4650b147e2c421debcd2feee9d94292ba3a34b56d63e939f2df445fdf4d09871"),
+        ),
+        (
+            {"method": "window-lsq", "window": 8, "precision": "fp32-nearest"},
+            ("5f5fe25a300758fcc729293b51a6683410783b00bf99ce75f86e61f367d69aa4",
+             "b347696704dd6246042a8039d162e965116f684adc3221508d68e8a5f6421bd6"),
+        ),
     ],
-    ids=["fp32-chop-window-lsq", "fp32-nearest-two-point"],
+    ids=["fp32-chop-window-lsq", "fp32-nearest-two-point",
+         "fp32-chop-two-point", "fp32-nearest-window-lsq"],
 )
 def test_fp32_node_run_outputs_are_pinned(tmp_path, node, digests):
     # sha256 of the outputs of the fp32 node path, fixed so that a change to

@@ -18,9 +18,9 @@ from synclab.precision import (
     NEAREST,
     PrecisionLoss,
     PrecisionOverflowError,
+    ROUNDED,
     decompose,
     empirical_loss,
-    lsq_fit32,
     psi_error,
     round32,
 )
@@ -296,6 +296,51 @@ def test_emu_chop_matches_oracle_on_seeded_pairs():
             assert_chop_matches_oracle(x, y)
 
 
+def near_quotient(m: float, b: float, k: int) -> tuple:
+    """A dividend ``k`` single-precision steps from ``m * b`` chopped, and
+    ``b``: a quotient at or just beside the single value ``m``, where a
+    chopped fp64 quotient would first go wrong."""
+    a = round32(max(-FLOAT32_MAX, min(m * b, FLOAT32_MAX)), CHOP)
+    return steps_from(a, k), b
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.builds(near_quotient, f32, f32, st.integers(-1, 1)), f32_pairs))
+# subnormal quotients, and quotients at and just below the smallest normal
+@example((SMALLEST, 2.0))
+@example((-(2.0**-126), 1.5))
+@example((2.0**-125, 2.0))
+@example((2.0**-126, 1.0 + 2.0**-23))
+# signed zeros
+@example((-0.0, 3.0))
+@example((0.0, -3.0))
+@example((SMALLEST, -FLOAT32_MAX))
+@example((1.0, -0.0))
+# FLOAT32_MAX: exact, and just past the range
+@example((FLOAT32_MAX, FLOAT32_MAX))
+@example((FLOAT32_MAX, 1.0))
+@example((-FLOAT32_MAX, 1.0 - 2.0**-24))
+@example((FLOAT32_MAX, 0.5))
+def test_emu_chop_quotient_matches_oracle(pair):
+    # chop division truncates the fp64 quotient when that is normal: the
+    # oracle divides exactly
+    assert_chop_matches_oracle(*pair, ops=(operator.truediv,))
+
+
+@pytest.mark.parametrize("mode", [NEAREST, CHOP])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_rounded_table_rejects_non_finite_operands(mode, op):
+    # an fp32 node computes on the table with no checked constructor in
+    # front of it: an infinity is an overflow, a NaN no single value
+    compute = getattr(ROUNDED[mode], op)
+    for a, b in ((math.inf, 2.0), (-math.inf, 2.0), (2.0, math.inf), (2.0, -math.inf)):
+        with pytest.raises(PrecisionOverflowError):
+            compute(a, b)
+    for a, b in ((math.nan, 2.0), (2.0, math.nan)):
+        with pytest.raises(ValueError):
+            compute(a, b)
+
+
 def chop_op(op):
     """``op`` rounded by :func:`chop_oracle`, an exact zero with the sign of
     the fp64 result."""
@@ -337,7 +382,8 @@ def fit_outcome(fit) -> tuple | str:
 
 def assert_fits_agree(window: list, oracle: bool = True) -> list:
     """In both modes, the float-level fit of a window of (child, parent)
-    single-precision values and the same fit over Float32Emu objects agree
+    single-precision values (an fp32 node's refit: the centred fit on the
+    mode's rounding table) and the same fit over Float32Emu objects agree
     bit for bit, or raise alike; with ``oracle``, so does the centred fit in
     oracle arithmetic (the two share the rounding table, the oracle does
     not).  Returns the outcome in each mode."""
@@ -347,7 +393,9 @@ def assert_fits_agree(window: list, oracle: bool = True) -> list:
     for mode in (NEAREST, CHOP):
         pairs = [TimestampPair(Float32Emu(c, mode), Float32Emu(p, mode), i)
                  for i, (c, p) in enumerate(window)]
-        floats = fit_outcome(lambda: lsq_fit32(pairs))
+        floats = fit_outcome(
+            lambda: ClockParams(*centered_fit(parents, children, ROUNDED[mode]))
+        )
         assert fit_outcome(lambda: lsq_fit(pairs)) == floats, (mode, window)
         if oracle:
             expected = fit_outcome(
@@ -422,9 +470,8 @@ def test_float_fit_matches_emu_fit_on_seeded_windows():
 def test_float_fit_rejects_mixed_modes():
     pairs = [TimestampPair(Float32Emu(1.0, CHOP), Float32Emu(0.0, CHOP), 0),
              TimestampPair(Float32Emu(2.0, CHOP), Float32Emu(1.0, NEAREST), 1)]
-    for fit in (lsq_fit32, lsq_fit):
-        with pytest.raises(ValueError, match="mixed rounding modes"):
-            fit(pairs)
+    with pytest.raises(ValueError, match="mixed rounding modes"):
+        lsq_fit(pairs)
 
 
 def test_emu_guards():

@@ -100,6 +100,19 @@ def test_frames_and_records_are_immutable():
         Message("telegram", 0, 1)
 
 
+def test_replace_and_make_check_the_kind():
+    # namedtuple's _make builds without __init__, and _replace goes through it
+    with pytest.raises(ValueError, match="unknown message kind"):
+        Message(REPORT, 1, 0)._replace(kind="telegram")
+    with pytest.raises(ValueError, match="unknown message kind"):
+        Message._make(["telegram", 1, 0, None, None, (), (), ()])
+    frame = Message(REPORT, 1, 0)._replace(dst=2, send_stamp=1.0)
+    assert type(frame) is Message and frame == Message(REPORT, 1, 2, 1.0)
+    assert Message._make(frame) == frame
+    with pytest.raises(TypeError):
+        Message._make([REPORT, 1, 0])  # _make still takes every field
+
+
 def test_jitter_model_validation():
     assert JitterModel.zero().sample(SEND) == 0
     with pytest.raises(ValueError):
