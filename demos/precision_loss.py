@@ -2,7 +2,7 @@
 Single-precision translation error
 ==================================
 
-Runs the two-point estimator through the float32 emulator in both
+Runs the two-point estimator on the float32 rounding tables in both
 rounding modes and shows how the resulting slope error epsilon_alpha turns
 into a translation error psi(T) = epsilon_alpha * T + epsilon_beta that grows
 linearly with the local timestamp.
@@ -13,7 +13,7 @@ from synclab.precision import (
     CHOP,
     MACHINE_EPS32,
     NEAREST,
-    Float32Emu,
+    ROUNDED,
     PrecisionLoss,
     convert_timestamps,
     empirical_loss,
@@ -26,16 +26,17 @@ from synclab.precision import (
 pairs = (TimestampPair(0.0, 0.0), TimestampPair(2.0**30 + 127.0, 2.0**30))
 
 
-def interpolate_at(number):
-    """interpolate_params on the two pairs with every timestamp as ``number``."""
-    params = interpolate_params(*(convert_timestamps(p, number) for p in pairs))
+def interpolate_at(number, *arithmetic):
+    """interpolate_params on the two pairs with every timestamp as
+    ``number``, in ``arithmetic`` when one is given."""
+    params = interpolate_params(*(convert_timestamps(p, number) for p in pairs), *arithmetic)
     return params.ratio, params.offset
 
 
 print("interpolated (ratio, offset) from pairs (0, 0) and (2^30+127, 2^30):")
 print("  fp64         :", interpolate_at(float))
-print("  fp32 nearest :", interpolate_at(lambda v: Float32Emu.from_number(v, NEAREST)))
-print("  fp32 chop    :", interpolate_at(lambda v: Float32Emu.from_number(v, CHOP)))
+for mode in (NEAREST, CHOP):
+    print(f"  fp32 {mode:8s}:", interpolate_at(ROUNDED[mode].number, ROUNDED[mode]))
 
 # -- the loss is affine in the local timestamp --------------------------------
 for mode in (NEAREST, CHOP):

@@ -139,7 +139,7 @@ def energy_from_trace(
     fraction of the time, a wake-on-schedule one only during actual receptions.
     """
     schedule = schedule or trace.radio["schedule"]
-    duty = trace.radio.get("lpl_duty", 0.05)
+    duty = trace.radio["lpl_duty"]
     duration_s = trace.duration_ns / NS_PER_S
     nodes = {}
     for node_id, kinds in trace.node_counts.items():

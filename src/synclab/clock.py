@@ -22,8 +22,6 @@ import numpy as np
 SimTime = int
 """Simulation time in integer nanoseconds."""
 
-NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
 TICK_1US_NS = 1_000
@@ -63,7 +61,7 @@ class ClockParams:
     ``offset`` is expressed in the same unit as the timestamps the params are
     applied to (nanoseconds for hardware clocks, ticks for estimates fitted
     from tick-valued timestamp pairs).  Params fitted at single precision
-    hold :class:`~synclab.precision.Float32Emu` values in both fields.
+    hold plain floats on the single-precision grid in both fields.
 
     Estimates fitted from noisy data may legitimately fall outside the
     crystal plausibility bound, so only positivity is enforced here; use

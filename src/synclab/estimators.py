@@ -13,14 +13,12 @@ the head inverts that map layer by layer.
 
 Each formula is written once, here, over generic numbers.  The fits and the
 readout that a node runs, :func:`centered_fit`, :func:`interpolate_params`
-and :func:`logical_time`, take an :class:`Arithmetic`: Python's operators on
-the numbers themselves (plain floats or integer ticks give the 64-bit
-arithmetic, timestamps wrapped as :class:`~synclab.precision.Float32Emu`
-round each operation to single precision), or a table of rounded float
-operations such as :data:`~synclab.precision.ROUNDED`, on which an fp32 node
-computes from beacon to estimate without an object per operation.  The node
-protocol and :func:`~synclab.precision.empirical_loss` call these same
-functions.
+and :func:`logical_time`, and the anchored rate :func:`cumulative_ratio`,
+take an :class:`Arithmetic`: Python's operators on the numbers themselves
+(plain floats or integer ticks give the 64-bit arithmetic), or a table of
+rounded float operations such as :data:`~synclab.precision.ROUNDED`, on
+which an fp32 node computes from beacon to estimate.  The node protocol and
+:func:`~synclab.precision.empirical_loss` call these same functions.
 
 The 64-bit least-squares fit is exact up to one final rounding: once
 :func:`lsq_fit` has read a :class:`RegressionWindow`, the window keeps exact
@@ -69,7 +67,7 @@ class TimestampPair(NamedTuple):
 def _exact(value) -> tuple[int, int] | None:
     """A plain int or finite float as ``(m, k)`` with ``value == m / 2**k``.
 
-    Returns None for any other number (``Float32Emu``, ``Fraction``, NaN).
+    Returns None for any other number (``Fraction``, NaN).
     """
     if isinstance(value, int):
         return value, 0
@@ -217,8 +215,7 @@ class Arithmetic(NamedTuple):
 
 OPERATORS = Arithmetic(operator.add, operator.sub, operator.mul, operator.truediv, lambda n: n)
 """Python's operators on the numbers themselves: plain floats round in fp64,
-a :class:`~synclab.precision.Float32Emu` rounds each result to single
-precision, a ``Fraction`` stays exact."""
+a ``Fraction`` stays exact."""
 
 
 def centered_fit(xs: Sequence, ys: Sequence, arithmetic: Arithmetic = OPERATORS) -> tuple:
@@ -256,10 +253,9 @@ def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
     least-squares solution, solved from exact integer sums: one pass over
     the pairs, after which a :class:`RegressionWindow` keeps the sums, so
     each later fit of it is O(1).  Any other number type, such as
-    :class:`~synclab.precision.Float32Emu`, gets :func:`centered_fit` in its
-    own arithmetic, one rounding per operation as a node's single-precision
-    loop computes it.  Needs at least two pairs with distinct parent
-    timestamps.
+    ``Fraction``, gets :func:`centered_fit` in its own arithmetic, one
+    operation at a time as a node's loop computes it.  Needs at least two
+    pairs with distinct parent timestamps.
     """
     if isinstance(window, RegressionWindow):
         if window._sums is not None:
@@ -275,8 +271,11 @@ def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
     return ClockParams(*centered_fit([p.t_parent for p in pairs], [p.t_child for p in pairs]))
 
 
-def cumulative_ratio(initial: TimestampPair, latest: TimestampPair):
-    """Elapsed-parent over elapsed-child rate between two pairs.
+def cumulative_ratio(
+    initial: TimestampPair, latest: TimestampPair, arithmetic: Arithmetic = OPERATORS
+):
+    """Elapsed-parent over elapsed-child rate between two pairs, one
+    operation at a time in ``arithmetic``.
 
     The long-baseline rate estimator: anchored at the first pair ever seen,
     it converges as the baseline grows.  The returned value is the parent
@@ -284,11 +283,12 @@ def cumulative_ratio(initial: TimestampPair, latest: TimestampPair):
     orientation used by head-side schemes.  An int stamp that takes the
     ratio past the float range raises :class:`EstimationError`.
     """
+    _, sub, _, div, _ = arithmetic
     try:
-        dc = latest.t_child - initial.t_child
+        dc = sub(latest.t_child, initial.t_child)
         if float(dc) == 0.0:
             raise SingularSystemError("no elapsed child time between the pairs")
-        return (latest.t_parent - initial.t_parent) / dc
+        return div(sub(latest.t_parent, initial.t_parent), dc)
     except OverflowError:  # an int stamp beyond the float range
         raise EstimationError("cumulative ratio overflows a float") from None
 
@@ -542,16 +542,6 @@ class HeadEstimator:
         if link is None or not link.current():
             return None
         return ClockParams(link.ratio, link.offset)
-
-    def chain_params(self, chain: Sequence[int]) -> list[ClockParams] | None:
-        """Params along an ancestor chain (head-adjacent first), or None."""
-        out: list[ClockParams] = []
-        for node_id in chain:
-            params = self.params_for(node_id)
-            if params is None:
-                return None
-            out.append(params)
-        return out
 
     def translate_to_reference(self, chain: Sequence[int], t_local) -> float | None:
         """Translate a layer-local timestamp to head time along a chain.

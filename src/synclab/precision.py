@@ -16,10 +16,6 @@ formulas in 64-bit floats.  This module provides
   (every quotient) with one ``fmod`` when it is normal in single precision,
   by struct packing when it is zero or subnormal, and otherwise truncates
   the exact value by integer significand arithmetic;
-* :class:`Float32Emu`: a number type whose operators are that table on its
-  value, so the estimator functions of :mod:`synclab.estimators`, written
-  over generic numbers, run at node fidelity when handed :class:`Float32Emu`
-  timestamps;
 * :class:`PrecisionLoss` and :func:`psi_error`: the affine model of the time
   translation error caused by finite precision, err(T) = eps_alpha * T +
   eps_beta for a local timestamp T, and :func:`empirical_loss`, which
@@ -34,7 +30,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 from .clock import ClockParams
@@ -61,7 +57,7 @@ class PrecisionOverflowError(ArithmeticError):
 
 def _checked(value: float) -> float:
     """``value`` if it is a finite single-precision value, else
-    :class:`ValueError`: the check every :class:`Float32Emu` value passes."""
+    :class:`ValueError`: the check on every integer-routine result."""
     # the range check rejects inf and NaN, which pack, and keeps a value past
     # the fp32 range from packing, which raises; an int is compared as it is
     if not (-FLOAT32_MAX <= value <= FLOAT32_MAX
@@ -289,151 +285,10 @@ values, each result rounded once in that mode and single precision: an
 overflow, or an infinite operand, raises :class:`PrecisionOverflowError`, a
 NaN operand :class:`ValueError` and a zero divisor
 :class:`ZeroDivisionError`.  ``number`` rounds a plain number into the mode.
-An fp32 node computes on this table from beacon to estimate, and
-:class:`Float32Emu`'s operators are this table on their values."""
-
-
-def decompose(value: float) -> tuple[int, float, int]:
-    """Split a float into (sign, significand in [1, 2), exponent).
-
-    ``value == sign * significand * 2**exponent``.  Zero decomposes to
-    (1, 0.0, 0).
-    """
-    if value == 0.0:
-        return (1, 0.0, 0)
-    sign = -1 if value < 0.0 else 1
-    mantissa, exponent = math.frexp(abs(value))
-    return (sign, mantissa * 2.0, exponent - 1)
-
-
-class Float32Emu:
-    """A single-precision value with a rounding mode attached.
-
-    Every arithmetic operation is rounded exactly once into the
-    single-precision grid under the attached mode, mirroring hardware
-    behaviour: each operator is its mode's :data:`ROUNDED` entry on the two
-    values, so there is one implementation of each rounded operation.  A
-    plain number operand is first rounded into the mode; operands of two
-    modes raise :class:`ValueError`.  Nearest mode rounds through fp64
-    (safe: the fp64 format is wide enough that the double rounding is
-    invisible for +, -, *, / of single-precision operands).  Chop mode must
-    truncate the exact result, since a nearest-rounded fp64 intermediate
-    can overshoot the true value onto a representable single, leaving the
-    directed rounding nothing to trim.  Products of single-precision values
-    are exact in fp64, and so are sums and differences whose TwoSum error
-    term is zero; those are chopped on the fp64 value.  Other sums and
-    differences, and all quotients, are formed exactly with integer
-    significand arithmetic and truncated.  An exact zero result carries the
-    IEEE sign in both modes: that of the fp64 result, so ``(-0.0) + (-0.0)``
-    and ``0.0 / -1.0`` are -0.0.
-
-    The type is an immutable value with two slots, ``value`` and ``mode``:
-    assignment raises :class:`AttributeError`, and equality, hashing and
-    ``repr`` go by the pair ``(value, mode)``.  Every instance is checked:
-    ``Float32Emu(value, mode)`` needs a mode of ``nearest`` or ``chop`` and
-    a finite single-precision value, else :class:`ValueError`, and an
-    operator result is checked the same way by the table that computed it.
-    """
-
-    __slots__ = ("value", "mode")
-
-    def __new__(cls, value: float, mode: str = NEAREST) -> "Float32Emu":
-        # check the value as given: float() could round an int onto the grid
-        self = _new(value, mode, cls)
-        _set_value(self, float(value))
-        return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (type(self), (self.value, self.mode))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(value={self.value!r}, mode={self.mode!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value, self.mode) == (other.value, other.mode)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.mode))
-
-    @staticmethod
-    def from_number(x, mode: str = NEAREST) -> "Float32Emu":
-        if isinstance(x, Float32Emu):
-            return x
-        return _emu(round32(float(x), mode), mode)  # round32 checks both
-
-    def _coerce(self, other) -> "Float32Emu":
-        if isinstance(other, Float32Emu):
-            if other.mode != self.mode:
-                raise ValueError("mixed rounding modes in one expression")
-            return other
-        return Float32Emu.from_number(other, self.mode)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __neg__(self) -> "Float32Emu":
-        return _new(-self.value, self.mode)
-
-    def __add__(self, other) -> "Float32Emu":
-        other = self._coerce(other)
-        return _emu(ROUNDED[self.mode].add(self.value, other.value), self.mode)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Float32Emu":
-        other = self._coerce(other)
-        return _emu(ROUNDED[self.mode].sub(self.value, other.value), self.mode)
-
-    def __rsub__(self, other) -> "Float32Emu":
-        other = self._coerce(other)
-        return other.__sub__(self)
-
-    def __mul__(self, other) -> "Float32Emu":
-        other = self._coerce(other)
-        return _emu(ROUNDED[self.mode].mul(self.value, other.value), self.mode)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Float32Emu":
-        other = self._coerce(other)
-        return _emu(ROUNDED[self.mode].div(self.value, other.value), self.mode)
-
-    def __rtruediv__(self, other) -> "Float32Emu":
-        other = self._coerce(other)
-        return other.__truediv__(self)
-
-    def decompose(self) -> tuple[int, float, int]:
-        """(sign, significand in [1, 2), exponent) of the stored value."""
-        return decompose(self.value)
-
-
-_set_value = Float32Emu.value.__set__
-_set_mode = Float32Emu.mode.__set__
-_alloc = object.__new__
-
-
-def _emu(value: float, mode: str, cls: type = Float32Emu) -> Float32Emu:
-    """A :class:`Float32Emu` of a checked value and a known mode."""
-    self = _alloc(cls)
-    _set_value(self, value)
-    _set_mode(self, mode)
-    return self
-
-
-def _new(value: float, mode: str, cls: type = Float32Emu) -> Float32Emu:
-    """The checked constructor: a known mode and a single-precision value
-    (an int is checked as it is, before any ``float()``)."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown rounding mode {mode!r}")
-    return _emu(_checked(value), mode, cls)
+Nearest rounds the fp64 result: fp64 is wide enough that the double rounding
+is invisible for ``+ - * /`` of single operands.  An exact zero keeps the IEEE
+sign of the fp64 result in both modes.  An fp32 node computes on this table
+from beacon to estimate, and so does :func:`empirical_loss`."""
 
 
 @dataclass(frozen=True)
@@ -466,18 +321,23 @@ def empirical_loss(estimator: Callable, *args, mode: str = NEAREST) -> Precision
     """Measure the loss of an estimator as (fp32 result - fp64 result).
 
     ``estimator`` is one of the generic functions of
-    :mod:`synclab.estimators`.  It runs twice on the same arguments: once
-    with every timestamp wrapped as a :class:`Float32Emu` under ``mode``, once
-    with every timestamp as a 64-bit float.  A :class:`ClockParams` result
-    maps to ``PrecisionLoss(ratio loss, offset loss)``; a scalar result fills
-    only ``eps_alpha``.
+    :mod:`synclab.estimators` that take an ``arithmetic``.  It runs twice on
+    the same arguments: once with every timestamp rounded into ``mode`` and
+    ``arithmetic=ROUNDED[mode]``, once with every timestamp as a 64-bit
+    float in Python's operators.  An unknown mode raises
+    :class:`ValueError`.  A :class:`ClockParams` result maps to
+    ``PrecisionLoss(ratio loss, offset loss)``; a scalar result fills only
+    ``eps_alpha``.
     """
-    to32 = lambda v: Float32Emu.from_number(v, mode)
-    low = estimator(*(convert_timestamps(a, to32) for a in args))
+    if mode not in _MODES:
+        raise ValueError(f"unknown rounding mode {mode!r}")
+    arithmetic = ROUNDED[mode]
+    low = estimator(*(convert_timestamps(a, arithmetic.number) for a in args),
+                    arithmetic=arithmetic)
     exact = estimator(*(convert_timestamps(a, float) for a in args))
     if isinstance(low, ClockParams):
         return PrecisionLoss(
-            eps_alpha=float(low.ratio) - float(exact.ratio),
-            eps_beta=float(low.offset) - float(exact.offset),
+            eps_alpha=low.ratio - exact.ratio,
+            eps_beta=low.offset - exact.offset,
         )
-    return PrecisionLoss(eps_alpha=float(low) - float(exact))
+    return PrecisionLoss(eps_alpha=low - exact)

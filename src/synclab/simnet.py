@@ -44,6 +44,8 @@ from .protocol import (
     MeasurementRecord,
 )
 from .trace import (
+    PAIR_BUCKETS,
+    RECORD_BUCKETS,
     UNTRANSLATED,
     MeasurementOutcome,
     RunTrace,
@@ -209,14 +211,8 @@ class Engine:
         self._truth: dict[tuple[int, int], int] = {}
         self.head_events: list[tuple] = []
         self.outcomes: list[MeasurementOutcome] = []
-        self.pair_accounting = {
-            "created": 0, "ingested": 0, "duplicates": 0,
-            "lost": 0, "in_flight": 0, "unknown_child": 0,
-        }
-        self.record_accounting = {
-            "generated": 0, "delivered": 0, "duplicates": 0,
-            "lost": 0, "in_flight": 0,
-        }
+        self.pair_accounting = dict.fromkeys(PAIR_BUCKETS, 0)
+        self.record_accounting = dict.fromkeys(RECORD_BUCKETS, 0)
         self.event_log: list[tuple] | None = [] if cfg.collect_events else None
 
     # -- scheduling ---------------------------------------------------------

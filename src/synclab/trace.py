@@ -121,10 +121,6 @@ def _read_head_events(data, chains, levels) -> list[tuple]:
     return [next(streams[letter]) for letter in kinds]
 
 
-def _read_undelivered(data, levels) -> list[tuple[int, int, int]]:
-    return list(zip(*_table(data, _UNDELIVERED, levels, "undelivered measurements")))
-
-
 def _read_chain(chain) -> tuple[int, ...]:
     if type(chain) is not list or not set(map(type, chain)) <= _INT:
         raise ValueError(f"a chain is a list of node ids, got {chain!r:.80}")
@@ -137,6 +133,60 @@ def _read_scheme(scheme, _values) -> str:
     return scheme
 
 
+def _read_radio(radio, _values) -> dict:
+    """The radio as saved: exactly :class:`~synclab.protocol.RadioConfig`'s
+    fields, with values that pass its checks."""
+    names = [f.name for f in fields(protocol.RadioConfig)]
+    if radio.keys() != set(names):
+        raise ValueError(f"not the fields {names}: {radio!r:.80}")
+    protocol.RadioConfig(**radio)
+    return radio
+
+
+def _pair(value, kinds) -> tuple:
+    """A saved pair of finite non-negative numbers of the JSON types ``kinds``."""
+    if type(value) is not list or len(value) != 2 or not set(map(type, value)) <= kinds:
+        raise ValueError(f"not a pair of {sorted(k.__name__ for k in kinds)}: {value!r:.80}")
+    if not all(0 <= v < math.inf for v in value):
+        raise ValueError(f"not a pair of finite non-negative numbers: {value!r:.80}")
+    return value[0], value[1]
+
+
+def _per_node(read_value):
+    """A reader of a table keyed by node id that holds exactly the nodes of
+    ``levels``, each value read by ``read_value``."""
+    def read(table, values) -> dict:
+        nodes = {int(n): value for n, value in table.items()}
+        if nodes.keys() != values["levels"].keys():
+            raise ValueError(f"nodes {sorted(nodes)} are not the trace nodes "
+                             f"{sorted(values['levels'])}")
+        return {n: read_value(value) for n, value in nodes.items()}
+    return read
+
+
+def _counts(kinds) -> dict:
+    """One node's frame counts: a (tx, rx) pair of ints per frame kind."""
+    if type(kinds) is not dict or not kinds.keys() <= set(protocol.KINDS):
+        raise ValueError(f"not counts per frame kind of {protocol.KINDS}: {kinds!r:.80}")
+    return {kind: _pair(count, _INT) for kind, count in kinds.items()}
+
+
+# the accounting buckets of hop pairs and of measurement records, in the
+# order a run counts them
+PAIR_BUCKETS = ("created", "ingested", "duplicates", "lost", "in_flight", "unknown_child")
+RECORD_BUCKETS = ("generated", "delivered", "duplicates", "lost", "in_flight")
+
+
+def _accounting(buckets):
+    """A reader of an accounting table: a non-negative int per bucket."""
+    def read(table, _values) -> dict:
+        counts = table.values()
+        if table.keys() != set(buckets) or not all(type(n) is int and n >= 0 for n in counts):
+            raise ValueError(f"not a count per bucket of {list(buckets)}: {table!r:.80}")
+        return table
+    return read
+
+
 @contextmanager
 def _reading(key: str):
     """Re-raise a failure to read a trace key as ValueError naming the key."""
@@ -147,43 +197,37 @@ def _reading(key: str):
 
 
 _NULL = type(None)
-# trace key, in saved order -> the JSON types its value may take; a key that
-# may be null may also be left out (the event log and the config stamp)
-_TRACE_TYPES = {
-    "scheme": (str,), "seed": (int,), "duration_ns": (int,), "tick_ns": (int, _NULL),
-    "head_method": (str,), "head_window": (int, _NULL), "radio": (dict,),
-    "levels": (dict,), "chains": (dict,), "head_events": (dict,),
-    "node_counts": (dict,), "airtime": (dict,), "pair_accounting": (dict,),
-    "record_accounting": (dict,), "undelivered": (dict,), "event_log": (list, _NULL),
-    "config": (dict, _NULL), "config_hash": (str, _NULL),
-}
-# trace key -> its saved value, where that differs from the value in memory
-_TRACE_WRITERS = {
-    "radio": dict,
-    "levels": lambda v: {str(n): level for n, level in v.items()},
-    "chains": lambda v: {str(n): list(chain) for n, chain in v.items()},
-    "head_events": _head_event_columns,
-    "node_counts": lambda v: {
+# trace key, in saved order -> (the JSON types its value may take; its saved
+# value from the one in memory; its value in memory from the saved one and
+# the keys read before it), None for a value saved as it is; a key that may
+# be null may also be left out (the event log and the config stamp)
+_TRACE_KEYS = {
+    "scheme": ((str,), None, _read_scheme),
+    "seed": ((int,), None, None),
+    "duration_ns": ((int,), None, None),
+    "tick_ns": ((int, _NULL), None, None),
+    "head_method": ((str,), None, None),
+    "head_window": ((int, _NULL), None, None),
+    "radio": ((dict,), dict, _read_radio),
+    "levels": ((dict,), lambda v: {str(n): level for n, level in v.items()},
+               lambda v, _: {int(n): level for n, level in v.items()}),
+    "chains": ((dict,), lambda v: {str(n): list(chain) for n, chain in v.items()},
+               lambda v, _: {int(n): _read_chain(chain) for n, chain in v.items()}),
+    "head_events": ((dict,), _head_event_columns,
+                    lambda v, read: _read_head_events(v, read["chains"], read["levels"])),
+    "node_counts": ((dict,), lambda v: {
         str(n): {k: list(c) for k, c in kinds.items()} for n, kinds in v.items()
-    },
-    "airtime": lambda v: {str(n): list(a) for n, a in v.items()},
-    "pair_accounting": dict,
-    "record_accounting": dict,
-    "undelivered": lambda v: _columns(v, _UNDELIVERED),
-    "event_log": lambda v: None if v is None else [list(e) for e in v],
-}
-# trace key -> (saved value, keys read so far) -> its value in memory
-_TRACE_READERS = {
-    "scheme": _read_scheme,
-    "levels": lambda v, _: {int(n): level for n, level in v.items()},
-    "chains": lambda v, _: {int(n): _read_chain(chain) for n, chain in v.items()},
-    "head_events": lambda v, read: _read_head_events(v, read["chains"], read["levels"]),
-    "node_counts": lambda v, _: {
-        int(n): {k: (c[0], c[1]) for k, c in kinds.items()} for n, kinds in v.items()
-    },
-    "airtime": lambda v, _: {int(n): (a[0], a[1]) for n, a in v.items()},
-    "undelivered": lambda v, read: _read_undelivered(v, read["levels"]),
-    "event_log": lambda v, _: None if v is None else [tuple(e) for e in v],
+    }, _per_node(_counts)),
+    "airtime": ((dict,), lambda v: {str(n): list(a) for n, a in v.items()},
+                _per_node(lambda a: _pair(a, _STAMP))),
+    "pair_accounting": ((dict,), dict, _accounting(PAIR_BUCKETS)),
+    "record_accounting": ((dict,), dict, _accounting(RECORD_BUCKETS)),
+    "undelivered": ((dict,), lambda v: _columns(v, _UNDELIVERED), lambda v, read: list(
+        zip(*_table(v, _UNDELIVERED, read["levels"], "undelivered measurements")))),
+    "event_log": ((list, _NULL), lambda v: None if v is None else [list(e) for e in v],
+                  lambda v, _: None if v is None else [tuple(e) for e in v]),
+    "config": ((dict, _NULL), None, None),
+    "config_hash": ((str, _NULL), None, None),
 }
 
 _EVENT_LENGTHS = {"pair": 7, "measurement": 8}
@@ -278,9 +322,8 @@ class RunTrace:
         """The trace in the saved layout, format :data:`TRACE_FORMAT`: every
         field but the outcomes, which are derived on load."""
         data = {"format_version": TRACE_FORMAT}
-        for key in _TRACE_TYPES:
+        for key, (_, write, _) in _TRACE_KEYS.items():
             value = getattr(self, key)
-            write = _TRACE_WRITERS.get(key)
             data[key] = value if write is None else write(value)
         return data
 
@@ -291,7 +334,11 @@ class RunTrace:
         key in the shape written, raises ValueError naming the key: each
         column of the head events and the undelivered table is checked for
         type and length, each origin must be a node of the trace, and each
-        head event's layer or level must be its origin's level."""
+        head event's layer or level must be its origin's level.  The frame
+        counts and airtimes hold exactly the trace's nodes, the radio passes
+        :class:`~synclab.protocol.RadioConfig`'s checks, and the accounting
+        tables hold a count per bucket of :data:`PAIR_BUCKETS` and
+        :data:`RECORD_BUCKETS`."""
         if type(data) is not dict:
             raise ValueError(f"a trace is a JSON object, got {data!r:.80}")
         if "format_version" not in data:
@@ -300,16 +347,15 @@ class RunTrace:
             raise ValueError(
                 f"trace format_version {data['format_version']!r:.80} is not {TRACE_FORMAT}"
             )
-        unknown = sorted(set(data) - set(_TRACE_TYPES) - {"format_version"})
+        unknown = sorted(set(data) - set(_TRACE_KEYS) - {"format_version"})
         if unknown:
             raise ValueError(f"unknown trace keys: {unknown}")
         values = {}
-        for key, kinds in _TRACE_TYPES.items():
+        for key, (kinds, _, read) in _TRACE_KEYS.items():
             value = data.get(key)
             if type(value) not in kinds:
                 what = f"not {kinds[0].__name__}: {value!r:.80}" if key in data else "missing"
                 raise ValueError(f"trace key {key!r} is {what}")
-            read = _TRACE_READERS.get(key)
             with _reading(key):
                 values[key] = value if read is None else read(value, values)
         return RunTrace(**values)

@@ -277,6 +277,19 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     events[[ev[0] for ev in events].index("pair")][4] = "5"
     events = old_wrong_level["head_events"]
     events[[ev[0] for ev in events].index("measurement")][3] = 7
+    # node tables that disagree with the levels, and values analysis cannot use
+    (extra_node, no_airtime, no_schedule, string_airtime, string_count,
+     unknown_kind, negative_count, bad_duty, cut_accounting) = (
+        json.loads(versionless) for _ in range(9))
+    extra_node["node_counts"]["9"] = {"report": [1, 0]}
+    no_airtime["airtime"].pop("1")
+    no_schedule["radio"].pop("schedule")
+    string_airtime["airtime"]["1"] = ["a", "b"]
+    string_count["pair_accounting"]["created"] = "x"
+    unknown_kind["node_counts"]["1"]["telegram"] = [1, 0]
+    negative_count["node_counts"]["1"]["report"] = [-1, 0]
+    bad_duty["radio"]["lpl_duty"] = 0.0
+    cut_accounting["record_accounting"].pop("lost")
     cases = (
         ({}, "'scheme'"),
         ([1, 2], "JSON object"),
@@ -292,6 +305,15 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         (old_unknown_origin, "'head_events'"),
         (old_string_stamp, "'head_events'"),
         (old_wrong_level, "'head_events'"),
+        (extra_node, "'node_counts'"),
+        (no_airtime, "'airtime'"),
+        (no_schedule, "'radio'"),
+        (string_airtime, "'airtime'"),
+        (string_count, "'pair_accounting'"),
+        (unknown_kind, "'node_counts'"),
+        (negative_count, "'node_counts'"),
+        (bad_duty, "'radio'"),
+        (cut_accounting, "'record_accounting'"),
     )
     for i, (data, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"

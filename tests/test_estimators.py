@@ -101,8 +101,8 @@ def test_lsq_fit_matches_rational_oracle(pairs):
 
 @given(fit_windows())
 def test_lsq_fit_over_generic_numbers_agrees_with_float_fit(pairs):
-    # Fraction timestamps take the left-to-right summation that Float32Emu
-    # takes, here in exact arithmetic
+    # Fraction timestamps take the left-to-right summation that an fp32
+    # node's centered fit takes, here in exact arithmetic
     exact = lsq_fit(
         [TimestampPair(Fraction(p.t_child), Fraction(p.t_parent)) for p in pairs]
     )
@@ -369,8 +369,8 @@ def test_head_estimator_chain_translation():
     for node, params in truth.items():
         for i, p in enumerate((0.0, 1e6, 2e6)):
             head.ingest(node, TimestampPair(logical_time(params, p), p, i))
-    assert head.chain_params([1, 2]) is not None
-    assert head.chain_params([1, 3]) is None
+    assert head.params_for(1) is not None and head.params_for(2) is not None
+    assert head.params_for(3) is None
     assert head.translate_to_reference([1, 3], 0.0) is None
     t_local = 1.5e6
     expected = multihop_to_head([truth[1], truth[2]], t_local)
