@@ -21,7 +21,7 @@ import numpy as np
 from . import protocol, simnet
 from .clock import NS_PER_S
 from .config import EnergyModel, RunConfig
-from .trace import RunTrace, derive_outcomes
+from .trace import RunTrace
 
 
 # -- closed-form message counts ----------------------------------------------
@@ -279,10 +279,14 @@ def replay(
 ) -> RunTrace:
     """Re-fit head-side estimation on a stored trace without re-simulating.
 
-    Folds the recorded head event stream through a fresh estimator; radio
+    The replayed trace is the stored one at the new head settings, its
+    outcomes folded from the recorded head events by
+    :func:`~synclab.trace.derive_outcomes`, as every trace's are; radio
     traffic, timestamps, and delivery are untouched, so with the original
     window and method this reproduces the original outcomes exactly.
-    ``head_window=None`` (or ``"all"``) selects an unbounded window.
+    ``head_window=None`` (or ``"all"``) selects an unbounded window.  Bad
+    head settings (an unknown method, a window below 2) raise ValueError
+    here, not at the first read of the outcomes.
     """
     if trace.scheme != protocol.REVERSE_ONEWAY:
         raise ValueError("replay applies to head-side estimation traces only")
@@ -290,10 +294,9 @@ def replay(
     window = trace.head_window if head_window is _KEEP else head_window
     if window == "all":
         window = None
-    return dataclasses.replace(
-        trace, head_method=method, head_window=window,
-        outcomes=derive_outcomes(trace, method, window),
-    )
+    replayed = dataclasses.replace(trace, head_method=method, head_window=window)
+    replayed.outcomes  # fold now, so that bad head settings raise at the call
+    return replayed
 
 
 # -- sweeps -----------------------------------------------------------------------

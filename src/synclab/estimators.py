@@ -509,6 +509,8 @@ class HeadEstimator:
     def __init__(self, method: str = WINDOW_LSQ, window: int | None = 19) -> None:
         if method not in ESTIMATOR_METHODS:
             raise ValueError(f"unknown estimator method {method!r}")
+        if window is not None and window < 2:
+            raise ValueError(f"head window {window} is below 2")
         self._method = method
         self._capacity = 2 if method == TWO_POINT else window
         self._new_link = _LINKS[method]

@@ -5,8 +5,8 @@ carrying the bound handler that runs it: events at the same nanosecond
 execute in insertion order, so a run is a pure function of
 its configuration and seed.  Nodes are :class:`~synclab.protocol.NodeState`
 machines; the engine routes frames over links (fixed propagation, optional
-Bernoulli loss), fires timers, feeds the head-side estimator, and accumulates
-the replayable :class:`~synclab.trace.RunTrace`.
+Bernoulli loss), fires timers, and records what the head receives as the
+replayable :class:`~synclab.trace.RunTrace`, which translates it.
 
 What the scheme makes each node do per frame is decided once per run, when
 :class:`Engine` is built: a received frame goes through a table from frame
@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .clock import ClockConfig, ClockParams, DriftModel
-from .estimators import HeadEstimator, TimestampPair
 from . import protocol
 from .protocol import (
     EPOCH_NS,
@@ -43,16 +42,7 @@ from .protocol import (
     JitterModel,
     MeasurementRecord,
 )
-from .trace import (
-    PAIR_BUCKETS,
-    RECORD_BUCKETS,
-    UNTRANSLATED,
-    MeasurementOutcome,
-    RunTrace,
-    apply_head_event,
-    measurement_outcome,
-    undelivered_outcomes,
-)
+from .trace import PAIR_BUCKETS, RECORD_BUCKETS, RunTrace
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -147,11 +137,11 @@ class Engine:
     binds one handler per frame kind that does something at its receiver
     (reports, measurement frames, two-way requests, and beacons under
     conventional one-way only; any other frame costs its receiver only the
-    reception) and sets three plain values the handlers read: whether a
-    sensor's upward frame is a report, whether a gateway merges a child's
-    reported records into its own buffer, and why the head leaves a
-    delivered record untranslated.  No handler compares the scheme or a
-    frame's kind again; the head is ``node is self.head``.
+    reception) and sets two plain values the handlers read: whether a
+    sensor's upward frame is a report, and whether a gateway merges a
+    child's reported records into its own buffer.  No handler compares the
+    scheme or a frame's kind again; the head is ``node is self.head``.  The
+    engine records the head's events and translates none of them.
     """
 
     def __init__(self, cfg: RunConfig) -> None:
@@ -186,7 +176,6 @@ class Engine:
             )
         self.loss_rng = np.random.default_rng(streams[-1])
         self.head = self.nodes[topology.head_id]
-        self.estimator = HeadEstimator(cfg.head_method, cfg.head_window)
         self.chains = {n: topology.chain_to(n) for n in topology.sensor_ids()}
         # plain functions, not bound methods: a table of bound methods would
         # tie the engine into a reference cycle and keep a finished run's
@@ -203,14 +192,14 @@ class Engine:
         # all-data bundling merges a child's reported records into the
         # gateway's buffer; measurement frames are forwarded as they arrived
         self._merge_records = self._reports and cfg.bundling == protocol.BUNDLE_ALL
-        self._untranslated = UNTRANSLATED[scheme]
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self._horizon = cfg.duration_ns
         # true time of each measurement not yet delivered to the head
         self._truth: dict[tuple[int, int], int] = {}
         self.head_events: list[tuple] = []
-        self.outcomes: list[MeasurementOutcome] = []
+        # the newest sync index the head took from each origin
+        self._newest: dict[int, int] = {}
         self.pair_accounting = dict.fromkeys(PAIR_BUCKETS, 0)
         self.record_accounting = dict.fromkeys(RECORD_BUCKETS, 0)
         self.event_log: list[tuple] | None = [] if cfg.collect_events else None
@@ -251,10 +240,14 @@ class Engine:
         self.record_accounting[bucket] += len(message.bundle)
 
     def _ingest_pair(self, hop: protocol.HopRecord, t: int) -> None:
-        origin, _, t_child, t_parent, sync_index = hop
-        if not self.estimator.ingest(origin, TimestampPair(t_child, t_parent, sync_index)):
+        """Take a pair unless its sync index is not newer than the last one
+        taken from its origin, the rule every head estimator applies."""
+        origin, _, _, _, sync_index = hop
+        newest = self._newest.get(origin)
+        if newest is not None and sync_index <= newest:
             self.pair_accounting["duplicates"] += 1
             return
+        self._newest[origin] = sync_index
         self.pair_accounting["ingested"] += 1
         self.head_events.append(("pair", t, *hop))
 
@@ -265,18 +258,9 @@ class Engine:
             self.record_accounting["duplicates"] += 1
             return
         self.record_accounting["delivered"] += 1
-        level = self._levels[origin]
-        event = ("measurement", t, origin, level, seq, local_ticks, true_ns, est_ticks)
-        self.head_events.append(event)
-        tick_ns = self.topology.clock.tick_ns
-        if self._untranslated is None:
-            outcome = apply_head_event(self.estimator, self.chains, tick_ns, event)
-        else:
-            outcome = measurement_outcome(
-                origin, level, seq, true_ns, local_ticks, t, est_ticks, tick_ns,
-                self._untranslated,
-            )
-        self.outcomes.append(outcome)
+        self.head_events.append((
+            "measurement", t, origin, self._levels[origin], seq, local_ticks, true_ns, est_ticks
+        ))
 
     def _on_frame(self, t: int, dst_id: int, message: Message, airtime: float) -> None:
         """Receive a frame; ``airtime`` is the sender's, sized once per frame."""
@@ -412,7 +396,6 @@ class Engine:
         undelivered = [
             (origin, seq, true_ns) for (origin, seq), true_ns in sorted(self._truth.items())
         ]
-        self.outcomes += undelivered_outcomes(self._levels, undelivered)
         node_counts = {
             n: {k: (v[0], v[1]) for k, v in node.counts.items()}
             for n, node in self.nodes.items()
@@ -436,7 +419,6 @@ class Engine:
             pair_accounting=self.pair_accounting,
             record_accounting=self.record_accounting,
             undelivered=undelivered,
-            outcomes=self.outcomes,
             event_log=self.event_log,
         )
 

@@ -1,10 +1,9 @@
 """Run traces: what a run hands to analysis, and the file it is saved as.
 
 A :class:`RunTrace` holds everything one run produced.  Its head events are
-the exact ordered stream the head saw; :func:`apply_head_event` folds them
-through a head estimator, which is how a live run translates its
-measurements and how :func:`derive_outcomes` translates them again, so a
-trace replayed at its run's own settings gives byte-identical outcomes.
+the exact ordered stream the head saw; :func:`derive_outcomes` folds them
+through a head estimator into the run's outcomes, the one translation path
+of a live run, a loaded trace and a replay alike.
 
 A saved trace is strict JSON in format :data:`TRACE_FORMAT`: the head
 events as columns and no outcomes, which loading derives.
@@ -15,12 +14,13 @@ way.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from . import protocol
-from .estimators import HeadEstimator, TimestampPair
+from .estimators import ESTIMATOR_METHODS, HeadEstimator, TimestampPair
 
 
 @dataclass(slots=True)
@@ -121,16 +121,51 @@ def _read_head_events(data, chains, levels) -> list[tuple]:
     return [next(streams[letter]) for letter in kinds]
 
 
-def _read_chain(chain) -> tuple[int, ...]:
-    if type(chain) is not list or not set(map(type, chain)) <= _INT:
-        raise ValueError(f"a chain is a list of node ids, got {chain!r:.80}")
-    return tuple(chain)
+def _one_of(allowed):
+    """A reader of a value that must be one of ``allowed``."""
+    def read(value, _values):
+        if value not in allowed:
+            raise ValueError(f"{value!r:.80} is not one of {list(allowed)}")
+        return value
+    return read
 
 
-def _read_scheme(scheme, _values) -> str:
-    if scheme not in UNTRANSLATED:
-        raise ValueError(f"unknown scheme {scheme!r:.80}")
-    return scheme
+def _at_least(low: int):
+    """A reader of an int, or null, that must be at least ``low``."""
+    def read(value, _values):
+        if value is not None and value < low:
+            raise ValueError(f"{value} is below {low}")
+        return value
+    return read
+
+
+def _read_levels(levels, _values) -> dict:
+    """Each node's level, an int >= 0; exactly one node, the head, at 0."""
+    levels = {int(n): level for n, level in levels.items()}
+    if not all(type(level) is int and level >= 0 for level in levels.values()):
+        raise ValueError(f"not an int level >= 0 per node: {levels!r:.80}")
+    if list(levels.values()).count(0) != 1:
+        raise ValueError(f"not exactly one node at level 0: {levels!r:.80}")
+    return levels
+
+
+def _read_chains(chains, values) -> dict:
+    """Each sensor's chain of node ids, from the head-adjacent node down to
+    the sensor: one node per level, and the parent's chain plus the sensor."""
+    levels = values["levels"]
+    read = {}
+    for n, chain in chains.items():
+        if type(chain) is not list or not set(map(type, chain)) <= _INT:
+            raise ValueError(f"a chain is a list of node ids, got {chain!r:.80}")
+        read[int(n)] = tuple(chain)
+    sensors = {n for n, level in levels.items() if level > 0}
+    if read.keys() != sensors:
+        raise ValueError(f"nodes {sorted(read)} are not the sensor nodes {sorted(sensors)}")
+    for n, chain in read.items():
+        if (chain[-1:] != (n,) or [levels.get(m) for m in chain] != list(range(1, levels[n] + 1))
+                or chain[:-1] != (read[chain[-2]] if len(chain) > 1 else ())):
+            raise ValueError(f"{list(chain)} is not the chain from the head to node {n}")
+    return read
 
 
 def _read_radio(radio, _values) -> dict:
@@ -202,17 +237,16 @@ _NULL = type(None)
 # the keys read before it), None for a value saved as it is; a key that may
 # be null may also be left out (the event log and the config stamp)
 _TRACE_KEYS = {
-    "scheme": ((str,), None, _read_scheme),
-    "seed": ((int,), None, None),
-    "duration_ns": ((int,), None, None),
-    "tick_ns": ((int, _NULL), None, None),
-    "head_method": ((str,), None, None),
-    "head_window": ((int, _NULL), None, None),
+    "scheme": ((str,), None, _one_of(protocol.SCHEMES)),
+    "seed": ((int,), None, _at_least(0)),
+    "duration_ns": ((int,), None, _at_least(1)),
+    "tick_ns": ((int, _NULL), None, _at_least(1)),
+    "head_method": ((str,), None, _one_of(ESTIMATOR_METHODS)),
+    "head_window": ((int, _NULL), None, _at_least(2)),
     "radio": ((dict,), dict, _read_radio),
-    "levels": ((dict,), lambda v: {str(n): level for n, level in v.items()},
-               lambda v, _: {int(n): level for n, level in v.items()}),
+    "levels": ((dict,), lambda v: {str(n): level for n, level in v.items()}, _read_levels),
     "chains": ((dict,), lambda v: {str(n): list(chain) for n, chain in v.items()},
-               lambda v, _: {int(n): _read_chain(chain) for n, chain in v.items()}),
+               _read_chains),
     "head_events": ((dict,), _head_event_columns,
                     lambda v, read: _read_head_events(v, read["chains"], read["levels"])),
     "node_counts": ((dict,), lambda v: {
@@ -264,26 +298,6 @@ def _upgrade(data: dict) -> dict:
     return data
 
 
-class _Outcomes:
-    """The descriptor behind :attr:`RunTrace.outcomes`: the list a run built,
-    or, for a trace built with ``outcomes=None`` (one read from a file), the
-    list :func:`derive_outcomes` gives at the trace's own settings, derived
-    on first read.  So a trace that is only replayed is folded only once."""
-
-    def __get__(self, trace, owner=None):
-        if trace is None:
-            return None  # the field's default: derive on first read
-        outcomes = trace.__dict__["_outcomes"]
-        if outcomes is None:
-            outcomes = trace.__dict__["_outcomes"] = derive_outcomes(
-                trace, trace.head_method, trace.head_window
-            )
-        return outcomes
-
-    def __set__(self, trace, outcomes) -> None:
-        trace.__dict__["_outcomes"] = outcomes
-
-
 @dataclass
 class RunTrace:
     """Everything a run produced, sufficient to replay head-side estimation.
@@ -293,9 +307,8 @@ class RunTrace:
     different estimator or window reproduces what that head would have
     computed from the same radio traffic.  ``undelivered`` lists the
     ``(origin, seq, true_ns)`` of each measurement that never reached the
-    head.  ``outcomes`` follow from those two and the scheme (see
-    :func:`derive_outcomes`): a run sets them as it goes, and a trace read
-    from a file derives them when they are first read.
+    head.  ``outcomes`` follow from those two, the scheme and the head
+    settings, by :func:`derive_outcomes` when they are first read.
     """
 
     scheme: str
@@ -313,14 +326,17 @@ class RunTrace:
     pair_accounting: dict[str, int]
     record_accounting: dict[str, int]
     undelivered: list[tuple[int, int, int]] = dataclasses.field(default_factory=list)
-    outcomes: list[MeasurementOutcome] = _Outcomes()
     event_log: list[tuple] | None = None
     config: dict | None = None
     config_hash: str | None = None
 
+    @functools.cached_property
+    def outcomes(self) -> list[MeasurementOutcome]:
+        return derive_outcomes(self)
+
     def to_dict(self) -> dict:
         """The trace in the saved layout, format :data:`TRACE_FORMAT`: every
-        field but the outcomes, which are derived on load."""
+        field, and not the outcomes, which the loaded trace derives."""
         data = {"format_version": TRACE_FORMAT}
         for key, (_, write, _) in _TRACE_KEYS.items():
             value = getattr(self, key)
@@ -334,8 +350,11 @@ class RunTrace:
         key in the shape written, raises ValueError naming the key: each
         column of the head events and the undelivered table is checked for
         type and length, each origin must be a node of the trace, and each
-        head event's layer or level must be its origin's level.  The frame
-        counts and airtimes hold exactly the trace's nodes, the radio passes
+        head event's layer or level must be its origin's level.  The seed,
+        duration, tick and head settings must be ones a run could have; the
+        levels put one node, the head, at 0, and each sensor's chain runs
+        from the head to it, one node per level.  The frame counts and
+        airtimes hold exactly the trace's nodes, the radio passes
         :class:`~synclab.protocol.RadioConfig`'s checks, and the accounting
         tables hold a count per bucket of :data:`PAIR_BUCKETS` and
         :data:`RECORD_BUCKETS`."""
@@ -367,52 +386,6 @@ def error_seconds(est_ticks: float, true_ns: int, tick_ns: int | None) -> float:
     return (est_ns - true_ns) / 1e9
 
 
-def measurement_outcome(
-    origin: int,
-    level: int,
-    seq: int,
-    true_ns: int,
-    local_ticks: float,
-    arrival_ns: int | None,
-    est_ticks: float | None,
-    tick_ns: int | None,
-    reason: str = "bootstrap",
-) -> MeasurementOutcome:
-    """The outcome of one measurement: translated exactly when ``est_ticks``
-    is set, with its error; otherwise untranslated for ``reason``."""
-    if est_ticks is None:
-        return MeasurementOutcome(
-            origin, level, seq, true_ns, local_ticks, arrival_ns,
-            None, None, False, reason,
-        )
-    return MeasurementOutcome(
-        origin, level, seq, true_ns, local_ticks, arrival_ns,
-        est_ticks, error_seconds(est_ticks, true_ns, tick_ns), True, None,
-    )
-
-
-def apply_head_event(
-    estimator: HeadEstimator,
-    chains: dict[int, tuple[int, ...]],
-    tick_ns: int | None,
-    event: tuple,
-) -> MeasurementOutcome | None:
-    """Fold one head event into the estimator; measurements yield outcomes.
-
-    This is the single translation path shared by the live run and offline
-    replay, which is what makes replay bit-identical.
-    """
-    if event[0] == "pair":
-        _, _, origin, _, t_child, t_parent, sync_index = event
-        estimator.ingest(origin, TimestampPair(t_child, t_parent, sync_index))
-        return None
-    _, arrival_ns, origin, level, seq, local_ticks, true_ns, _ = event
-    est_ticks = estimator.translate_to_reference(chains[origin], local_ticks)
-    return measurement_outcome(
-        origin, level, seq, true_ns, local_ticks, arrival_ns, est_ticks, tick_ns
-    )
-
-
 UNTRANSLATED = {
     protocol.REVERSE_ONEWAY: None,
     protocol.REVERSE_TWOWAY: "scheme",
@@ -420,55 +393,51 @@ UNTRANSLATED = {
     protocol.CONVENTIONAL_TWOWAY: "scheme",
 }
 """Why the head leaves a delivered measurement untranslated, per scheme.
-Only reverse one-way translates at the head (None: through
-:func:`apply_head_event`); conventional one-way delivers the sensor's own
-estimate, absent until the sensor bootstraps; the two-way schemes are kept
-at message-flow fidelity and translate nothing."""
+Only reverse one-way translates at the head (None); conventional one-way
+delivers the sensor's own estimate, absent until the sensor bootstraps; the
+two-way schemes are kept at message-flow fidelity and translate nothing."""
 
 
-def undelivered_outcomes(
-    levels: dict[int, int], undelivered: list[tuple[int, int, int]]
-) -> list[MeasurementOutcome]:
-    """Placeholder outcomes for ``(origin, seq, true_ns)`` measurements that
-    never reached the head: no arrival, no local timestamp (NaN)."""
-    return [
-        measurement_outcome(
-            origin, levels[origin], seq, true_ns, math.nan,
-            arrival_ns=None, est_ticks=None, tick_ns=None, reason="undelivered",
-        )
-        for origin, seq, true_ns in undelivered
-    ]
+def derive_outcomes(trace: RunTrace) -> list[MeasurementOutcome]:
+    """A trace's outcomes under its head method and window: one per
+    delivered measurement in head-event order, then one per undelivered
+    measurement, with no arrival and no local timestamp (NaN).
 
-
-def derive_outcomes(
-    trace: RunTrace, method: str, window: int | None
-) -> list[MeasurementOutcome]:
-    """A trace's outcomes under a head estimator with ``method`` and
-    ``window``: one per delivered measurement in head-event order, then one
-    per undelivered measurement.
-
-    Under reverse one-way this folds the head events once through a fresh
-    estimator, by :func:`apply_head_event`, the path the live run takes.
-    Under the other schemes the head translates nothing: each outcome takes
-    the sensor's own estimate stored in its measurement event, and the
-    scheme's reason from :data:`UNTRANSLATED`.
+    Under reverse one-way the head events are folded once through a fresh
+    estimator: each pair is ingested and each measurement translated, or
+    left untranslated while a link on its chain is bootstrapping.  Under
+    the other schemes each measurement keeps the sensor's own estimate
+    stored in its event, and the scheme's reason from :data:`UNTRANSLATED`.
     """
     reason = UNTRANSLATED[trace.scheme]
-    tick_ns = trace.tick_ns
-    outcomes = []
+    estimator = None
     if reason is None:
-        estimator = HeadEstimator(method, window)
-        chains = trace.chains
-        for event in trace.head_events:
-            outcome = apply_head_event(estimator, chains, tick_ns, event)
-            if outcome is not None:
-                outcomes.append(outcome)
-    else:
-        for event in trace.head_events:
-            if event[0] == "measurement":
-                _, arrival_ns, origin, level, seq, local_ticks, true_ns, est_ticks = event
-                outcomes.append(measurement_outcome(
-                    origin, level, seq, true_ns, local_ticks, arrival_ns,
-                    est_ticks, tick_ns, reason,
-                ))
-    return outcomes + undelivered_outcomes(trace.levels, trace.undelivered)
+        estimator = HeadEstimator(trace.head_method, trace.head_window)
+        reason = "bootstrap"
+    tick_ns = trace.tick_ns
+    chains = trace.chains
+    outcomes = []
+    for event in trace.head_events:
+        if event[0] == "pair":
+            if estimator is not None:
+                _, _, origin, _, t_child, t_parent, sync_index = event
+                estimator.ingest(origin, TimestampPair(t_child, t_parent, sync_index))
+            continue
+        _, arrival_ns, origin, level, seq, local_ticks, true_ns, est_ticks = event
+        if estimator is not None:
+            est_ticks = estimator.translate_to_reference(chains[origin], local_ticks)
+        if est_ticks is None:
+            outcomes.append(MeasurementOutcome(
+                origin, level, seq, true_ns, local_ticks, arrival_ns, None, None, False, reason,
+            ))
+        else:
+            outcomes.append(MeasurementOutcome(
+                origin, level, seq, true_ns, local_ticks, arrival_ns,
+                est_ticks, error_seconds(est_ticks, true_ns, tick_ns), True, None,
+            ))
+    levels = trace.levels
+    for origin, seq, true_ns in trace.undelivered:
+        outcomes.append(MeasurementOutcome(
+            origin, levels[origin], seq, true_ns, math.nan, None, None, None, False, "undelivered",
+        ))
+    return outcomes

@@ -155,7 +155,6 @@ def synthetic_trace(duration_s=100.0, tx_s=0.0, rx_s=0.0, schedule=SCHEDULED_WAK
         levels={0: 0, 1: 1},
         chains={1: (1,)},
         head_events=[],
-        outcomes=[],
         node_counts={0: {}, 1: {"report": (3, 0)}},
         airtime={0: (0.0, rx_s), 1: (tx_s, 0.0)},
         pair_accounting={},
@@ -382,6 +381,18 @@ def test_replay_rejects_other_schemes():
         replay(trace)
 
 
+def test_replay_rejects_bad_head_settings_at_the_call():
+    # the replayed outcomes are derived on first read, but replay reads them
+    trace = run_config(short_accuracy_config())
+    with pytest.raises(ValueError):
+        replay(trace, head_method="bogus")
+    with pytest.raises(ValueError):
+        replay(trace, head_window=1)
+    # a window the method does not read is still checked
+    with pytest.raises(ValueError):
+        replay(trace, head_window=1, head_method="cumulative-ratio")
+
+
 def test_sweep_grid_order_and_labels():
     base = short_accuracy_config(duration_ns=20 * S)
     rows = sweep(base, seeds=[0, 1], windows=[2, "all"])
@@ -486,6 +497,11 @@ def test_versionless_trace_stored_outcomes_equal_the_derived_ones():
     assert derived == stored
 
 
+head_settings = st.fixed_dictionaries({
+    "method": st.sampled_from(["window-lsq", "two-point", "cumulative-ratio"]),
+    "window": st.one_of(st.integers(2, 25), st.just("all")),
+})
+
 reverse_oneway_configs = st.fixed_dictionaries(
     {
         "scheme": st.just(REVERSE_ONEWAY),
@@ -495,10 +511,7 @@ reverse_oneway_configs = st.fixed_dictionaries(
         "seed": st.integers(0, 2**32 - 1),
         "bundling": st.sampled_from(["none", "self", "all"]),
         "bundle_size": st.integers(1, 4),
-        "head": st.fixed_dictionaries({
-            "method": st.sampled_from(["window-lsq", "two-point", "cumulative-ratio"]),
-            "window": st.one_of(st.integers(2, 25), st.just("all")),
-        }),
+        "head": head_settings,
         "clock": st.fixed_dictionaries({
             "tick_us": st.one_of(st.none(), st.integers(1, 50)),
             "drift": st.sampled_from([
@@ -516,8 +529,8 @@ reverse_oneway_configs = st.fixed_dictionaries(
 
 
 @settings(max_examples=60, deadline=None)
-@given(reverse_oneway_configs)
-def test_saved_trace_is_strict_json_and_replays_the_live_run(tmp_path_factory, data):
+@given(reverse_oneway_configs, head_settings)
+def test_saved_trace_is_strict_json_and_replays_the_live_run(tmp_path_factory, data, head):
     tmp_path = tmp_path_factory.mktemp("trace")
     trace = run_config(parse_config(data))
     path = tmp_path / "trace.json"
@@ -529,6 +542,15 @@ def test_saved_trace_is_strict_json_and_replays_the_live_run(tmp_path_factory, d
     write_measurements_csv(tmp_path / "live.csv", trace)
     write_measurements_csv(tmp_path / "replayed.csv", replay(loaded))
     assert (tmp_path / "replayed.csv").read_bytes() == (tmp_path / "live.csv").read_bytes()
+    # the head's settings do not change the run's traffic: a run at another
+    # head records the same stream, and replaying it there gives that run
+    other = run_config(parse_config({**data, "head": head}))
+    for key in ("head_events", "node_counts", "pair_accounting", "record_accounting"):
+        assert getattr(other, key) == getattr(trace, key), key
+    moved = replay(loaded, head_window=head["window"], head_method=head["method"])
+    write_measurements_csv(tmp_path / "other.csv", other)
+    write_measurements_csv(tmp_path / "moved.csv", moved)
+    assert (tmp_path / "moved.csv").read_bytes() == (tmp_path / "other.csv").read_bytes()
 
 
 scheme_and_hops = st.one_of(

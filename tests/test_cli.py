@@ -290,6 +290,20 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     negative_count["node_counts"]["1"]["report"] = [-1, 0]
     bad_duty["radio"]["lpl_duty"] = 0.0
     cut_accounting["record_accounting"].pop("lost")
+    # top-level values no run could have written
+    (zero_tick, negative_tick, string_level, two_heads, stray_chain, short_chain,
+     negative_seed, zero_duration, bad_method, narrow_window) = (
+        json.loads(versionless) for _ in range(10))
+    zero_tick["tick_ns"] = 0
+    negative_tick["tick_ns"] = -1000
+    string_level["levels"]["0"] = "x"
+    two_heads["levels"]["1"] = 0
+    stray_chain["chains"]["3"] = [1, 2, 9]
+    short_chain["chains"]["3"] = [1, 2]
+    negative_seed["seed"] = -1
+    zero_duration["duration_ns"] = 0
+    bad_method["head_method"] = "bogus"
+    narrow_window["head_window"] = 1
     cases = (
         ({}, "'scheme'"),
         ([1, 2], "JSON object"),
@@ -314,6 +328,16 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         (negative_count, "'node_counts'"),
         (bad_duty, "'radio'"),
         (cut_accounting, "'record_accounting'"),
+        (zero_tick, "'tick_ns'"),
+        (negative_tick, "'tick_ns'"),
+        (string_level, "'levels'"),
+        (two_heads, "'levels'"),
+        (stray_chain, "'chains'"),
+        (short_chain, "'chains'"),
+        (negative_seed, "'seed'"),
+        (zero_duration, "'duration_ns'"),
+        (bad_method, "'head_method'"),
+        (narrow_window, "'head_window'"),
     )
     for i, (data, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"

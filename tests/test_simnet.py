@@ -9,7 +9,6 @@ import pytest
 
 from synclab.clock import ClockConfig, ClockParams
 from synclab.config import RunConfig, table1_config
-from synclab.estimators import HeadEstimator
 from synclab.protocol import (
     BUNDLE_SELF,
     CONVENTIONAL_ONEWAY,
@@ -18,7 +17,7 @@ from synclab.protocol import (
     REVERSE_TWOWAY,
 )
 from synclab.simnet import Engine, LinkConfig, Topology, build_chain
-from synclab.trace import RunTrace, apply_head_event, error_seconds
+from synclab.trace import RunTrace, error_seconds
 
 S = 1_000_000_000  # ns per second
 
@@ -70,18 +69,19 @@ def test_error_seconds_units():
     assert math.isclose(error_seconds(1_000_000_500.0, 1_000_000_000, None), 5e-7)
 
 
-def test_apply_head_event_bootstrap_then_translation():
-    estimator = HeadEstimator("window-lsq", 19)
-    chains = {1: (1,)}
+def test_derive_outcomes_bootstrap_then_translation():
     meas = ("measurement", 10 * S, 1, 1, 1, 5_000_000.0, 5 * S, None)
-    early = apply_head_event(estimator, chains, 1000, meas)
-    assert early is not None and not early.translated
-    assert early.reason == "bootstrap" and early.err_s is None
-
     # identity link: child ticks equal head ticks
-    assert apply_head_event(estimator, chains, 1000, ("pair", S, 1, 1, 1e6, 1e6, 1)) is None
-    assert apply_head_event(estimator, chains, 1000, ("pair", 2 * S, 1, 1, 2e6, 2e6, 2)) is None
-    late = apply_head_event(estimator, chains, 1000, meas)
+    pairs = [("pair", S, 1, 1, 1e6, 1e6, 1), ("pair", 2 * S, 1, 1, 2e6, 2e6, 2)]
+    trace = RunTrace(
+        scheme=REVERSE_ONEWAY, seed=0, duration_ns=20 * S, tick_ns=1000,
+        head_method="window-lsq", head_window=19, radio={}, levels={0: 0, 1: 1},
+        chains={1: (1,)}, head_events=[meas, *pairs, meas], node_counts={}, airtime={},
+        pair_accounting={}, record_accounting={},
+    )
+    early, late = trace.outcomes
+    assert not early.translated
+    assert early.reason == "bootstrap" and early.err_s is None
     assert late.translated and late.reason is None
     assert math.isclose(late.est_ticks, 5_000_000.0)
     assert math.isclose(late.err_s, 0.0, abs_tol=1e-12)
