@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass, field, fields
 
 from . import protocol
-from .clock import ClockConfig, DriftModel, MAX_DRIFT_SEGMENTS, NS_PER_S
+from .clock import DEFAULT_SKEW_BOUND_PPM, ClockConfig, DriftModel, MAX_DRIFT_SEGMENTS, NS_PER_S
 from .estimators import ESTIMATOR_METHODS, WINDOW_LSQ, TWO_POINT, default_window
+from .precision import FLOAT32_MAX
 from .protocol import RadioConfig
 from .simnet import LinkConfig
 
@@ -125,6 +126,16 @@ class RunConfig:
                 f"SFD jitter {self.link.jitter_ns} ns exceeds {protocol.EPOCH_NS} ns, "
                 "the time of the first stamp, so a stamp could fall before t = 0"
             )
+        if self.scheme == protocol.CONVENTIONAL_ONEWAY and self.node_precision != protocol.FP64:
+            # an fp32 node rounds every stamp into single precision: the largest,
+            # from the offset and the fastest clock at the last stamp, must fit
+            try:
+                reach = (self.clock.offset_ns + (1.0 + DEFAULT_SKEW_BOUND_PPM * 1e-6)
+                         * (self.duration_ns + self.link.jitter_ns)) / (self.clock.tick_ns or 1)
+            except OverflowError:
+                reach = math.inf
+            if reach > FLOAT32_MAX:
+                raise ConfigError(f"clock stamps up to {reach:.3g} ticks overflow an fp32 node")
 
     def radio_config(self) -> RadioConfig:
         return self.radio if self.radio is not None else _radio(self.scheme)

@@ -17,8 +17,9 @@ and :func:`logical_time`, and the anchored rate :func:`cumulative_ratio`,
 take an :class:`Arithmetic`: Python's operators on the numbers themselves
 (plain floats or integer ticks give the 64-bit arithmetic), or a table of
 rounded float operations such as :data:`~synclab.precision.ROUNDED`, on
-which an fp32 node computes from beacon to estimate.  The node protocol and
-:func:`~synclab.precision.empirical_loss` call these same functions.
+which an fp32 node computes from beacon to estimate.  The head and the nodes
+fit through one link type, :func:`new_link`, and
+:func:`~synclab.precision.empirical_loss` calls these same functions.
 
 The 64-bit least-squares fit is exact up to one final rounding: once
 :func:`lsq_fit` has read a :class:`RegressionWindow`, the window keeps exact
@@ -401,44 +402,51 @@ def default_window(si_s: float) -> int:
 
 
 class _Link:
-    """One link's estimate at the head: the last good fit, redone lazily
-    once new pairs have arrived.  A subclass per method keeps the pairs its
-    fit reads and nothing else: ``push`` takes a pair (False for a stale or
-    duplicate sync index) and ``fit`` returns ``(ratio, offset)`` or raises
-    :class:`EstimationError`, :class:`InsufficientDataError` while the link
-    has fewer than two pairs."""
+    """One link's estimate, at the head or at a node: the last good fit,
+    redone lazily in the link's arithmetic once new pairs have arrived.  A
+    subclass per method keeps the pairs its fit reads and nothing else:
+    ``push`` takes a pair (False for a stale or duplicate sync index; on True
+    the caller sets ``dirty``) and ``fit`` returns ``(ratio, offset)`` or
+    raises :class:`EstimationError`, :class:`InsufficientDataError` while the
+    link has fewer than two pairs."""
 
-    __slots__ = ("dirty", "ratio", "offset")
+    __slots__ = ("dirty", "ratio", "offset", "arithmetic")
 
-    def __init__(self) -> None:
+    def __init__(self, arithmetic: Arithmetic) -> None:
         self.dirty = False
         self.ratio = self.offset = None
+        self.arithmetic = arithmetic
 
     def current(self) -> bool:
         """Refit if pairs arrived since the last fit; False while the link
-        is still bootstrapping.  A refit that raises :class:`EstimationError`
-        (say, a non-positive ratio from pairs that SFD jitter put out of
-        order) is rejected and the last good fit kept."""
+        has no good fit.  A refit that raises :class:`EstimationError` (say,
+        a non-positive ratio from pairs that SFD jitter put out of order) or
+        overflows (a square past the single range) is rejected and the last
+        good fit kept."""
         if self.dirty:
             self.dirty = False
             try:
                 self.ratio, self.offset = self.fit()
-            except EstimationError:
+            except (EstimationError, ArithmeticError):
                 pass
         return self.ratio is not None
 
 
 class _WindowLink(_Link):
-    """window-lsq: the exact least-squares sums of the last ``capacity`` pairs."""
+    """window-lsq: the last ``capacity`` pairs, fitted from their exact sums
+    under :data:`OPERATORS` and by :func:`centered_fit` on a rounded table."""
 
     __slots__ = ("window", "push")
 
-    def __init__(self, capacity: int | None) -> None:
-        super().__init__()
+    def __init__(self, capacity: int | None, arithmetic: Arithmetic) -> None:
+        super().__init__(arithmetic)
         self.window = RegressionWindow(capacity)
         self.push = self.window.push  # bound once: no wrapper call per pair
 
-    def fit(self) -> tuple[float, float]:
+    def fit(self) -> tuple:
+        if self.arithmetic is not OPERATORS:
+            children, parents, _ = zip(*self.window._pairs)
+            return centered_fit(parents, children, self.arithmetic)
         sums = self.window._sums
         if sums is None:  # the first fit, or a stamp not a plain int or float
             params = lsq_fit(self.window)
@@ -447,12 +455,12 @@ class _WindowLink(_Link):
 
 
 class _AnchoredLink(_Link):
-    """cumulative-ratio: the first pair ever and the latest one."""
+    """cumulative-ratio: the first pair ever and the latest one, in fp64."""
 
     __slots__ = ("first", "latest")
 
-    def __init__(self, capacity: int | None) -> None:
-        super().__init__()
+    def __init__(self, capacity: int | None, arithmetic: Arithmetic) -> None:
+        super().__init__(arithmetic)
         self.first = self.latest = None
 
     def push(self, pair: TimestampPair) -> bool:
@@ -472,12 +480,12 @@ class _AnchoredLink(_Link):
 
 
 class _TwoPointLink(_Link):
-    """two-point: the latest two pairs."""
+    """two-point: the latest two pairs, interpolated in the link's arithmetic."""
 
     __slots__ = ("previous", "latest")
 
-    def __init__(self, capacity: int | None) -> None:
-        super().__init__()
+    def __init__(self, capacity: int | None, arithmetic: Arithmetic) -> None:
+        super().__init__(arithmetic)
         self.previous = self.latest = None
 
     def push(self, pair: TimestampPair) -> bool:
@@ -487,21 +495,27 @@ class _TwoPointLink(_Link):
         self.previous, self.latest = latest, pair
         return True
 
-    def fit(self) -> tuple[float, float]:
+    def fit(self) -> tuple:
         if self.previous is None:
             raise InsufficientDataError("two-point needs 2 pairs, got 1")
-        params = interpolate_params(self.previous, self.latest)
+        params = interpolate_params(self.previous, self.latest, self.arithmetic)
         return params.ratio, params.offset
 
 
 _LINKS = {WINDOW_LSQ: _WindowLink, CUMULATIVE_RATIO: _AnchoredLink, TWO_POINT: _TwoPointLink}
 
 
+def new_link(method: str, window: int | None, arithmetic: Arithmetic = OPERATORS) -> _Link:
+    """An empty link of ``method`` fitted in ``arithmetic``, for the head or
+    a node; window-lsq keeps the last ``window`` pairs (all for None)."""
+    return _LINKS[method](window, arithmetic)
+
+
 class HeadEstimator:
     """Head-side registry of per-node estimates (one estimate per link layer).
 
     Keyed by the child node id; in a chain topology node ids coincide with
-    layer numbers.  The method picks the kind of link once, at construction.
+    layer numbers.  Each link is a :func:`new_link` of the head's method.
     Fits are cached and recomputed lazily after new pairs arrive.  Duplicate
     or stale sync indices leave the state unchanged.
     """
@@ -513,7 +527,6 @@ class HeadEstimator:
             raise ValueError(f"head window {window} is below 2")
         self._method = method
         self._capacity = 2 if method == TWO_POINT else window
-        self._new_link = _LINKS[method]
         self._links: dict[int, _Link] = {}
 
     @property
@@ -528,7 +541,7 @@ class HeadEstimator:
         """Add a pair for a node's link; returns False for duplicates."""
         link = self._links.get(node_id)
         if link is None:
-            link = self._links[node_id] = self._new_link(self._capacity)
+            link = self._links[node_id] = new_link(self._method, self._capacity)
         if not link.push(pair):
             return False
         link.dirty = True

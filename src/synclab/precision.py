@@ -14,8 +14,9 @@ formulas in 64-bit floats.  This module provides
   mode truncates an fp64 result that is exact (every product, every sum or
   difference whose TwoSum error term is zero) or whose truncation is exact
   (every quotient) with one ``fmod`` when it is normal in single precision,
-  by struct packing when it is zero or subnormal, and otherwise truncates
-  the exact value by integer significand arithmetic;
+  and by struct packing when it is zero or subnormal; a sum or difference
+  that fp64 rounded chops as its fp64 value does, or as the fp64 value next
+  to it toward zero, as the sign of the TwoSum error term says;
 * :class:`PrecisionLoss` and :func:`psi_error`: the affine model of the time
   translation error caused by finite precision, err(T) = eps_alpha * T +
   eps_beta for a local timestamp T, and :func:`empirical_loss`, which
@@ -41,7 +42,6 @@ MACHINE_EPS32 = 2.0 ** -23
 
 FLOAT32_MAX = 3.4028234663852886e38
 """Largest finite single-precision magnitude, (2 - 2**-23) * 2**127."""
-_FLOAT32_MAX_INT = int(FLOAT32_MAX)
 
 _F32 = struct.Struct("<f")
 _U32 = struct.Struct("<I")
@@ -55,43 +55,9 @@ class PrecisionOverflowError(ArithmeticError):
     """A value exceeds the largest finite single-precision magnitude."""
 
 
-def _checked(value: float) -> float:
-    """``value`` if it is a finite single-precision value, else
-    :class:`ValueError`: the check on every integer-routine result."""
-    # the range check rejects inf and NaN, which pack, and keeps a value past
-    # the fp32 range from packing, which raises; an int is compared as it is
-    if not (-FLOAT32_MAX <= value <= FLOAT32_MAX
-            and _F32.unpack(_F32.pack(value))[0] == value):
-        raise ValueError(f"{value!r} is not single-precision representable")
-    return value
-
-
-def _chop(num: int, den: int) -> float:
-    """The single-precision value of largest magnitude not above ``|num/den|``,
-    with the sign of ``num/den`` (``den > 0``).
-
-    The quotient's binary exponent comes from the bit lengths, clamped at
-    the subnormal floor 2**-149; one floor division then yields the 24-bit
-    significand.  A nonzero value that chops to zero keeps its sign, an
-    exact zero is +0.0.  A magnitude above :data:`FLOAT32_MAX` raises
-    :class:`PrecisionOverflowError`.  The result is checked.
-    """
-    n = abs(num)
-    # ulp exponent for a quotient in [2**(e-1), 2**(e+1)), e = bit-length gap;
-    # the significand q then has 24 or 25 bits (fewer when subnormal)
-    shift = max(n.bit_length() - den.bit_length() - 1, -126) - 23
-    q = n // (den << shift) if shift >= 0 else (n << -shift) // den
-    if q >> 24:
-        q >>= 1
-        shift += 1
-    if shift >= 104 and n > _FLOAT32_MAX_INT * den:
-        raise PrecisionOverflowError("result overflows single precision")
-    value = math.ldexp(q, shift)
-    return _checked(-value if num < 0 else value)
-
-
 def _chop_exact(x: float) -> float:
-    """:func:`_chop` of a value that fp64 holds exactly, by struct packing:
+    """A value that fp64 holds exactly, chopped: the single-precision value
+    of largest magnitude not above ``|x|``, with the sign of ``x``.  This is
     :func:`round32`'s routine, and the table's for the zeros, subnormal
     results and errors that its inline fast path leaves to it.
 
@@ -159,6 +125,7 @@ _NORMAL32 = 2.0 ** -126
 """Smallest normal single-precision magnitude."""
 _ulp = math.ulp
 _fmod = math.fmod
+_nextafter = math.nextafter
 
 # The chop fast path, inline in each operation below.  A value ``x`` that
 # fp64 holds exactly, with ``_NORMAL32 <= |x| <= FLOAT32_MAX`` (which rules
@@ -169,24 +136,22 @@ _fmod = math.fmod
 # difference is ``n * ulp`` with ``2**23 <= |n| < 2**24`` and the sign of
 # ``x``: single precision by construction.  Zero (whose sign ``fmod`` would
 # lose), subnormal results and errors go to the struct routine,
-# :func:`_chop_exact`, and an fp64 result that is not exact to the integer
-# routine, :func:`_chop`.
+# :func:`_chop_exact`, and a sum or difference that fp64 rounded to
+# :func:`_chop_rounded`.
 
 
 def _chop_add(a: float, b: float) -> float:
-    """``a + b`` chopped, for single-precision ``a`` and ``b``.
-
-    The fp64 sum is exact when its TwoSum error term is zero (it then also
-    carries the IEEE sign of an exact zero); otherwise the exact sum is
-    formed with integers.
-    """
+    """``a + b`` chopped, for single-precision ``a`` and ``b``: inline when
+    the TwoSum error term is zero (the fp64 sum is then exact, and carries
+    the IEEE sign of an exact zero), else by :func:`_chop_rounded`."""
     t = a + b
     bp = t - a
-    if (a - (t - bp)) + (b - bp) == 0.0:
+    e = (a - (t - bp)) + (b - bp)
+    if e == 0.0:
         if _NORMAL32 <= t <= FLOAT32_MAX or -FLOAT32_MAX <= t <= -_NORMAL32:
             return t - _fmod(t, _ulp(t) * 2.0 ** 29)
         return _chop_exact(t)
-    return _chop(*_exact_sum(a, b))
+    return _chop_rounded(t, e)
 
 
 def _chop_sub(a: float, b: float) -> float:
@@ -194,11 +159,32 @@ def _chop_sub(a: float, b: float) -> float:
     ``(a - (t - bp)) - (b + bp)``: the TwoSum term of ``a + (-b)``."""
     t = a - b
     bp = t - a
-    if (a - (t - bp)) - (b + bp) == 0.0:
+    e = (a - (t - bp)) - (b + bp)
+    if e == 0.0:
         if _NORMAL32 <= t <= FLOAT32_MAX or -FLOAT32_MAX <= t <= -_NORMAL32:
             return t - _fmod(t, _ulp(t) * 2.0 ** 29)
         return _chop_exact(t)
-    return _chop(*_exact_sum(a, -b))
+    return _chop_rounded(t, e)
+
+
+def _chop_rounded(t: float, e: float) -> float:
+    """``t + e`` chopped: ``t`` is the fp64 sum or difference of two singles
+    and ``e`` its nonzero TwoSum error term (NaN for a non-finite operand,
+    and then ``t`` raises).
+
+    ``t + e`` lies strictly between ``t`` and its fp64 neighbour on the side
+    of ``e``, at most halfway, and the single grid lies on the fp64 grid.
+    So with ``e`` toward zero, ``t + e`` chops as that neighbour does; with
+    ``e`` away from zero, as ``t`` does, except that past
+    :data:`FLOAT32_MAX` it overflows; and a ``t`` past the range overflows
+    either way.
+    """
+    value = _chop_exact(t)  # raises for a t past the range
+    if (e < 0.0) == (t > 0.0):
+        return _chop_exact(_nextafter(t, 0.0))
+    if abs(t) == FLOAT32_MAX:
+        raise PrecisionOverflowError(f"{t!r} + {e!r} overflows single precision")
+    return value
 
 
 def _chop_mul(a: float, b: float) -> float:
@@ -212,51 +198,25 @@ def _chop_mul(a: float, b: float) -> float:
 def _chop_div(a: float, b: float) -> float:
     """``a / b`` chopped, for single-precision ``a`` and ``b``.
 
-    The fp64 quotient is rarely exact, yet chopping it is exact whenever it
-    is normal and nonzero in single precision.  With IEEE exponents, let
-    ``m = M * 2**(E-23)`` be a single-precision value (``M`` an integer
-    below ``2**24``) other than ``a/b``, and ``b`` have exponent ``E_b``.
-    Then ``a - m*b`` is a nonzero multiple of ``2**(E+E_b-46)``, so
-    ``|a/b - m| >= 2**(E-47)``, while fp64's half-ulp near ``m`` is at most
-    ``2**(E-52)``.  So the fp64 quotient never reaches or crosses a
-    single-precision value that ``a/b`` does not equal: it chops as ``a/b``
-    does.  A zero dividend, a subnormal quotient and an overflow go to the
-    integer routine, :func:`_chop_quotient`.
+    The fp64 quotient is rarely exact, yet it chops as ``a/b`` does.  With
+    IEEE exponents, a single is ``M * 2**(E-23)`` for an integer ``M`` below
+    ``2**24`` (``E = -126`` for a subnormal).  Let ``a`` and ``b`` have
+    exponents ``E_a`` and ``E_b``, and ``m != a/b`` be a single of exponent
+    ``E``.  Then ``a - m*b`` is a nonzero multiple of ``2**(E_a-23)`` or of
+    ``2**(E+E_b-46)``, whichever is smaller, so ``|a/b - m|`` is at least
+    ``2**(E_a-23) / |b|`` or, as ``|b| < 2**(E_b+1)``, ``2**(E-47)``.  The
+    fp64 quotient is within ``2**-53 * |a/b|`` of ``a/b``: below
+    ``2**(E_a-52) / |b|``, and below ``2**(E-51)`` while ``|a/b| <
+    2**(E+2)`` (farther off, ``m`` is out of its reach).  So it never
+    reaches or crosses a single that ``a/b`` does not equal.  The bounds
+    come from the operands' exponents, not from ``m`` being normal: a
+    quotient outside the normal range, zeros, subnormals and overflows,
+    goes to :func:`_chop_exact`.
     """
     t = a / _divisor(b)
     if _NORMAL32 <= t <= FLOAT32_MAX or -FLOAT32_MAX <= t <= -_NORMAL32:
         return t - _fmod(t, _ulp(t) * 2.0 ** 29)
-    return _chop_quotient(a, b)
-
-
-def _chop_quotient(a: float, b: float) -> float:
-    """``a / b`` chopped with integers, for single-precision ``a`` and a
-    nonzero ``b``: a zero dividend keeps the IEEE sign of the fp64 quotient."""
-    na, da = _ratio(a)
-    nb, db = _ratio(b)
-    if not na:
-        return a / b
-    if nb < 0:
-        na, nb = -na, -nb
-    return _chop(na * db, da * nb)
-
-
-def _exact_sum(a: float, b: float) -> tuple[int, int]:
-    """``a + b`` exactly, as (numerator, power-of-two denominator)."""
-    na, da = _ratio(a)
-    nb, db = _ratio(b)
-    if da < db:
-        na, da, nb, db = nb, db, na, da
-    return na + nb * (da // db), da
-
-
-def _ratio(x: float) -> tuple[int, int]:
-    """``x.as_integer_ratio()``; NaN raises its own :class:`ValueError`, an
-    infinity :class:`PrecisionOverflowError`."""
-    try:
-        return x.as_integer_ratio()
-    except OverflowError:
-        raise PrecisionOverflowError(f"{x!r} overflows single precision") from None
+    return _chop_exact(t)
 
 
 def _divisor(b: float) -> float:
@@ -283,8 +243,9 @@ ROUNDED = {
 """Per rounding mode, ``+ - * /`` of plain floats that hold single-precision
 values, each result rounded once in that mode and single precision: an
 overflow, or an infinite operand, raises :class:`PrecisionOverflowError`, a
-NaN operand :class:`ValueError` and a zero divisor
-:class:`ZeroDivisionError`.  ``number`` rounds a plain number into the mode.
+NaN fp64 result (a NaN operand, or ``inf - inf``) :class:`ValueError` and a
+zero divisor :class:`ZeroDivisionError`, alike in both modes.  ``number``
+rounds a plain number into the mode.
 Nearest rounds the fp64 result: fp64 is wide enough that the double rounding
 is invisible for ``+ - * /`` of single operands.  An exact zero keeps the IEEE
 sign of the fp64 result in both modes.  An fp32 node computes on this table

@@ -30,19 +30,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .clock import ClockParams, HardwareClock
-from .estimators import (
-    OPERATORS,
-    Arithmetic,
-    RegressionWindow,
-    TimestampPair,
-    WINDOW_LSQ,
-    centered_fit,
-    interpolate_params,
-    logical_time,
-    lsq_fit,
-    EstimationError,
-)
+from .clock import HardwareClock
+from .estimators import OPERATORS, EstimationError, TimestampPair, logical_time, new_link
 from .precision import CHOP, NEAREST, ROUNDED
 
 if TYPE_CHECKING:
@@ -75,7 +64,9 @@ FP64 = "fp64"
 FP32_NEAREST = "fp32-nearest"
 FP32_CHOP = "fp32-chop"
 PRECISION_MODES = (FP64, FP32_NEAREST, FP32_CHOP)
-_ROUNDING = {FP32_NEAREST: NEAREST, FP32_CHOP: CHOP}
+# a node's arithmetic: Python's operators under fp64, its mode's ROUNDED table
+# of plain floats under fp32 (plain functions, so no reference cycle)
+_ARITHMETIC = {FP64: OPERATORS, FP32_NEAREST: ROUNDED[NEAREST], FP32_CHOP: ROUNDED[CHOP]}
 
 ALWAYS_ON = "always-on"
 LPL = "lpl"
@@ -239,15 +230,6 @@ class RadioConfig:
         return message.size_bytes * 8 / self.bitrate_bps
 
 
-def _centered_window_fit(window: RegressionWindow, arithmetic: Arithmetic) -> ClockParams:
-    """An fp32 node's window-lsq refit: the centered fit of its window's
-    pairs on its mode's table."""
-    pairs = window.pairs
-    return ClockParams(*centered_fit(
-        [p.t_parent for p in pairs], [p.t_child for p in pairs], arithmetic
-    ))
-
-
 def default_radio_schedule(scheme: str) -> str:
     """Reverse schemes duty-cycle the radio; conventional ones listen always."""
     if scheme in (REVERSE_ONEWAY, REVERSE_TWOWAY):
@@ -289,27 +271,12 @@ class NodeState:
         self.counts: dict[str, list[int]] = {}
         self.tx_seconds = 0.0
         self.rx_seconds = 0.0
-        # node-side sync state (conventional one-way)
-        self.beacon_window = RegressionWindow(cfg.node_window)
-        self._node_fit = None
-        self._node_dirty = True
         # only a conventional one-way sensor translates its own measurements
         self._estimates = cfg.scheme == CONVENTIONAL_ONEWAY
-        # the node's arithmetic: Python's operators under fp64, its mode's
-        # ROUNDED table of plain floats under fp32; plain functions, so no
-        # reference cycle
-        rounding = _ROUNDING.get(cfg.node_precision)
-        arithmetic = OPERATORS if rounding is None else ROUNDED[rounding]
-        self._arithmetic = arithmetic
-        self._number = arithmetic.number
-        # an fp64 window keeps exact sums, so window-lsq reads them in O(1); an
-        # fp32 window takes the centered fit on its mode's table
-        if cfg.node_method != WINDOW_LSQ:
-            self._fit = lambda window: interpolate_params(*window.pairs[-2:], arithmetic)
-        elif rounding is None:
-            self._fit = lsq_fit
-        else:
-            self._fit = lambda window: _centered_window_fit(window, arithmetic)
+        # its beacon pairs go into the head's link type, in its arithmetic
+        self.beacon_link = new_link(
+            cfg.node_method, cfg.node_window, _ARITHMETIC[cfg.node_precision]
+        )
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -425,41 +392,36 @@ class NodeState:
     def on_beacon(self, message: Message, t: int) -> bool:
         """Record a beacon's (embedded stamp, own receive stamp) pair.
 
-        The pair enters ``beacon_window`` as the node's arithmetic holds it:
+        The pair enters ``beacon_link`` as the node's arithmetic holds it:
         raw stamps under fp64, rounded into the mode once, here, under fp32,
-        so a refit reads the window without converting it again.
+        so a refit reads the pairs without converting them again.
         """
         if message.send_stamp is None or message.sync_index is None:
             raise ValueError("beacon carries no sync data")
-        number = self._number
+        link = self.beacon_link
+        number = link.arithmetic.number
         # positional: t_child, t_parent, sync_index
         pair = TimestampPair(
             number(message.send_stamp), number(self.stamp(RECEIVE, t)), message.sync_index
         )
-        added = self.beacon_window.push(pair)
-        if added:
-            self._node_dirty = True
-        return added
+        if not link.push(pair):
+            return False
+        link.dirty = True
+        return True
 
     def node_estimate(self, local_ticks) -> float | None:
         """Node-local reference-time estimate for a local timestamp.
 
-        Fits reference-on-own-clock from received beacon pairs, under the
-        configured arithmetic fidelity.  A refit that raises
-        :class:`EstimationError` (say, a non-positive fp32 ratio) is rejected
-        and the last good fit kept.  Returns None before the first good fit.
+        Fits reference-on-own-clock from received beacon pairs, in the
+        node's arithmetic.  A refit that fails (say, a non-positive fp32
+        ratio, or a square past the single-precision range) is rejected and
+        the last good fit kept.  Returns None before the first good fit.
         """
-        if len(self.beacon_window) < 2:
+        link = self.beacon_link
+        if not link.current():
             return None
-        if self._node_dirty:
-            try:
-                self._node_fit = self._fit(self.beacon_window)
-            except EstimationError:
-                pass
-            self._node_dirty = False
-        if self._node_fit is None:
-            return None
-        return logical_time(self._node_fit, self._number(local_ticks), self._arithmetic)
+        arithmetic = link.arithmetic
+        return logical_time(link, arithmetic.number(local_ticks), arithmetic)
 
     def build_measurement_frame(self, t: int) -> Message | None:
         """Upward measurement frame of the node's own buffered records

@@ -264,9 +264,6 @@ _TRACE_KEYS = {
     "config_hash": ((str, _NULL), None, None),
 }
 
-_EVENT_LENGTHS = {"pair": 7, "measurement": 8}
-
-
 def _upgrade(data: dict) -> dict:
     """A version-less trace in the format-1 layout, to be checked as one.
 
@@ -278,11 +275,11 @@ def _upgrade(data: dict) -> dict:
     data = dict(data)
     events = data.get("head_events")
     if type(events) is list:
+        # a row is its kind, then that kind's fields
+        lengths = {kind: 1 + len(table) for kind, (_, table) in _HEAD_EVENTS.items()}
         with _reading("head_events"):
             for event in events:
-                if type(event) is not list or not event or (
-                    _EVENT_LENGTHS.get(event[0]) != len(event)
-                ):
+                if type(event) is not list or not event or lengths.get(event[0]) != len(event):
                     raise ValueError(f"not a head event: {event!r:.80}")
             data["head_events"] = _head_event_columns(events)
     outcomes = data.pop("outcomes", None)

@@ -514,6 +514,11 @@ reverse_oneway_configs = st.fixed_dictionaries(
         "head": head_settings,
         "clock": st.fixed_dictionaries({
             "tick_us": st.one_of(st.none(), st.integers(1, 50)),
+            # offsets up to and past where an fp32 node's stamps leave the
+            # single range
+            "offset_us": st.one_of(
+                st.floats(0.0, 1e6), st.integers(20, 36).map(lambda e: 10.0**e)
+            ),
             "drift": st.sampled_from([
                 {"kind": "constant"},
                 {"kind": "random-walk", "sigma_ppm": 0.05, "step_s": 0.5},
@@ -579,6 +584,11 @@ run_settings = st.fixed_dictionaries(
         }),
         "clock": st.fixed_dictionaries({
             "tick_us": st.one_of(st.none(), st.integers(1, 50)),
+            # offsets up to and past where an fp32 node's stamps leave the
+            # single range
+            "offset_us": st.one_of(
+                st.floats(0.0, 1e6), st.integers(20, 36).map(lambda e: 10.0**e)
+            ),
             "drift": st.sampled_from([
                 {"kind": "constant"},
                 {"kind": "random-walk", "sigma_ppm": 0.05, "step_s": 0.5},

@@ -397,6 +397,27 @@ def test_replay_folds_the_head_events_once(tmp_path, config_path, monkeypatch, w
     assert len(calls) == pairs > 0
 
 
+@pytest.mark.parametrize("node, clock, code", [
+    # stamps in range whose squares are not: every refit overflows, and the
+    # node keeps its last good fit, which it never had
+    ({"precision": "fp32-chop", "method": "window-lsq"}, {"offset_us": 1e30}, 0),
+    # stamps past FLOAT32_MAX: rejected before the run
+    ({"precision": "fp32-nearest", "method": "two-point"},
+     {"offset_us": 1e36, "tick_us": None}, 2),
+])
+def test_fp32_node_at_a_far_clock_offset_runs_or_is_rejected(tmp_path, node, clock, code):
+    config = {"scheme": "conventional-oneway", "duration_s": 5, "si_s": 1,
+              "node": node, "clock": clock}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == code
+    if code == 0:
+        with open(out / "measurements.csv", newline="") as fh:
+            reasons = {row["reason"] for row in csv.DictReader(fh)}
+        assert reasons == {"bootstrap"}
+
+
 def test_missing_config_is_a_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

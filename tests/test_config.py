@@ -19,6 +19,7 @@ from synclab.config import (
     singlehop_accuracy_config,
     table1_config,
 )
+from synclab.precision import FLOAT32_MAX
 from synclab.protocol import (
     ALWAYS_ON,
     BUNDLE_ALL,
@@ -257,6 +258,30 @@ def test_parse_rejects_jitter_that_stamps_before_time_zero():
     with pytest.raises(ConfigError, match="jitter"):
         parse_config({**MINIMAL, "link": {"jitter_us": 10_000.001}})
     assert parse_config({**MINIMAL, "link": {"jitter_us": 10_000}}).link.jitter_ns == 10**7
+
+
+def test_parse_rejects_fp32_node_stamps_past_the_single_range():
+    # an fp32 node rounds every stamp into single precision: the largest,
+    # offset + (1 + 500 ppm) * (duration + jitter) in ticks, must fit
+    flood = {"scheme": CONVENTIONAL_ONEWAY, "duration_s": 5, "si_s": 1}
+    node = {"precision": "fp32-nearest", "method": "two-point"}
+    far = {"offset_us": 1e36, "tick_us": None}
+    with pytest.raises(ConfigError, match="fp32 node"):
+        parse_config({**flood, "node": node, "clock": far})
+    # the same offset in 1 us ticks, at an fp64 node or without node fits is fine
+    parse_config({**flood, "node": node, "clock": {**far, "tick_us": 1}})
+    parse_config({**flood, "node": {**node, "precision": "fp64"}, "clock": far})
+    parse_config({**flood, "scheme": REVERSE_ONEWAY, "node": node, "clock": far})
+    # the bound itself, on either side
+    for scale, fits in ((1.0 - 2.0**-30, True), (1.0 + 2.0**-30, False)):
+        clock = ClockConfig(tick_ns=1000, offset_ns=1000 * FLOAT32_MAX * scale)
+        build = lambda: RunConfig(scheme=CONVENTIONAL_ONEWAY, node_precision="fp32-chop",
+                                  duration_ns=5 * S, clock=clock)
+        if fits:
+            build()
+        else:
+            with pytest.raises(ConfigError, match="fp32 node"):
+                build()
 
 
 def test_load_config(tmp_path):

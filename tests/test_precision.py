@@ -259,9 +259,13 @@ def test_emu_chop_results_bound_exact_value(pair):
 @example((FLOAT32_MAX, 2.0**103))
 @example((-FLOAT32_MAX, -(2.0**102)))
 @example((-FLOAT32_MAX, 2.0**104))
-# sums whose fp64 value is inexact, left to the integer routine
+# sums whose fp64 value is inexact: the fp64 sum and the sign of its TwoSum
+# error term decide the chop, down a binade, beside a single, or past the range
 @example((1.0, 2.0**-40))
 @example((1.0, -(2.0**-40)))
+@example((2.0**30, 1.0 + 2.0**-23))
+@example((-FLOAT32_MAX, 2.0**-40))
+@example((FLOAT32_MAX, 1.25 * 2.0**74))
 def test_emu_chop_exact_fp64_results_match_oracle(pair):
     assert_chop_matches_oracle(*pair, ops=(operator.add, operator.sub, operator.mul))
 

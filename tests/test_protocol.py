@@ -3,14 +3,24 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
 from synclab.clock import ClockParams, HardwareClock
 from synclab.config import ConfigError, RunConfig
-from synclab.estimators import EstimationError
+from synclab.estimators import (
+    OPERATORS,
+    EstimationError,
+    InsufficientDataError,
+    TimestampPair,
+    centered_fit,
+    interpolate_params,
+    logical_time,
+    lsq_fit,
+)
+from synclab.precision import CHOP, NEAREST, ROUNDED
 from synclab.protocol import (
     ALWAYS_ON,
     BEACON,
@@ -20,6 +30,7 @@ from synclab.protocol import (
     CONVENTIONAL_TWOWAY,
     FP32_CHOP,
     FP32_NEAREST,
+    FP64,
     HEADER_BYTES,
     MEASUREMENT,
     RECORD_BYTES,
@@ -347,6 +358,89 @@ def test_node_estimate_low_precision_paths(mode, method):
     node.on_beacon(beacon(2_123_457_241.0, 3), 2_123_400_007)
     estimates = [node.node_estimate(t) for t in (2_123_400_007.0, 3_123_400_011.0)]
     assert [e.hex() for e in estimates] == EXACT_NODE_ESTIMATES[mode, method]
+
+
+def reference_fit(method, mode, pairs):
+    """The fit of a node's last pairs, computed apart from the node: the
+    least-squares solution of ``lsq_fit`` in fp64, the centered fit on the
+    mode's table in fp32, or the interpolation of the latest two."""
+    arithmetic = OPERATORS if mode == FP64 else ROUNDED[mode]
+    if method == "two-point":
+        if len(pairs) < 2:
+            raise InsufficientDataError("two-point needs 2 pairs")
+        return interpolate_params(*pairs[-2:], arithmetic)
+    if mode == FP64:
+        return lsq_fit(pairs)
+    return ClockParams(*centered_fit(
+        [p.t_parent for p in pairs], [p.t_child for p in pairs], arithmetic
+    ))
+
+
+def estimate_outcome(estimate) -> str | None:
+    """``float.hex`` of an estimate, None before the first good fit, or the
+    name of the error it raises."""
+    try:
+        value = estimate()
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    return None if value is None else float(value).hex()
+
+
+# (generation, embedded send stamp, receive time in ns, local time to read the
+# estimate at or None): generations repeat and go stale, and a few stamps are
+# far enough out that a refit fails in single precision
+beacon_streams = st.lists(
+    st.tuples(
+        st.integers(1, 12),
+        st.one_of(st.floats(0.0, 2e10), st.sampled_from([1e20, 3e38])),
+        st.one_of(st.integers(0, 2 * 10**10), st.just(10**21)),
+        st.one_of(st.none(), st.floats(0.0, 2e10)),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["two-point", "window-lsq"]),
+    st.integers(2, 10),
+    st.sampled_from([FP64, FP32_NEAREST, FP32_CHOP]),
+    beacon_streams,
+)
+# a good fit, then a refit from a stale-looking pair that gives a negative ratio
+@example("window-lsq", 2, FP32_CHOP, [(1, 1e9, 10**9, None), (2, 2e9, 2 * 10**9, 3e9),
+                                      (3, 1.5e9, 3 * 10**9, 4e9)])
+# a good fit, then a refit whose squares overflow single precision
+@example("window-lsq", 3, FP32_NEAREST, [(1, 1e9, 10**9, None), (2, 2e9, 2 * 10**9, 3e9),
+                                         (3, 3e9, 10**21, 4e9)])
+def test_node_estimate_is_the_fit_of_its_last_unique_pairs(method, window, precision, stream):
+    # the node's beacon link against a model: pairs of new generations only,
+    # the last ``window`` of them (two for two-point) refitted lazily when
+    # an estimate is read, and a failed refit keeps the last good fit
+    node = make_node(scheme=CONVENTIONAL_ONEWAY, node_precision=precision,
+                     node_method=method, node_window=window)
+    mode = {FP64: FP64, FP32_NEAREST: NEAREST, FP32_CHOP: CHOP}[precision]
+    arithmetic = OPERATORS if mode == FP64 else ROUNDED[mode]
+    number = arithmetic.number
+    pairs, fit, dirty = [], None, False
+    for generation, sent, received, local in stream:
+        new = not pairs or generation > pairs[-1].sync_index
+        assert node.on_beacon(beacon(sent, generation), received) == new
+        if new:
+            pairs.append(TimestampPair(number(sent), number(float(received)), generation))
+            dirty = True
+        if local is None:
+            continue
+        if dirty:
+            dirty = False
+            try:
+                fit = reference_fit(method, mode, pairs[-window:])
+            except (EstimationError, ArithmeticError):
+                pass  # the last good fit stays
+        expected = estimate_outcome(
+            lambda: None if fit is None else logical_time(fit, number(local), arithmetic)
+        )
+        assert estimate_outcome(lambda: node.node_estimate(local)) == expected
 
 
 def test_measurement_frame_and_forwarding():
