@@ -10,7 +10,7 @@ import csv
 import os
 import sys
 
-from . import analysis, protocol
+from . import analysis, estimators, protocol
 from .config import ConfigError, RunConfig, load_config
 
 
@@ -114,8 +114,8 @@ def _cmd_count(args) -> int:
         raise ConfigError("count needs --hops (or --table1)")
     n, m = args.hops, args.per_hop_measurements
     print(f"conventional n={n} m={m}: {analysis.count_conventional(n, m)}")
-    print(f"proposed self-data n={n}: {analysis.count_proposed(n, 'self')}")
-    print(f"proposed all-data  n={n}: {analysis.count_proposed(n, 'all')}")
+    print(f"proposed self-data n={n}: {analysis.count_proposed(n, protocol.BUNDLE_SELF)}")
+    print(f"proposed all-data  n={n}: {analysis.count_proposed(n, protocol.BUNDLE_ALL)}")
     return 0
 
 
@@ -183,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_replay.add_argument("--trace", required=True, help="trace.json from run")
     p_replay.add_argument("--window", type=_parse_window, default=None)
-    p_replay.add_argument("--method", default=None,
-                          choices=("window-lsq", "cumulative-ratio", "two-point"))
+    p_replay.add_argument("--method", default=None, choices=estimators.ESTIMATOR_METHODS)
     p_replay.add_argument("--out-dir", default=".", help="output directory")
     p_replay.add_argument("--save-trace", action="store_true",
                           help="also write the replayed trace.json")

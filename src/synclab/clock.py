@@ -39,6 +39,11 @@ DRIFT_BLOCK = 1024
 MAX_DRIFT_SEGMENTS = 10**6
 """Most drift segments per node a run may need (``duration // step``)."""
 
+MAX_TICK_NS = 2**53
+"""Longest counter tick (about 104 days): a read divides the float phase by
+the tick and an estimate's error multiplies it back, so the tick must
+convert to a float exactly."""
+
 
 class ClockError(Exception):
     """Base class for clock contract violations."""
@@ -150,8 +155,8 @@ class HardwareClock:
         skew_bound_ppm: float = DEFAULT_SKEW_BOUND_PPM,
     ) -> None:
         params.validate_skew(skew_bound_ppm)
-        if tick_ns is not None and tick_ns <= 0:
-            raise ValueError("tick_ns must be positive or None")
+        if tick_ns is not None and not 0 < tick_ns <= MAX_TICK_NS:
+            raise ValueError(f"tick_ns must be from 1 to {MAX_TICK_NS} ns, or None")
         drift = drift or DriftModel.constant()
         if drift.kind == "random-walk" and drift.walk_sigma_ppm > 0.0 and rng is None:
             raise ValueError("random-walk drift needs an explicit rng for determinism")
@@ -250,8 +255,8 @@ class ClockConfig:
     drift: DriftModel = DriftModel()
 
     def __post_init__(self) -> None:
-        if self.tick_ns is not None and self.tick_ns <= 0:
-            raise ValueError("tick_ns must be positive or None")
+        if self.tick_ns is not None and not 0 < self.tick_ns <= MAX_TICK_NS:
+            raise ValueError(f"tick_ns must be from 1 to {MAX_TICK_NS} ns, or None")
         bound = DEFAULT_SKEW_BOUND_PPM
         if not (0.0 <= self.skew_ppm <= bound and 0.0 <= self.offset_ns < math.inf):
             raise ValueError(f"need skew_ppm in [0, {bound}], finite offset_ns >= 0")

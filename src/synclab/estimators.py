@@ -21,12 +21,11 @@ which an fp32 node computes from beacon to estimate.  The head and the nodes
 fit through one link type, :func:`new_link`, and
 :func:`~synclab.precision.empirical_loss` calls these same functions.
 
-The 64-bit least-squares fit is exact up to one final rounding: once
-:func:`lsq_fit` has read a :class:`RegressionWindow`, the window keeps exact
-integer sums of its pairs, updated in O(1) as pairs arrive and are evicted,
-and :func:`lsq_fit` solves the normal equations from them with correctly
-rounded integer division.  So a head with an unbounded window refits in
-constant time per new pair.
+The 64-bit least-squares fit is exact up to one final rounding: it solves
+the normal equations from exact integer sums of the pairs with correctly
+rounded integer division.  A window link keeps those sums from its first
+fit on, updated in O(1) as pairs arrive and are evicted, so a head with an
+unbounded window refits in constant time per new pair.
 """
 
 from __future__ import annotations
@@ -161,48 +160,6 @@ class _Sums:
         return ratio, offset
 
 
-class RegressionWindow:
-    """A bounded, ordered collection of timestamp pairs.
-
-    Holds at most ``capacity`` pairs (``None`` = unbounded), evicting the
-    oldest first.  Pairs must arrive with strictly increasing ``sync_index``;
-    duplicates and stale indices are ignored, so delivery is idempotent.
-    From the first :func:`lsq_fit` on it, and while every held timestamp is
-    a plain int or float, the window keeps the exact least-squares sums of
-    its pairs, so each later :func:`lsq_fit` on it is O(1).  A window that
-    no :func:`lsq_fit` reads (an fp32 node's) keeps none.
-    """
-
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 2:
-            raise ValueError("window capacity must be at least 2 (or None)")
-        self._capacity = capacity
-        self._pairs: deque[TimestampPair] = deque(maxlen=capacity)
-        self._sums: _Sums | None = None  # built by the first lsq_fit
-
-    @property
-    def capacity(self) -> int | None:
-        return self._capacity
-
-    @property
-    def pairs(self) -> tuple[TimestampPair, ...]:
-        return tuple(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def push(self, pair: TimestampPair) -> bool:
-        """Insert a pair; returns False if its sync_index is not new."""
-        pairs = self._pairs
-        if pairs and pair.sync_index <= pairs[-1].sync_index:
-            return False
-        evicted = pairs[0] if len(pairs) == pairs.maxlen else None
-        pairs.append(pair)  # a full deque drops the evicted pair itself
-        if self._sums is not None and not self._sums.add(pair, evicted):
-            self._sums = None
-        return True
-
-
 class Arithmetic(NamedTuple):
     """The operations a formula is written over: ``add``, ``sub``, ``mul`` and
     ``div`` of two numbers, and ``number``, which turns a count into one."""
@@ -246,28 +203,19 @@ def centered_fit(xs: Sequence, ys: Sequence, arithmetic: Arithmetic = OPERATORS)
     return ratio, sub(y_mean, mul(ratio, x_mean))
 
 
-def lsq_fit(window: RegressionWindow | Iterable[TimestampPair]) -> ClockParams:
+def lsq_fit(pairs: Iterable[TimestampPair]) -> ClockParams:
     """Least-squares affine fit of child timestamps on parent timestamps.
 
     With plain int or float timestamps (the fp64 head and node paths) the
     ratio and the offset are each the correctly rounded value of the exact
-    least-squares solution, solved from exact integer sums: one pass over
-    the pairs, after which a :class:`RegressionWindow` keeps the sums, so
-    each later fit of it is O(1).  Any other number type, such as
-    ``Fraction``, gets :func:`centered_fit` in its own arithmetic, one
-    operation at a time as a node's loop computes it.  Needs at least two
-    pairs with distinct parent timestamps.
+    least-squares solution, solved from exact integer sums.  Any other
+    number type, such as ``Fraction``, gets :func:`centered_fit` in its own
+    arithmetic, one operation at a time as a node's loop computes it.  Needs
+    at least two pairs with distinct parent timestamps.
     """
-    if isinstance(window, RegressionWindow):
-        if window._sums is not None:
-            return ClockParams(*window._sums.solve())
-        pairs = window.pairs
-    else:
-        pairs = tuple(window)
+    pairs = tuple(pairs)
     sums = _Sums()
     if all(sums.add(p) for p in pairs):
-        if isinstance(window, RegressionWindow):
-            window._sums = sums  # kept up to date by every later push
         return ClockParams(*sums.solve())
     return ClockParams(*centered_fit([p.t_parent for p in pairs], [p.t_child for p in pairs]))
 
@@ -403,19 +351,29 @@ def default_window(si_s: float) -> int:
 
 class _Link:
     """One link's estimate, at the head or at a node: the last good fit,
-    redone lazily in the link's arithmetic once new pairs have arrived.  A
-    subclass per method keeps the pairs its fit reads and nothing else:
-    ``push`` takes a pair (False for a stale or duplicate sync index; on True
-    the caller sets ``dirty``) and ``fit`` returns ``(ratio, offset)`` or
-    raises :class:`EstimationError`, :class:`InsufficientDataError` while the
-    link has fewer than two pairs."""
+    redone lazily in the link's arithmetic once new pairs have arrived.
+    :meth:`push` takes each pair whose sync index is newer than any taken so
+    far and hands it to the method's ``_keep``; a subclass per method keeps
+    the pairs its ``fit`` reads and nothing else.  ``fit`` returns ``(ratio,
+    offset)`` or raises :class:`EstimationError`,
+    :class:`InsufficientDataError` while the link has fewer than two pairs."""
 
-    __slots__ = ("dirty", "ratio", "offset", "arithmetic")
+    __slots__ = ("dirty", "ratio", "offset", "arithmetic", "newest")
 
     def __init__(self, arithmetic: Arithmetic) -> None:
         self.dirty = False
-        self.ratio = self.offset = None
+        self.ratio = self.offset = self.newest = None
         self.arithmetic = arithmetic
+
+    def push(self, pair: TimestampPair) -> bool:
+        """Take a pair; False, leaving the link as it was, for a stale or
+        duplicate sync index, so delivery is idempotent."""
+        if self.newest is not None and pair.sync_index <= self.newest:
+            return False
+        self.newest = pair.sync_index
+        self.dirty = True
+        self._keep(pair)
+        return True
 
     def current(self) -> bool:
         """Refit if pairs arrived since the last fit; False while the link
@@ -433,25 +391,36 @@ class _Link:
 
 
 class _WindowLink(_Link):
-    """window-lsq: the last ``capacity`` pairs, fitted from their exact sums
-    under :data:`OPERATORS` and by :func:`centered_fit` on a rounded table."""
+    """window-lsq: the last ``capacity`` pairs (all for None), fitted by
+    :func:`centered_fit` on a rounded table and from their exact sums under
+    :data:`OPERATORS`.  The sums are built by the first fit and then follow
+    every push and eviction in O(1); a held stamp that is not a plain int or
+    finite float drops them, and the link fits as :func:`lsq_fit` does."""
 
-    __slots__ = ("window", "push")
+    __slots__ = ("pairs", "sums")
 
     def __init__(self, capacity: int | None, arithmetic: Arithmetic) -> None:
         super().__init__(arithmetic)
-        self.window = RegressionWindow(capacity)
-        self.push = self.window.push  # bound once: no wrapper call per pair
+        self.pairs: deque[TimestampPair] = deque(maxlen=capacity)
+        self.sums: _Sums | None = None
+
+    def _keep(self, pair: TimestampPair) -> None:
+        pairs = self.pairs
+        evicted = pairs[0] if len(pairs) == pairs.maxlen else None
+        pairs.append(pair)  # a full deque drops the evicted pair itself
+        if self.sums is not None and not self.sums.add(pair, evicted):
+            self.sums = None
 
     def fit(self) -> tuple:
-        if self.arithmetic is not OPERATORS:
-            children, parents, _ = zip(*self.window._pairs)
-            return centered_fit(parents, children, self.arithmetic)
-        sums = self.window._sums
-        if sums is None:  # the first fit, or a stamp not a plain int or float
-            params = lsq_fit(self.window)
-            return params.ratio, params.offset
-        return sums.solve()
+        if self.arithmetic is OPERATORS:
+            if self.sums is None:
+                sums = _Sums()
+                if all(sums.add(p) for p in self.pairs):
+                    self.sums = sums
+            if self.sums is not None:
+                return self.sums.solve()
+        children, parents, _ = zip(*self.pairs)
+        return centered_fit(parents, children, self.arithmetic)
 
 
 class _AnchoredLink(_Link):
@@ -463,14 +432,10 @@ class _AnchoredLink(_Link):
         super().__init__(arithmetic)
         self.first = self.latest = None
 
-    def push(self, pair: TimestampPair) -> bool:
-        latest = self.latest
-        if latest is None:
+    def _keep(self, pair: TimestampPair) -> None:
+        if self.first is None:
             self.first = pair
-        elif pair.sync_index <= latest.sync_index:
-            return False
         self.latest = pair
-        return True
 
     def fit(self) -> tuple[float, float]:
         if self.first is self.latest:
@@ -480,7 +445,8 @@ class _AnchoredLink(_Link):
 
 
 class _TwoPointLink(_Link):
-    """two-point: the latest two pairs, interpolated in the link's arithmetic."""
+    """two-point: the latest two pairs, interpolated in the link's
+    arithmetic; it takes no capacity."""
 
     __slots__ = ("previous", "latest")
 
@@ -488,12 +454,8 @@ class _TwoPointLink(_Link):
         super().__init__(arithmetic)
         self.previous = self.latest = None
 
-    def push(self, pair: TimestampPair) -> bool:
-        latest = self.latest
-        if latest is not None and pair.sync_index <= latest.sync_index:
-            return False
-        self.previous, self.latest = latest, pair
-        return True
+    def _keep(self, pair: TimestampPair) -> None:
+        self.previous, self.latest = self.latest, pair
 
     def fit(self) -> tuple:
         if self.previous is None:
@@ -526,26 +488,15 @@ class HeadEstimator:
         if window is not None and window < 2:
             raise ValueError(f"head window {window} is below 2")
         self._method = method
-        self._capacity = 2 if method == TWO_POINT else window
+        self._window = window
         self._links: dict[int, _Link] = {}
-
-    @property
-    def method(self) -> str:
-        return self._method
-
-    @property
-    def window(self) -> int | None:
-        return self._capacity
 
     def ingest(self, node_id: int, pair: TimestampPair) -> bool:
         """Add a pair for a node's link; returns False for duplicates."""
         link = self._links.get(node_id)
         if link is None:
-            link = self._links[node_id] = new_link(self._method, self._capacity)
-        if not link.push(pair):
-            return False
-        link.dirty = True
-        return True
+            link = self._links[node_id] = new_link(self._method, self._window)
+        return link.push(pair)
 
     def params_for(self, node_id: int) -> ClockParams | None:
         """Current estimate for a node's link, or None before bootstrap.

@@ -404,10 +404,7 @@ class NodeState:
         pair = TimestampPair(
             number(message.send_stamp), number(self.stamp(RECEIVE, t)), message.sync_index
         )
-        if not link.push(pair):
-            return False
-        link.dirty = True
-        return True
+        return link.push(pair)
 
     def node_estimate(self, local_ticks) -> float | None:
         """Node-local reference-time estimate for a local timestamp.

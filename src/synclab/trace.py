@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from . import protocol
+from .clock import MAX_TICK_NS
 from .estimators import ESTIMATOR_METHODS, HeadEstimator, TimestampPair
 
 
@@ -130,11 +131,14 @@ def _one_of(allowed):
     return read
 
 
-def _at_least(low: int):
-    """A reader of an int, or null, that must be at least ``low``."""
+def _at_least(low: int, high: int | None = None):
+    """A reader of an int, or null, that must be at least ``low`` and, given
+    ``high``, at most ``high``."""
     def read(value, _values):
         if value is not None and value < low:
             raise ValueError(f"{value} is below {low}")
+        if value is not None and high is not None and value > high:
+            raise ValueError(f"{value!r:.80} is above {high}")
         return value
     return read
 
@@ -240,7 +244,7 @@ _TRACE_KEYS = {
     "scheme": ((str,), None, _one_of(protocol.SCHEMES)),
     "seed": ((int,), None, _at_least(0)),
     "duration_ns": ((int,), None, _at_least(1)),
-    "tick_ns": ((int, _NULL), None, _at_least(1)),
+    "tick_ns": ((int, _NULL), None, _at_least(1, MAX_TICK_NS)),
     "head_method": ((str,), None, _one_of(ESTIMATOR_METHODS)),
     "head_window": ((int, _NULL), None, _at_least(2)),
     "radio": ((dict,), dict, _read_radio),

@@ -95,6 +95,22 @@ def test_fp32_node_run_outputs_are_pinned(tmp_path, node, digests):
     assert got == digests
 
 
+def test_fp64_window_lsq_node_run_outputs_are_pinned(tmp_path):
+    # the fp64 node window-lsq link, whose exact sums are kept across
+    # evictions, as the fp32 pins above fix the rounded one
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(
+        {**FP32_FLOOD, "node": {"method": "window-lsq", "window": 8, "precision": "fp64"}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("measurements.csv", "summary.json")
+    )
+    assert got == ("39bf56661e845a2d9b4e73664c7cc430aa9a7f0f2d18d4a3b9d969013a2c6383",
+                   "74b5091f42bc3322e1c90dd359d2f0a35c0998bd58debe7407c212dac1df7cae")
+
+
 REVERSE_CHAIN = {
     "scheme": "reverse-oneway", "duration_s": 60, "si_s": 1, "hops": 6,
     "seed": 11, "bundling": "self",
@@ -124,6 +140,39 @@ def test_reverse_oneway_run_outputs_are_pinned(tmp_path):
         "1a372ede455c6bf370f7f82f920dcf8fcaa432e1adb135ddf17c5e3acd7bb669",
         "2cedd7db6a6250156e63edf51ecf945ea3721eba0960f580296664055b3348d3",
     )
+
+
+@pytest.fixture(scope="module")
+def reverse_chain_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reverse-chain")
+    path = out / "run.json"
+    path.write_text(json.dumps(REVERSE_CHAIN))
+    assert main(["run", "--config", str(path), "--out-dir", str(out), "--save-trace"]) == 0
+    return out / "trace.json"
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--window", "2"],
+         "831de3ba13a75eb899c707162bec2d4d2332f4fdd2421623b6d257cbcb520659"),
+        (["--window", "all"],
+         "5e315010d3988f1f7b57674bb84cde20e09e96e67ab928e89427bd08d53e5a91"),
+        (["--method", "cumulative-ratio"],
+         "bb94b171f363cdabbcb16bd279fab207243e95051673850736a3507db0b8d7ad"),
+        (["--method", "two-point"],
+         "831de3ba13a75eb899c707162bec2d4d2332f4fdd2421623b6d257cbcb520659"),
+    ],
+    ids=["window-2", "window-all", "cumulative-ratio", "two-point"],
+)
+def test_reverse_oneway_replays_are_pinned(tmp_path, reverse_chain_trace, args, digest):
+    # the run above fits window-lsq at window 19; these pin every other head
+    # link on the same trace.  On int stamps two-point interpolates exactly up
+    # to its last rounding, so it writes the bytes of a window of 2
+    out = tmp_path / "out"
+    assert main(["replay", "--trace", str(reverse_chain_trace), "--out-dir", str(out),
+                 *args]) == 0
+    assert hashlib.sha256((out / "measurements.csv").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -257,7 +306,7 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace"])
     saved = (run_dir / "trace.json").read_text()
     (bad_energy, extra_column, cut_column, bad_version, unknown_origin,
-     string_stamp, wrong_layer) = (json.loads(saved) for _ in range(7))
+     string_stamp, wrong_layer, huge_tick) = (json.loads(saved) for _ in range(8))
     bad_energy["config"]["energy"] = {"i_tx": 0.02}
     extra_column["undelivered"]["extra"] = []
     cut_column["head_events"]["pair"]["t_child"].pop()
@@ -265,6 +314,7 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     unknown_origin["head_events"]["measurement"]["origin"][0] = 99
     string_stamp["head_events"]["pair"]["t_child"][3] = "5"
     wrong_layer["head_events"]["pair"]["layer"][0] = 7
+    huge_tick["tick_ns"] = 10**400  # past the float range, not only MAX_TICK_NS
     # a version-less trace is converted, then checked as the current format
     versionless = (VERSIONLESS / "trace.json").read_text()
     (old_extra_key, old_cut_event, old_unknown_origin, old_string_stamp,
@@ -314,6 +364,7 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         (unknown_origin, "'head_events'"),
         (string_stamp, "'head_events'"),
         (wrong_layer, "'head_events'"),
+        (huge_tick, "'tick_ns'"),
         (old_extra_key, "'outcomes'"),
         (old_cut_event, "'head_events'"),
         (old_unknown_origin, "'head_events'"),

@@ -203,6 +203,12 @@ def test_clock_config_validation():
         ClockConfig(tick_ns=0)
     with pytest.raises(ValueError):
         ClockConfig(skew_ppm=-1.0)
+    # a read divides by the tick as a float: the longest tick converts exactly
+    ClockConfig(tick_ns=2**53)
+    with pytest.raises(ValueError):
+        ClockConfig(tick_ns=2**53 + 1)
+    with pytest.raises(ValueError):
+        HardwareClock(ClockParams(1.0, 0.0), tick_ns=10**400)
 
 
 def test_phase_integration_matches_affine_for_huge_times():

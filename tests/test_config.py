@@ -357,10 +357,17 @@ def test_parse_rejects_malformed_values(patch):
 
 
 @pytest.mark.parametrize(
-    "section, key, value", [("clock", "skew_ppm", 900), ("link", "loss", 2)]
+    "section, key, value",
+    [
+        ("clock", "skew_ppm", 900),
+        ("link", "loss", 2),
+        pytest.param("clock", "tick_ns", 2**53 + 1, id="clock-tick_ns-past-bound"),
+        pytest.param("clock", "tick_ns", 10**400, id="clock-tick_ns-past-float"),
+    ],
 )
 def test_from_dict_rejects_bad_nested_values(section, key, value):
-    # these leaked ValueError from the nested dataclass
+    # these leaked ValueError from the nested dataclass; a tick past the
+    # float range was accepted and raised OverflowError mid-run
     data = RunConfig().to_dict()
     data[section][key] = value
     with pytest.raises(ConfigError):

@@ -16,7 +16,6 @@ from synclab.estimators import (
     EstimationError,
     HeadEstimator,
     InsufficientDataError,
-    RegressionWindow,
     SingularSystemError,
     TimestampPair,
     _Sums,
@@ -28,6 +27,7 @@ from synclab.estimators import (
     lsq_fit,
     multihop_from_head,
     multihop_to_head,
+    new_link,
     translate_child_to_parent,
 )
 
@@ -113,13 +113,15 @@ def test_lsq_fit_over_generic_numbers_agrees_with_float_fit(pairs):
 
 @st.composite
 def pushed_windows(draw):
-    # int or float pair streams into a window of random capacity; sync index
-    # jumps of 0 and -1 make duplicate and stale pairs the window ignores
+    # int or float pair streams into a window link of random capacity; sync
+    # index jumps of 0 and -1 make duplicate and stale pairs the link ignores;
+    # the link fits once after ``cut`` pairs and again at the end
     as_float = draw(st.booleans())
-    window = RegressionWindow(draw(st.sampled_from((None, *range(2, 26)))))
+    capacity = draw(st.sampled_from((None, *range(2, 26))))
     ratio = 1.0 + draw(st.integers(-500, 500)) * 1e-6
     parent = draw(st.integers(0, 10**7))
     index = 0
+    stream = []
     for _ in range(draw(st.integers(2, 60))):
         parent += draw(st.integers(10_000, 10**6))
         index += draw(st.sampled_from((-1, 0, 1, 1, 2)))
@@ -129,26 +131,36 @@ def pushed_windows(draw):
             stamps = (child + draw(fractions), parent + draw(fractions))
         else:
             stamps = (round(child), parent)
-        window.push(TimestampPair(*stamps, index))
-    return window
+        stream.append(TimestampPair(*stamps, index))
+    return capacity, stream, draw(st.integers(1, len(stream)))
+
+
+def assert_rounded_rational_fit(link):
+    pairs = tuple(link.pairs)
+    if len(pairs) < 2:
+        with pytest.raises(InsufficientDataError):
+            link.fit()
+        return
+    ratio, offset = link.fit()
+    slope, intercept = fraction_lsq(pairs)
+    assert (ratio, offset) == (float(slope), float(intercept))
+    again = lsq_fit(pairs)
+    assert (again.ratio.hex(), again.offset.hex()) == (ratio.hex(), offset.hex())
 
 
 @settings(max_examples=300)
 @given(pushed_windows())
 def test_window_lsq_is_the_rounded_rational_solution(window):
-    pairs = window.pairs
-    if len(pairs) < 2:
-        with pytest.raises(InsufficientDataError):
-            lsq_fit(window)
-        return
-    params = lsq_fit(window)
-    slope, intercept = fraction_lsq(pairs)
-    assert (params.ratio, params.offset) == (float(slope), float(intercept))
-    again = lsq_fit(list(pairs))
-    assert (again.ratio.hex(), again.offset.hex()) == (
-        params.ratio.hex(),
-        params.offset.hex(),
-    )
+    # the fit mid-stream builds the link's exact sums; the fit at the end
+    # reads them after the pushes and evictions since
+    capacity, stream, cut = window
+    link = new_link(WINDOW_LSQ, capacity)
+    for pair in stream[:cut]:
+        link.push(pair)
+    assert_rounded_rational_fit(link)
+    for pair in stream[cut:]:
+        link.push(pair)
+    assert_rounded_rational_fit(link)
 
 
 def test_two_pair_lsq_equals_interpolation():
@@ -281,23 +293,41 @@ def test_multihop_composition_order():
 
 
 def test_regression_window_eviction_and_duplicates():
-    window = RegressionWindow(capacity=3)
+    link = new_link(WINDOW_LSQ, 3)
     for i in range(5):
-        assert window.push(TimestampPair(float(i), float(i), i))
-    assert [p.sync_index for p in window.pairs] == [2, 3, 4]
-    assert not window.push(TimestampPair(99.0, 99.0, 4))
-    assert not window.push(TimestampPair(99.0, 99.0, 1))
-    assert len(window) == 3
+        assert link.push(TimestampPair(float(i), float(i), i))
+    assert [p.sync_index for p in link.pairs] == [2, 3, 4]
+    assert link.current()
+    assert not link.push(TimestampPair(99.0, 99.0, 4))
+    assert not link.push(TimestampPair(99.0, 99.0, 1))
+    assert len(link.pairs) == 3 and not link.dirty
+    # a window link keeps whatever capacity it is given; the head refuses one below 2
     with pytest.raises(ValueError):
-        RegressionWindow(capacity=1)
+        HeadEstimator(window=1)
+
+
+@pytest.mark.parametrize("method", ESTIMATOR_METHODS)
+def test_every_link_takes_only_newer_sync_indices(method):
+    # the one sync-index rule: a stale or duplicate pair changes nothing and
+    # leaves no refit pending
+    link = new_link(method, 2)
+    assert link.push(TimestampPair(0, 0, 5))
+    assert link.push(TimestampPair(10, 10, 7))
+    assert link.current()
+    fitted = (link.ratio, link.offset)
+    for stale in (7, 6, 5, -1):
+        assert not link.push(TimestampPair(999, 1, stale))
+    assert not link.dirty and link.current()
+    assert (link.ratio, link.offset) == fitted
+    assert link.push(TimestampPair(20, 20, 8)) and link.dirty
 
 
 def test_unbounded_window_keeps_everything():
-    window = RegressionWindow(capacity=None)
+    link = new_link(WINDOW_LSQ, None)
     for i in range(100):
-        window.push(TimestampPair(float(i), float(i), i))
-    assert len(window) == 100
-    assert window.capacity is None
+        link.push(TimestampPair(float(i), float(i), i))
+    assert len(link.pairs) == 100
+    assert link.pairs.maxlen is None
 
 
 def test_default_window_by_interval():
@@ -329,7 +359,6 @@ def test_head_estimator_rejects_duplicates():
 
 def test_head_estimator_two_point_tracks_latest_pairs():
     head = HeadEstimator(method=TWO_POINT)
-    assert head.window == 2
     for i, (c, p) in enumerate([(0.0, 0.0), (10.0, 20.0), (40.0, 50.0)]):
         head.ingest(3, TimestampPair(c, p, i))
     expected = interpolate_params(TimestampPair(10.0, 20.0, 1), TimestampPair(40.0, 50.0, 2))
