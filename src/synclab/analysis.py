@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -430,20 +431,23 @@ def write_measurements_csv(path, trace: RunTrace) -> None:
     its ``str`` (a float's shortest repr), None is an empty cell, and
     ``translated`` is ``true`` or ``false``.  No cell needs quoting: the
     scheme and the reason are fixed identifiers and the outcome fields hold
-    plain ints and floats.
+    plain ints and floats.  Rows are written ``_TRACE_SLICE`` at a time, so
+    the file's text is never held whole.
     """
     head = f"{trace.scheme},{trace.seed},"
-    rows = [",".join(MEASUREMENT_COLUMNS)]
-    for out in trace.outcomes:
-        arrival, est, err, reason = out.arrival_ns, out.est_ticks, out.err_s, out.reason
-        rows.append(
-            f"{head}{out.origin},{out.level},{out.seq},{out.true_ns},{out.local_ticks},"
-            f"{'' if arrival is None else arrival},{'' if est is None else est},"
-            f"{'' if err is None else err},{'true' if out.translated else 'false'},"
-            f"{'' if reason is None else reason}"
-        )
+    outcomes = trace.outcomes
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(",".join(MEASUREMENT_COLUMNS) + "\n")
+        for start in range(0, len(outcomes), _TRACE_SLICE):
+            fh.write("".join([
+                f"{head}{out.origin},{out.level},{out.seq},{out.true_ns},{out.local_ticks},"
+                f"{'' if out.arrival_ns is None else out.arrival_ns},"
+                f"{'' if out.est_ticks is None else out.est_ticks},"
+                f"{'' if out.err_s is None else out.err_s},"
+                f"{'true' if out.translated else 'false'},"
+                f"{'' if out.reason is None else out.reason}\n"
+                for out in outcomes[start:start + _TRACE_SLICE]
+            ]))
 
 
 def write_sweep_csv(path, rows) -> None:
@@ -529,22 +533,25 @@ def write_summary_json(path, summary: dict) -> None:
 
 _ENCODE = json.JSONEncoder(allow_nan=False).encode
 _TRACE_SLICE = 128
-"""List items per encoder call: the C encoder holds a call's fragments until it
-joins them, so one call per long list would hold all of its text at once."""
+"""List items per encoder call, and CSV rows per write: the C encoder holds a
+call's fragments until it joins them, so one call per long list would hold all
+of its text at once."""
 
 
 def _write_json(fh, value) -> None:
-    """Write ``json.dumps(value, allow_nan=False)``, one object member and
-    ``_TRACE_SLICE`` list items per encoder call."""
+    """Write ``json.dumps(value, allow_nan=False)`` with each array written as
+    a list, one object member and ``_TRACE_SLICE`` items per encoder call."""
     if isinstance(value, dict) and value:
         for i, (key, item) in enumerate(value.items()):
             fh.write(f"{', ' if i else '{'}{_ENCODE(key)}: ")
             _write_json(fh, item)
         fh.write("}")
-    elif isinstance(value, list) and value:
+    elif isinstance(value, (list, array)):
+        fh.write("[")
         for start in range(0, len(value), _TRACE_SLICE):
-            items = _ENCODE(value[start:start + _TRACE_SLICE])[1:-1]
-            fh.write(f"{', ' if start else '['}{items}")
+            items = value[start:start + _TRACE_SLICE]
+            items = _ENCODE(items if type(items) is list else items.tolist())[1:-1]
+            fh.write(f"{', ' if start else ''}{items}")
         fh.write("]")
     else:
         fh.write(_ENCODE(value))
@@ -555,12 +562,12 @@ def save_trace(path, trace: RunTrace) -> None:
     allow_nan=False)`` plus a newline.
 
     The text is encoded by the C encoder a piece at a time (see
-    :func:`_write_json`), so the run's largest values (the head-event columns
-    and the event log) are never held as one string.  A non-finite number
-    raises ``ValueError``.
+    :func:`_write_json`), from the trace's own head-event columns, so the
+    run's largest values (those columns and the event log) are never held as
+    one string, nor as lists.  A non-finite number raises ``ValueError``.
     """
     with open(path, "w") as fh:
-        _write_json(fh, trace.to_dict())
+        _write_json(fh, trace.to_dict(column=lambda values: values))
         fh.write("\n")
 
 

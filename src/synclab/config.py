@@ -127,15 +127,19 @@ class RunConfig:
                 "the time of the first stamp, so a stamp could fall before t = 0"
             )
         if self.scheme == protocol.CONVENTIONAL_ONEWAY and self.node_precision != protocol.FP64:
-            # an fp32 node rounds every stamp into single precision: the largest,
-            # from the offset and the fastest clock at the last stamp, must fit
-            try:
-                reach = (self.clock.offset_ns + (1.0 + DEFAULT_SKEW_BOUND_PPM * 1e-6)
-                         * (self.duration_ns + self.link.jitter_ns)) / (self.clock.tick_ns or 1)
-            except OverflowError:
-                reach = math.inf
+            # an fp32 node rounds every stamp into single precision
+            reach = self.stamp_reach()
             if reach > FLOAT32_MAX:
                 raise ConfigError(f"clock stamps up to {reach:.3g} ticks overflow an fp32 node")
+
+    def stamp_reach(self) -> float:
+        """The largest magnitude a clock stamp can take, in ticks (ns if tick-free):
+        the widest offset plus the fastest clock at the last stamp, or inf."""
+        try:
+            return (self.clock.offset_ns + (1.0 + DEFAULT_SKEW_BOUND_PPM * 1e-6)
+                    * (self.duration_ns + self.link.jitter_ns)) / (self.clock.tick_ns or 1)
+        except OverflowError:
+            return math.inf
 
     def radio_config(self) -> RadioConfig:
         return self.radio if self.radio is not None else _radio(self.scheme)

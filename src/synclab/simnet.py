@@ -42,7 +42,7 @@ from .protocol import (
     JitterModel,
     MeasurementRecord,
 )
-from .trace import PAIR_BUCKETS, RECORD_BUCKETS, RunTrace
+from .trace import PAIR_BUCKETS, RECORD_BUCKETS, HeadEvents, RunTrace
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -197,7 +197,15 @@ class Engine:
         self._horizon = cfg.duration_ns
         # true time of each measurement not yet delivered to the head
         self._truth: dict[tuple[int, int], int] = {}
-        self.head_events: list[tuple] = []
+        # the head events' letters and columns: int64 arrays where the config
+        # bounds every value (times stay below the horizon; a stamp reach under
+        # half of int64 spares a clock read's float rounding), lists past that
+        ints = "q" if cfg.duration_ns < 2**63 else None
+        stamps = "d" if cfg.clock.tick_ns is None else "q" if cfg.stamp_reach() < 2**62 else None
+        self._kinds = bytearray()
+        self._tables = HeadEvents.empty_tables(ints, stamps)
+        self._pairs = tuple(self._tables["pair"].values())
+        self._measurements = tuple(self._tables["measurement"].values())
         # the newest sync index the head took from each origin
         self._newest: dict[int, int] = {}
         self.pair_accounting = dict.fromkeys(PAIR_BUCKETS, 0)
@@ -242,14 +250,22 @@ class Engine:
     def _ingest_pair(self, hop: protocol.HopRecord, t: int) -> None:
         """Take a pair unless its sync index is not newer than the last one
         taken from its origin, the rule every head estimator applies."""
-        origin, _, _, _, sync_index = hop
+        origin, layer, t_child, t_parent, sync_index = hop
         newest = self._newest.get(origin)
         if newest is not None and sync_index <= newest:
             self.pair_accounting["duplicates"] += 1
             return
         self._newest[origin] = sync_index
         self.pair_accounting["ingested"] += 1
-        self.head_events.append(("pair", t, *hop))
+        # one append per column, written out: the engine's hottest appends
+        self._kinds += b"p"
+        t_ns, origins, layers, children, parents, indices = self._pairs
+        t_ns.append(t)
+        origins.append(origin)
+        layers.append(layer)
+        children.append(t_child)
+        parents.append(t_parent)
+        indices.append(sync_index)
 
     def _deliver_record(self, record: MeasurementRecord, t: int) -> None:
         origin, seq, local_ticks, _, est_ticks = record
@@ -258,9 +274,15 @@ class Engine:
             self.record_accounting["duplicates"] += 1
             return
         self.record_accounting["delivered"] += 1
-        self.head_events.append((
-            "measurement", t, origin, self._levels[origin], seq, local_ticks, true_ns, est_ticks
-        ))
+        self._kinds += b"m"
+        t_ns, origins, levels, seqs, stamps, truths, estimates = self._measurements
+        t_ns.append(t)
+        origins.append(origin)
+        levels.append(self._levels[origin])
+        seqs.append(seq)
+        stamps.append(local_ticks)
+        truths.append(true_ns)
+        estimates.append(est_ticks)
 
     def _on_frame(self, t: int, dst_id: int, message: Message, airtime: float) -> None:
         """Receive a frame; ``airtime`` is the sender's, sized once per frame."""
@@ -413,7 +435,7 @@ class Engine:
             radio=dataclasses.asdict(self.radio),
             levels=self._levels,
             chains=dict(self.chains),
-            head_events=self.head_events,
+            head_events=HeadEvents(self._kinds.decode(), self._tables),
             node_counts=node_counts,
             airtime=airtime,
             pair_accounting=self.pair_accounting,

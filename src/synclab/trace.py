@@ -6,7 +6,7 @@ through a head estimator into the run's outcomes, the one translation path
 of a live run, a loaded trace and a replay alike.
 
 A saved trace is strict JSON in format :data:`TRACE_FORMAT`: the head
-events as columns and no outcomes, which loading derives.
+events as the columns they are kept in, and no outcomes, which loading derives.
 A trace written before format 1 is converted on load and checked the same
 way.
 """
@@ -16,8 +16,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import islice, repeat
 
 from . import protocol
 from .clock import MAX_TICK_NS
@@ -69,13 +71,55 @@ def _columns(rows, table) -> dict[str, list]:
     return {name: list(column) for (name, _), column in zip(table, columns)}
 
 
-def _head_event_columns(events) -> dict:
-    """Head events as saved: one letter per event, in order, and a table of
-    columns per kind."""
-    data = {"kinds": "".join([_HEAD_EVENTS[event[0]][0] for event in events])}
-    for kind, (_, table) in _HEAD_EVENTS.items():
-        data[kind] = _columns([event[1:] for event in events if event[0] == kind], table)
-    return data
+@dataclass(eq=False)
+class HeadEvents:
+    """Head events as columns: ``kinds``, one letter per event in order, and
+    ``tables``, a column per field of each kind in field order (a run's are
+    arrays where its config bounds the values, a loaded trace's JSON lists).
+    It reads as the events ``(kind, *fields)``; indexing walks to the event."""
+
+    kinds: str
+    tables: dict[str, dict]
+
+    @staticmethod
+    def from_rows(rows) -> "HeadEvents":
+        """The events of rows ``(kind, *fields)``, in list columns."""
+        return HeadEvents("".join([_HEAD_EVENTS[row[0]][0] for row in rows]), {
+            kind: _columns([row[1:] for row in rows if row[0] == kind], table)
+            for kind, (_, table) in _HEAD_EVENTS.items()})
+
+    @staticmethod
+    def empty_tables(ints: str | None, stamps: str | None) -> dict[str, dict]:
+        """Empty tables for a run: an int field's column an array of typecode
+        ``ints`` and a stamp's of ``stamps``, a list where that is None or the
+        field may be null."""
+        def column(types):
+            code = ints if types is _INT else stamps if types is _STAMP else None
+            return array(code) if code else []
+        return {kind: {name: column(types) for name, types in table}
+                for kind, (_, table) in _HEAD_EVENTS.items()}
+
+    def saved(self, column=list) -> dict:
+        """The saved layout, each column passed through ``column``."""
+        return {"kinds": self.kinds, **{
+            kind: {name: column(values) for name, values in table.items()}
+            for kind, table in self.tables.items()}}
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self):
+        streams = {letter: zip(repeat(kind), *self.tables[kind].values())
+                   for kind, (letter, _) in _HEAD_EVENTS.items()}
+        return (next(streams[letter]) for letter in self.kinds)
+
+    def __getitem__(self, i: int) -> tuple:
+        return next(islice(self, range(len(self))[i], None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (HeadEvents, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def _table(data, table, origins, what: str) -> list[list]:
@@ -100,16 +144,16 @@ def _table(data, table, origins, what: str) -> list[list]:
     return [data[name] for name in names]
 
 
-def _read_head_events(data, chains, levels) -> list[tuple]:
-    """The head events of a saved ``head_events`` object, in order.  Each
-    event's ``layer`` or ``level`` must be the level of its origin."""
+def _read_head_events(data, chains, levels) -> HeadEvents:
+    """The head events of a saved ``head_events`` object, its lists the
+    columns.  Each event's ``layer`` or ``level`` must be its origin's level."""
     if type(data) is not dict or data.keys() != {"kinds", *_HEAD_EVENTS}:
         raise ValueError(f"not 'kinds' and a table per kind: {data!r:.80}")
     kinds = data["kinds"]
     letters = {letter for letter, _ in _HEAD_EVENTS.values()}
     if type(kinds) is not str or not set(kinds) <= letters:
         raise ValueError(f"'kinds' is not a string of {sorted(letters)}: {kinds!r:.80}")
-    streams = {}
+    tables = {}
     for kind, (letter, table) in _HEAD_EVENTS.items():
         columns = _table(data[kind], table, chains, f"{kind} events")
         if list(map(levels.get, columns[1])) != columns[2]:
@@ -118,8 +162,8 @@ def _read_head_events(data, chains, levels) -> list[tuple]:
         if kinds.count(letter) != len(columns[0]):
             raise ValueError(f"'kinds' counts {kinds.count(letter)} {kind} events, "
                              f"the columns hold {len(columns[0])}")
-        streams[letter] = zip([kind] * len(columns[0]), *columns)
-    return [next(streams[letter]) for letter in kinds]
+        tables[kind] = {name: column for (name, _), column in zip(table, columns)}
+    return HeadEvents(kinds, tables)
 
 
 def _one_of(allowed):
@@ -143,9 +187,17 @@ def _at_least(low: int, high: int | None = None):
     return read
 
 
+def _node_id(key: str) -> int:
+    """A node id as an object key: only the ``str`` of an int >= 0, so that no
+    two keys name one node."""
+    if not (key.isdigit() and str(int(key)) == key):
+        raise ValueError(f"node id {key!r:.80} is not an int >= 0 as str() writes it")
+    return int(key)
+
+
 def _read_levels(levels, _values) -> dict:
     """Each node's level, an int >= 0; exactly one node, the head, at 0."""
-    levels = {int(n): level for n, level in levels.items()}
+    levels = {_node_id(n): level for n, level in levels.items()}
     if not all(type(level) is int and level >= 0 for level in levels.values()):
         raise ValueError(f"not an int level >= 0 per node: {levels!r:.80}")
     if list(levels.values()).count(0) != 1:
@@ -161,7 +213,7 @@ def _read_chains(chains, values) -> dict:
     for n, chain in chains.items():
         if type(chain) is not list or not set(map(type, chain)) <= _INT:
             raise ValueError(f"a chain is a list of node ids, got {chain!r:.80}")
-        read[int(n)] = tuple(chain)
+        read[_node_id(n)] = tuple(chain)
     sensors = {n for n, level in levels.items() if level > 0}
     if read.keys() != sensors:
         raise ValueError(f"nodes {sorted(read)} are not the sensor nodes {sorted(sensors)}")
@@ -195,7 +247,7 @@ def _per_node(read_value):
     """A reader of a table keyed by node id that holds exactly the nodes of
     ``levels``, each value read by ``read_value``."""
     def read(table, values) -> dict:
-        nodes = {int(n): value for n, value in table.items()}
+        nodes = {_node_id(n): value for n, value in table.items()}
         if nodes.keys() != values["levels"].keys():
             raise ValueError(f"nodes {sorted(nodes)} are not the trace nodes "
                              f"{sorted(values['levels'])}")
@@ -251,7 +303,7 @@ _TRACE_KEYS = {
     "levels": ((dict,), lambda v: {str(n): level for n, level in v.items()}, _read_levels),
     "chains": ((dict,), lambda v: {str(n): list(chain) for n, chain in v.items()},
                _read_chains),
-    "head_events": ((dict,), _head_event_columns,
+    "head_events": ((dict,), HeadEvents.saved,
                     lambda v, read: _read_head_events(v, read["chains"], read["levels"])),
     "node_counts": ((dict,), lambda v: {
         str(n): {k: list(c) for k, c in kinds.items()} for n, kinds in v.items()
@@ -285,7 +337,7 @@ def _upgrade(data: dict) -> dict:
             for event in events:
                 if type(event) is not list or not event or lengths.get(event[0]) != len(event):
                     raise ValueError(f"not a head event: {event!r:.80}")
-            data["head_events"] = _head_event_columns(events)
+            data["head_events"] = HeadEvents.from_rows(events).saved()
     outcomes = data.pop("outcomes", None)
     if type(outcomes) is list:
         with _reading("outcomes"):
@@ -321,7 +373,7 @@ class RunTrace:
     radio: dict
     levels: dict[int, int]
     chains: dict[int, tuple[int, ...]]
-    head_events: list[tuple]
+    head_events: HeadEvents
     node_counts: dict[int, dict[str, tuple[int, int]]]
     airtime: dict[int, tuple[float, float]]
     pair_accounting: dict[str, int]
@@ -335,13 +387,18 @@ class RunTrace:
     def outcomes(self) -> list[MeasurementOutcome]:
         return derive_outcomes(self)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, column=list) -> dict:
         """The trace in the saved layout, format :data:`TRACE_FORMAT`: every
-        field, and not the outcomes, which the loaded trace derives."""
+        field, and not the outcomes, which the loaded trace derives.  Each
+        head-event column is saved as ``column(the trace's column)``, by
+        default a plain list."""
         data = {"format_version": TRACE_FORMAT}
         for key, (_, write, _) in _TRACE_KEYS.items():
             value = getattr(self, key)
-            data[key] = value if write is None else write(value)
+            if key == "head_events":
+                data[key] = write(value, column)
+            else:
+                data[key] = value if write is None else write(value)
         return data
 
     @staticmethod
@@ -417,25 +474,24 @@ def derive_outcomes(trace: RunTrace) -> list[MeasurementOutcome]:
         reason = "bootstrap"
     tick_ns = trace.tick_ns
     chains = trace.chains
+    tables = trace.head_events.tables
+    pairs, measurements = (zip(*tables[kind].values()) for kind in ("pair", "measurement"))
     outcomes = []
-    for event in trace.head_events:
-        if event[0] == "pair":
+    for letter in trace.head_events.kinds:
+        if letter == "p":
+            _, origin, _, t_child, t_parent, sync_index = next(pairs)
             if estimator is not None:
-                _, _, origin, _, t_child, t_parent, sync_index = event
                 estimator.ingest(origin, TimestampPair(t_child, t_parent, sync_index))
             continue
-        _, arrival_ns, origin, level, seq, local_ticks, true_ns, est_ticks = event
+        arrival_ns, origin, level, seq, local_ticks, true_ns, est_ticks = next(measurements)
         if estimator is not None:
             est_ticks = estimator.translate_to_reference(chains[origin], local_ticks)
-        if est_ticks is None:
-            outcomes.append(MeasurementOutcome(
-                origin, level, seq, true_ns, local_ticks, arrival_ns, None, None, False, reason,
-            ))
-        else:
-            outcomes.append(MeasurementOutcome(
-                origin, level, seq, true_ns, local_ticks, arrival_ns,
-                est_ticks, error_seconds(est_ticks, true_ns, tick_ns), True, None,
-            ))
+        translated = est_ticks is not None
+        outcomes.append(MeasurementOutcome(
+            origin, level, seq, true_ns, local_ticks, arrival_ns, est_ticks,
+            error_seconds(est_ticks, true_ns, tick_ns) if translated else None,
+            translated, None if translated else reason,
+        ))
     levels = trace.levels
     for origin, seq, true_ns in trace.undelivered:
         outcomes.append(MeasurementOutcome(

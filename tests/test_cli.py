@@ -234,6 +234,46 @@ def test_engine_paths_outputs_are_pinned(tmp_path, config, digests):
     assert got == digests
 
 
+@pytest.mark.parametrize(
+    "config, digests",
+    [
+        (
+            {"scheme": "reverse-oneway", "duration_s": 10, "si_s": 1,
+             "clock": {"offset_us": 1e20}},
+            ("dd6b8b813d4404099fdff9876d8c7a55fee532380211a1199ada9c09f6a4e87d",
+             "a65fc04c4450ef29b199b95bc32f681b11445e404dce6173b63299ad2ff09d2c"),
+        ),
+        (
+            {"scheme": "reverse-oneway", "duration_s": 20, "si_s": 1, "hops": 3,
+             "bundling": "self", "clock": {"tick_us": None}},
+            ("41e9947dc54f31f36439563b28d5125bc76210846fb780e884fe3515d32f2eef",
+             "1788629e106ee8c99c52411a5b92911be63495ea43a70373ea70f472ea7d52de"),
+        ),
+        (
+            {"scheme": "reverse-oneway", "duration_s": 1e12, "si_s": 1e11},
+            ("cb250bb0febea1c9b218a34a9501ba8d9e9a95067643419d0392a6fc76623fd5",
+             "714aca85906ad609b5487033c9802956663cdfab6d42e38e19f6962f42457ae8"),
+        ),
+    ],
+    ids=["far-offset", "tick-free", "long"],
+)
+def test_wide_and_float_head_events_are_pinned(tmp_path, config, digests):
+    # runs whose head events hold stamps past int64 (about 1e20 ticks), float
+    # stamps, or times past int64 (about 1e20 ns): their outputs are pinned,
+    # and a replay at the run's own settings writes the run's measurements
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out, own = tmp_path / "out", tmp_path / "own"
+    assert main(["run", "--config", str(path), "--out-dir", str(out), "--save-trace"]) == 0
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("measurements.csv", "trace.json")
+    )
+    assert got == digests
+    assert main(["replay", "--trace", str(out / "trace.json"), "--out-dir", str(own)]) == 0
+    assert (own / "measurements.csv").read_bytes() == (out / "measurements.csv").read_bytes()
+
+
 def test_seed_override_changes_results(tmp_path, config_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", str(config_path), "--out-dir", str(a), "--seed", "0"])
@@ -354,6 +394,11 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     zero_duration["duration_ns"] = 0
     bad_method["head_method"] = "bogus"
     narrow_window["head_window"] = 1
+    # node ids other than the decimal str() writes, one of them a second
+    # spelling of a node already in its table
+    plus_id, padded_id = (json.loads(versionless) for _ in range(2))
+    plus_id["levels"]["+1"] = plus_id["levels"].pop("1")
+    padded_id["node_counts"]["01"] = padded_id["node_counts"]["1"]
     cases = (
         ({}, "'scheme'"),
         ([1, 2], "JSON object"),
@@ -389,6 +434,8 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         (zero_duration, "'duration_ns'"),
         (bad_method, "'head_method'"),
         (narrow_window, "'head_window'"),
+        (plus_id, "'+1'"),
+        (padded_id, "'01'"),
     )
     for i, (data, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"

@@ -4,11 +4,13 @@ import gc
 import json
 import math
 import weakref
+from array import array
+from pathlib import Path
 
 import pytest
 
 from synclab.clock import ClockConfig, ClockParams
-from synclab.config import RunConfig, table1_config
+from synclab.config import RunConfig, parse_config, table1_config
 from synclab.protocol import (
     BUNDLE_SELF,
     CONVENTIONAL_ONEWAY,
@@ -17,7 +19,7 @@ from synclab.protocol import (
     REVERSE_TWOWAY,
 )
 from synclab.simnet import Engine, LinkConfig, Topology, build_chain
-from synclab.trace import RunTrace, error_seconds
+from synclab.trace import HeadEvents, RunTrace, error_seconds
 
 S = 1_000_000_000  # ns per second
 
@@ -76,7 +78,8 @@ def test_derive_outcomes_bootstrap_then_translation():
     trace = RunTrace(
         scheme=REVERSE_ONEWAY, seed=0, duration_ns=20 * S, tick_ns=1000,
         head_method="window-lsq", head_window=19, radio={}, levels={0: 0, 1: 1},
-        chains={1: (1,)}, head_events=[meas, *pairs, meas], node_counts={}, airtime={},
+        chains={1: (1,)}, head_events=HeadEvents.from_rows([meas, *pairs, meas]),
+        node_counts={}, airtime={},
         pair_accounting={}, record_accounting={},
     )
     early, late = trace.outcomes
@@ -85,6 +88,47 @@ def test_derive_outcomes_bootstrap_then_translation():
     assert late.translated and late.reason is None
     assert math.isclose(late.est_ticks, 5_000_000.0)
     assert math.isclose(late.err_s, 0.0, abs_tol=1e-12)
+
+
+VERSIONLESS = Path(__file__).parent / "data" / "versionless" / "trace.json"
+
+
+def test_head_events_read_as_the_rows_a_versionless_trace_upgrades_to():
+    data = json.loads(VERSIONLESS.read_text())
+    rows = [tuple(row) for row in data["head_events"]]
+    events = RunTrace.from_dict(data).head_events
+    assert len(events) == len(rows) > 2
+    assert list(events) == rows
+    for i in (0, 1, len(rows) // 2, len(rows) - 1, -1, -len(rows)):
+        assert events[i] == rows[i]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            events[i]
+    assert events == HeadEvents.from_rows(rows) == rows
+    assert events != HeadEvents.from_rows(rows[:-1])
+    assert events != HeadEvents.from_rows([*rows[:-1], (*rows[-1][:-1], -1)])
+
+
+CHAIN_RUN = {
+    "scheme": "reverse-oneway", "hops": 6, "duration_s": 600, "si_s": 1, "bundling": "self",
+    "head": {"method": "window-lsq", "window": 19},
+    "clock": {"tick_us": 1, "drift": {"kind": "random-walk", "sigma_ppm": 0.02}},
+}
+
+
+def test_engine_stores_int_head_event_fields_as_int64_arrays():
+    # the release-gate chain run: every field but est_ticks is an int there,
+    # stamps included, and each takes 8 bytes per event
+    events = Engine(parse_config(CHAIN_RUN)).run().head_events
+    for kind, table in events.tables.items():
+        count = events.kinds.count(kind[0])
+        assert count > 1000
+        for name, column in table.items():
+            if name == "est_ticks":
+                assert type(column) is list and set(column) == {None}
+                continue
+            assert type(column) is array and column.typecode == "q", (kind, name)
+            assert len(column) == count and column.itemsize * len(column) <= 8 * count
 
 
 def test_hourlong_reverse_oneway_message_totals():
