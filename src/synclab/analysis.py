@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -376,7 +375,13 @@ def sweep(
 ) -> list[dict]:
     """Grid run: scheme x SI x hops x seed simulated once each, then one row
     per window via replay.  Rows come back in deterministic grid order.
+
+    ``workers`` > 1 runs the cells in a process pool of at most one process
+    per cell; the pool module is imported only then, so no other command
+    loads ``multiprocessing``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     schemes = list(schemes) if schemes else [base.scheme]
     si_list = [round(s * NS_PER_S) for s in si_s] if si_s else [base.si_ns]
     hops_list = list(hops) if hops else [base.hops]
@@ -390,7 +395,10 @@ def sweep(
         for hop in hops_list
         for seed in seed_list
     ]
+    workers = min(workers, len(cells))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_cell = list(pool.map(_sweep_cell, cells))
     else:

@@ -412,6 +412,40 @@ def test_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_sweep_pool_has_at_most_one_process_per_cell(monkeypatch):
+    import concurrent.futures
+
+    import synclab.analysis
+
+    # a pool class bound at import would escape the fake and fork for real
+    assert not hasattr(synclab.analysis, "ProcessPoolExecutor")
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    base = short_accuracy_config(duration_ns=20 * S)
+    serial = sweep(base, seeds=[0, 1], windows=[2])
+    assert sweep(base, seeds=[0, 1], windows=[2], workers=64) == serial
+    assert sizes == [2]
+    # one cell runs in this process: no pool at all
+    assert sweep(base, seeds=[0], windows=[2], workers=64) == serial[:1]
+    assert sizes == [2]
+
+
 def test_measurement_csv_round_trip(tmp_path):
     trace = run_config(short_accuracy_config())
     path = tmp_path / "measurements.csv"

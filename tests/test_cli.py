@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -535,3 +536,46 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "conventional n=2" in proc.stdout
+
+
+POOL_FREE = """
+import json, sys
+from pathlib import Path
+from synclab.cli import main
+
+work = Path(sys.argv[1])
+(work / "run.json").write_text(json.dumps(
+    {"scheme": "reverse-oneway", "duration_s": 10, "si_s": 1}
+))
+assert main(["run", "--config", str(work / "run.json"),
+             "--out-dir", str(work / "live"), "--save-trace"]) == 0
+assert main(["replay", "--trace", str(work / "live" / "trace.json"),
+             "--out-dir", str(work / "own")]) == 0
+assert main(["count", "--hops", "2"]) == 0
+print(sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent"))))
+"""
+
+
+def test_run_and_replay_never_import_the_process_pool(tmp_path):
+    # only a parallel sweep starts a pool; the other commands must not pay
+    # for importing it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_FREE, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_sweep_workers_below_one_is_a_usage_error(tmp_path, config_path, capsys):
+    out = tmp_path / "sweep.csv"
+    for workers in ("0", "-3"):
+        code = main([
+            "sweep", "--config", str(config_path), "--seeds", "0",
+            "--workers", workers, "--out", str(out),
+        ])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+    assert not out.exists()
