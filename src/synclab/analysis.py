@@ -193,6 +193,13 @@ class ErrorStats:
     errors_s: tuple[float, ...]
 
 
+_STATISTICS = tuple(
+    f.name for f in dataclasses.fields(ErrorStats) if f.name not in ("n", "errors_s")
+)
+"""The statistics a summary and a sweep row report, ``mae_s`` to
+``max_abs_s``, in field order."""
+
+
 @dataclass(frozen=True)
 class AccuracyReport:
     overall: ErrorStats
@@ -331,36 +338,20 @@ def _sweep_cell(args) -> list[dict]:
             cell = trace
         else:
             cell = replay(trace, head_window=window)
-        row = {
+        try:
+            report = accuracy_metrics(cell)
+        except ValueError:  # nothing translated: the statistics are empty cells
+            report = None
+        rows.append({
             "scheme": scheme,
             "si_s": si_ns / NS_PER_S,
             "hops": hops,
             "seed": seed,
             "window": _window_label(window),
             "n_total": len(cell.outcomes),
-            "n_translated": None,
-            "mae_s": None,
-            "mse_s2": None,
-            "p50_abs_s": None,
-            "p90_abs_s": None,
-            "p99_abs_s": None,
-            "max_abs_s": None,
-        }
-        try:
-            report = accuracy_metrics(cell)
-        except ValueError:
-            rows.append(row)
-            continue
-        row.update(
-            n_translated=report.n_translated,
-            mae_s=report.overall.mae_s,
-            mse_s2=report.overall.mse_s2,
-            p50_abs_s=report.overall.p50_abs_s,
-            p90_abs_s=report.overall.p90_abs_s,
-            p99_abs_s=report.overall.p99_abs_s,
-            max_abs_s=report.overall.max_abs_s,
-        )
-        rows.append(row)
+            "n_translated": report and report.n_translated,
+            **{name: report and getattr(report.overall, name) for name in _STATISTICS},
+        })
     return rows
 
 
@@ -410,8 +401,7 @@ def sweep(
 
 
 SWEEP_COLUMNS = (
-    "scheme", "si_s", "hops", "seed", "window", "n_total", "n_translated",
-    "mae_s", "mse_s2", "p50_abs_s", "p90_abs_s", "p99_abs_s", "max_abs_s",
+    "scheme", "si_s", "hops", "seed", "window", "n_total", "n_translated", *_STATISTICS,
 )
 
 MEASUREMENT_COLUMNS = (
@@ -467,15 +457,7 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def _stats_dict(stats: ErrorStats) -> dict:
-    return {
-        "n": stats.n,
-        "mae_s": stats.mae_s,
-        "mse_s2": stats.mse_s2,
-        "p50_abs_s": stats.p50_abs_s,
-        "p90_abs_s": stats.p90_abs_s,
-        "p99_abs_s": stats.p99_abs_s,
-        "max_abs_s": stats.max_abs_s,
-    }
+    return {name: getattr(stats, name) for name in ("n", *_STATISTICS)}
 
 
 def summarize_trace(

@@ -152,9 +152,8 @@ class HardwareClock:
         tick_ns: int | None = TICK_1US_NS,
         drift: DriftModel | None = None,
         rng: np.random.Generator | None = None,
-        skew_bound_ppm: float = DEFAULT_SKEW_BOUND_PPM,
     ) -> None:
-        params.validate_skew(skew_bound_ppm)
+        params.validate_skew()
         if tick_ns is not None and not 0 < tick_ns <= MAX_TICK_NS:
             raise ValueError(f"tick_ns must be from 1 to {MAX_TICK_NS} ns, or None")
         drift = drift or DriftModel.constant()
@@ -166,7 +165,6 @@ class HardwareClock:
         self._drift = drift
         self._step_ns = drift.step_ns
         self._rng = rng
-        self._bound = skew_bound_ppm * 1e-6
         walking = drift.kind == "random-walk"
         self._phases = array("d", [params.offset]) if walking else None
         self._rates = array("d", [params.ratio]) if walking else None
@@ -208,7 +206,8 @@ class HardwareClock:
         else, so drawing ahead changes no value a read returns."""
         step, sigma_ppm = self._step_ns, self._drift.walk_sigma_ppm
         sigma = sigma_ppm * 1e-6 * math.sqrt(step / NS_PER_S)
-        lo, hi = 1.0 - self._bound, 1.0 + self._bound
+        bound = DEFAULT_SKEW_BOUND_PPM * 1e-6
+        lo, hi = 1.0 - bound, 1.0 + bound
         phases, rates = self._phases, self._rates
         phase, rate = phases[-1], rates[-1]
         while len(phases) <= k:

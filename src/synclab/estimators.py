@@ -23,9 +23,10 @@ fit through one link type, :func:`new_link`, and
 
 The 64-bit least-squares fit is exact up to one final rounding: it solves
 the normal equations from exact integer sums of the pairs with correctly
-rounded integer division.  A window link keeps those sums from its first
-fit on, updated in O(1) as pairs arrive and are evicted, so a head with an
-unbounded window refits in constant time per new pair.
+rounded integer division.  An fp64 window link keeps those exact sums from
+its first pair, updated in O(1) as pairs arrive and are evicted, and holds a
+pair only while a finite window can evict it: a head with an unbounded
+window refits in constant time per new pair and holds no pairs.
 """
 
 from __future__ import annotations
@@ -391,34 +392,33 @@ class _Link:
 
 
 class _WindowLink(_Link):
-    """window-lsq: the last ``capacity`` pairs (all for None), fitted by
-    :func:`centered_fit` on a rounded table and from their exact sums under
-    :data:`OPERATORS`.  The sums are built by the first fit and then follow
-    every push and eviction in O(1); a held stamp that is not a plain int or
-    finite float drops them, and the link fits as :func:`lsq_fit` does."""
+    """window-lsq: the last ``capacity`` pairs (all for None).
+
+    Under :data:`OPERATORS` the link is its exact :class:`_Sums` from its
+    first pair, a fit is ``sums.solve()``, and it holds a pair only while a
+    finite window can evict it.  A run or a loaded trace hands it only ints
+    and finite floats; any other stamp raises ValueError.  On a rounded
+    table it holds its pairs and fits them by :func:`centered_fit`."""
 
     __slots__ = ("pairs", "sums")
 
     def __init__(self, capacity: int | None, arithmetic: Arithmetic) -> None:
         super().__init__(arithmetic)
-        self.pairs: deque[TimestampPair] = deque(maxlen=capacity)
-        self.sums: _Sums | None = None
+        self.sums = _Sums() if arithmetic is OPERATORS else None
+        held = capacity is not None or self.sums is None
+        self.pairs: deque[TimestampPair] | None = deque(maxlen=capacity) if held else None
 
     def _keep(self, pair: TimestampPair) -> None:
         pairs = self.pairs
-        evicted = pairs[0] if len(pairs) == pairs.maxlen else None
-        pairs.append(pair)  # a full deque drops the evicted pair itself
+        evicted = pairs[0] if pairs is not None and len(pairs) == pairs.maxlen else None
         if self.sums is not None and not self.sums.add(pair, evicted):
-            self.sums = None
+            raise ValueError(f"stamps {pair[:2]} are not ints or finite floats")
+        if pairs is not None:
+            pairs.append(pair)  # a full deque drops the evicted pair itself
 
     def fit(self) -> tuple:
-        if self.arithmetic is OPERATORS:
-            if self.sums is None:
-                sums = _Sums()
-                if all(sums.add(p) for p in self.pairs):
-                    self.sums = sums
-            if self.sums is not None:
-                return self.sums.solve()
+        if self.sums is not None:
+            return self.sums.solve()
         children, parents, _ = zip(*self.pairs)
         return centered_fit(parents, children, self.arithmetic)
 

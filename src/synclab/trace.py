@@ -124,8 +124,9 @@ class HeadEvents:
 
 def _table(data, table, origins, what: str) -> list[list]:
     """The columns of a saved table in field order, checked: exactly the
-    table's columns, of one length, each value of its column's JSON types,
-    and each origin a key of ``origins``."""
+    table's columns, of one length, each value of its column's JSON types
+    and each float finite (``json`` reads ``1e400`` as ``inf``), and each
+    origin a key of ``origins``."""
     names = [name for name, _ in table]
     if type(data) is not dict or data.keys() != set(names):
         raise ValueError(f"{what} are not the columns {names}: {data!r:.80}")
@@ -133,8 +134,11 @@ def _table(data, table, origins, what: str) -> list[list]:
         column = data[name]
         if type(column) is not list:
             raise ValueError(f"{what} column {name!r} is not a list: {column!r:.80}")
-        if not set(map(type, column)) <= kinds:
-            bad = next(value for value in column if type(value) not in kinds)
+        types = set(map(type, column))
+        if not types <= kinds or float in types and not all(
+                math.isfinite(value) for value in column if type(value) is float):
+            bad = next(value for value in column if type(value) not in kinds
+                       or type(value) is float and not math.isfinite(value))
             raise ValueError(f"{what} column {name!r} holds {bad!r:.80}")
     if len({len(data[name]) for name in names}) > 1:
         raise ValueError(f"{what} columns differ in length")

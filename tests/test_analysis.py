@@ -590,6 +590,12 @@ def test_saved_trace_is_strict_json_and_replays_the_live_run(tmp_path_factory, d
     write_measurements_csv(tmp_path / "other.csv", other)
     write_measurements_csv(tmp_path / "moved.csv", moved)
     assert (tmp_path / "moved.csv").read_bytes() == (tmp_path / "other.csv").read_bytes()
+    # a window larger than the trace's pair count never evicts: its link,
+    # which holds its pairs, fits as an unbounded one, which holds none
+    wide = loaded.head_events.kinds.count("p") + 2
+    for window, name in ((wide, "wide.csv"), (None, "all.csv")):
+        write_measurements_csv(tmp_path / name, replay(loaded, window, "window-lsq"))
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
 
 
 scheme_and_hops = st.one_of(

@@ -347,7 +347,8 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace"])
     saved = (run_dir / "trace.json").read_text()
     (bad_energy, extra_column, cut_column, bad_version, unknown_origin,
-     string_stamp, wrong_layer, huge_tick) = (json.loads(saved) for _ in range(8))
+     string_stamp, wrong_layer, huge_tick, inf_stamp, inf_ticks) = (
+        json.loads(saved) for _ in range(10))
     bad_energy["config"]["energy"] = {"i_tx": 0.02}
     extra_column["undelivered"]["extra"] = []
     cut_column["head_events"]["pair"]["t_child"].pop()
@@ -356,10 +357,14 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     string_stamp["head_events"]["pair"]["t_child"][3] = "5"
     wrong_layer["head_events"]["pair"]["layer"][0] = 7
     huge_tick["tick_ns"] = 10**400  # past the float range, not only MAX_TICK_NS
+    # the literal 1e400 (written for the string "1e400" below), which json
+    # reads as inf
+    inf_stamp["head_events"]["pair"]["t_child"][3] = "1e400"
+    inf_ticks["head_events"]["measurement"]["local_ticks"][0] = "1e400"
     # a version-less trace is converted, then checked as the current format
     versionless = (VERSIONLESS / "trace.json").read_text()
     (old_extra_key, old_cut_event, old_unknown_origin, old_string_stamp,
-     old_wrong_level) = (json.loads(versionless) for _ in range(5))
+     old_wrong_level, old_inf_stamp) = (json.loads(versionless) for _ in range(6))
     old_extra_key["outcomes"][0]["extra"] = 1
     old_cut_event["head_events"][3] = ["pair", 1]
     events = old_unknown_origin["head_events"]
@@ -368,6 +373,8 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     events[[ev[0] for ev in events].index("pair")][4] = "5"
     events = old_wrong_level["head_events"]
     events[[ev[0] for ev in events].index("measurement")][3] = 7
+    events = old_inf_stamp["head_events"]
+    events[[ev[0] for ev in events].index("pair")][5] = "1e400"
     # node tables that disagree with the levels, and values analysis cannot use
     (extra_node, no_airtime, no_schedule, string_airtime, string_count,
      unknown_kind, negative_count, bad_duty, cut_accounting) = (
@@ -411,11 +418,14 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         (string_stamp, "'head_events'"),
         (wrong_layer, "'head_events'"),
         (huge_tick, "'tick_ns'"),
+        (inf_stamp, "'head_events'"),
+        (inf_ticks, "'head_events'"),
         (old_extra_key, "'outcomes'"),
         (old_cut_event, "'head_events'"),
         (old_unknown_origin, "'head_events'"),
         (old_string_stamp, "'head_events'"),
         (old_wrong_level, "'head_events'"),
+        (old_inf_stamp, "'head_events'"),
         (extra_node, "'node_counts'"),
         (no_airtime, "'airtime'"),
         (no_schedule, "'radio'"),
@@ -440,7 +450,7 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     )
     for i, (data, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data).replace('"1e400"', "1e400"))
         capsys.readouterr()
         assert main(["replay", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err

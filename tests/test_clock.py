@@ -158,7 +158,6 @@ def test_random_walk_rate_stays_clamped():
         tick_ns=None,
         drift=DriftModel.random_walk(sigma_ppm=1000.0),
         rng=rng,
-        skew_bound_ppm=500.0,
     )
     skews = [abs(clock.rate(k * NS_PER_S) - 1.0) for k in range(200)]
     assert max(skews) <= 500.0e-6 + 1e-12

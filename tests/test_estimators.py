@@ -19,6 +19,7 @@ from synclab.estimators import (
     SingularSystemError,
     TimestampPair,
     _Sums,
+    centered_fit,
     cumulative_params,
     cumulative_ratio,
     default_window,
@@ -30,6 +31,7 @@ from synclab.estimators import (
     new_link,
     translate_child_to_parent,
 )
+from synclab.precision import CHOP, ROUNDED
 
 
 def fraction_lsq(pairs):
@@ -135,8 +137,8 @@ def pushed_windows(draw):
     return capacity, stream, draw(st.integers(1, len(stream)))
 
 
-def assert_rounded_rational_fit(link):
-    pairs = tuple(link.pairs)
+def assert_rounded_rational_fit(link, accepted, capacity):
+    pairs = accepted[-capacity:] if capacity else accepted
     if len(pairs) < 2:
         with pytest.raises(InsufficientDataError):
             link.fit()
@@ -151,16 +153,20 @@ def assert_rounded_rational_fit(link):
 @settings(max_examples=300)
 @given(pushed_windows())
 def test_window_lsq_is_the_rounded_rational_solution(window):
-    # the fit mid-stream builds the link's exact sums; the fit at the end
-    # reads them after the pushes and evictions since
+    # the reference is the last ``capacity`` pairs that the link accepted;
+    # the fit at the end reads the link's sums after the pushes and
+    # evictions since the fit mid-stream
     capacity, stream, cut = window
     link = new_link(WINDOW_LSQ, capacity)
+    accepted = []
     for pair in stream[:cut]:
-        link.push(pair)
-    assert_rounded_rational_fit(link)
+        if link.push(pair):
+            accepted.append(pair)
+    assert_rounded_rational_fit(link, accepted, capacity)
     for pair in stream[cut:]:
-        link.push(pair)
-    assert_rounded_rational_fit(link)
+        if link.push(pair):
+            accepted.append(pair)
+    assert_rounded_rational_fit(link, accepted, capacity)
 
 
 def test_two_pair_lsq_equals_interpolation():
@@ -322,12 +328,32 @@ def test_every_link_takes_only_newer_sync_indices(method):
     assert link.push(TimestampPair(20, 20, 8)) and link.dirty
 
 
-def test_unbounded_window_keeps_everything():
+def test_unbounded_window_holds_no_pairs_and_sums_every_pair():
+    # an fp64 link with no window to evict from is its exact sums alone
     link = new_link(WINDOW_LSQ, None)
-    for i in range(100):
-        link.push(TimestampPair(float(i), float(i), i))
-    assert len(link.pairs) == 100
-    assert link.pairs.maxlen is None
+    pairs = [TimestampPair(i * 1_000 + (i * 7919) % 13, i * 1_000.5, i) for i in range(100)]
+    for pair in pairs:
+        assert link.push(pair)
+    assert not link.push(pairs[-1])
+    assert link.pairs is None and link.sums.n == 100
+    assert ClockParams(*link.fit()) == lsq_fit(pairs)
+    # a stamp the sums cannot hold exactly is refused, the sums untouched
+    with pytest.raises(ValueError, match="finite floats"):
+        link.push(TimestampPair(math.inf, 1e9, 100))
+    assert link.sums.n == 100
+
+
+def test_rounded_window_link_fits_its_pairs_with_no_sums():
+    # an fp32 node's window link holds its last ``capacity`` pairs, rounded
+    # into the mode, and fits them one operation at a time
+    chop = ROUNDED[CHOP]
+    link = new_link(WINDOW_LSQ, 4, chop)
+    for i in range(9):
+        stamps = (chop.number(i * 1_000.25 + i % 3), chop.number(i * 1_000.0))
+        assert link.push(TimestampPair(*stamps, i))
+    assert link.sums is None and [p.sync_index for p in link.pairs] == [5, 6, 7, 8]
+    children, parents, _ = zip(*link.pairs)
+    assert link.fit() == centered_fit(parents, children, chop)
 
 
 def test_default_window_by_interval():
