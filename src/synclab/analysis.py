@@ -70,16 +70,11 @@ def table1_counts(
         raise ValueError("SI and duration must be positive")
     if measurements < 0:
         raise ValueError("measurements must be non-negative")
+    rules = protocol.SCHEME_RULES.get(scheme)
+    if rules is None:
+        raise ValueError(f"unknown scheme {scheme!r}")
     rounds = math.floor(duration_s / si_s)
-    if scheme == protocol.CONVENTIONAL_TWOWAY:
-        return (measurements + rounds, rounds)
-    if scheme == protocol.CONVENTIONAL_ONEWAY:
-        return (measurements, rounds)
-    if scheme == protocol.REVERSE_TWOWAY:
-        return (measurements, rounds)
-    if scheme == protocol.REVERSE_ONEWAY:
-        return (measurements, 0)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return (measurements + rounds * rules.requests, rounds * (rules.beacons or rules.requests))
 
 
 # -- trace count helpers -------------------------------------------------------
@@ -295,7 +290,7 @@ def replay(
     head settings (an unknown method, a window below 2) raise ValueError
     here, not at the first read of the outcomes.
     """
-    if trace.scheme != protocol.REVERSE_ONEWAY:
+    if protocol.SCHEME_RULES[trace.scheme].untranslated is not None:
         raise ValueError("replay applies to head-side estimation traces only")
     method = trace.head_method if head_method is None else head_method
     window = trace.head_window if head_window is _KEEP else head_window
@@ -332,9 +327,10 @@ def _sweep_cell(args) -> list[dict]:
     cfg = _derive_config(base, scheme, si_ns, hops, seed)
     cfg = cfg.replace(head_window=windows[0])
     trace = run_config(cfg)
+    head_fits = protocol.SCHEME_RULES[scheme].untranslated is None
     rows = []
     for window in windows:
-        if window == trace.head_window or trace.scheme != protocol.REVERSE_ONEWAY:
+        if window == trace.head_window or not head_fits:
             cell = trace
         else:
             cell = replay(trace, head_window=window)

@@ -85,12 +85,12 @@ class ClockParams:
         """Rate deviation from nominal in parts per million."""
         return (self.ratio - 1.0) * 1e6
 
-    def validate_skew(self, bound_ppm: float = DEFAULT_SKEW_BOUND_PPM) -> None:
-        """Raise ``ValueError`` unless ``|ratio - 1|`` is within ``bound_ppm``."""
-        if abs(self.ratio - 1.0) * 1e6 > bound_ppm:
-            raise ValueError(
-                f"clock skew {self.skew_ppm:.3f} ppm exceeds bound {bound_ppm} ppm"
-            )
+    def validate_skew(self) -> None:
+        """Raise ``ValueError`` unless ``|ratio - 1|`` is within
+        :data:`DEFAULT_SKEW_BOUND_PPM`."""
+        if abs(self.ratio - 1.0) * 1e6 > DEFAULT_SKEW_BOUND_PPM:
+            raise ValueError(f"clock skew {self.skew_ppm:.3f} ppm exceeds bound "
+                             f"{DEFAULT_SKEW_BOUND_PPM} ppm")
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,18 @@ class RunConfig:
     collect_events: bool = False
 
     def __post_init__(self) -> None:
+        # the scheme first: the radio's default schedule reads its rules
+        choices = {
+            "scheme": (self.scheme, protocol.SCHEMES),
+            "head method": (self.head_method, ESTIMATOR_METHODS),
+            "bundling mode": (self.bundling, protocol.BUNDLING_MODES),
+            "node precision": (self.node_precision, protocol.PRECISION_MODES),
+            "node estimator": (self.node_method, (TWO_POINT, WINDOW_LSQ)),
+        }
+        for what, (value, allowed) in choices.items():
+            if value not in allowed:
+                raise ConfigError(f"unknown {what} {value!r}")
+        rules = protocol.SCHEME_RULES[self.scheme]
         # integer -> (value, least value or None where its own class checks it)
         integers = {
             "hops": (self.hops, 1),
@@ -102,31 +114,17 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least {least}, got {value}")
         if type(self.collect_events) is not bool:
             raise ConfigError("collect_events must be true or false")
-        if (
-            self.scheme
-            in (protocol.REVERSE_TWOWAY, protocol.CONVENTIONAL_TWOWAY)
-            and self.hops != 1
-        ):
+        if rules.two_way and self.hops != 1:
             raise ConfigError("two-way baselines are single-hop only")
         walk, cap = self.clock.drift, MAX_DRIFT_SEGMENTS
         if walk.kind == "random-walk" and self.duration_ns // walk.step_ns > cap:
             raise ConfigError(f"drift.step_s too short: over {cap} segments per node")
-        choices = {
-            "scheme": (self.scheme, protocol.SCHEMES),
-            "head method": (self.head_method, ESTIMATOR_METHODS),
-            "bundling mode": (self.bundling, protocol.BUNDLING_MODES),
-            "node precision": (self.node_precision, protocol.PRECISION_MODES),
-            "node estimator": (self.node_method, (TWO_POINT, WINDOW_LSQ)),
-        }
-        for what, (value, allowed) in choices.items():
-            if value not in allowed:
-                raise ConfigError(f"unknown {what} {value!r}")
         if self.link.jitter_ns > protocol.EPOCH_NS:
             raise ConfigError(
                 f"SFD jitter {self.link.jitter_ns} ns exceeds {protocol.EPOCH_NS} ns, "
                 "the time of the first stamp, so a stamp could fall before t = 0"
             )
-        if self.scheme == protocol.CONVENTIONAL_ONEWAY and self.node_precision != protocol.FP64:
+        if rules.node_fits and self.node_precision != protocol.FP64:
             # an fp32 node rounds every stamp into single precision
             reach = self.stamp_reach()
             if reach > FLOAT32_MAX:
@@ -190,7 +188,9 @@ class RunConfig:
 
 def _radio(scheme: str, **given) -> RadioConfig:
     """A radio of the ``given`` fields whose schedule, unless given, follows
-    the scheme."""
+    the scheme, which must be known."""
+    if scheme not in protocol.SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}")
     return RadioConfig(**{"schedule": protocol.default_radio_schedule(scheme), **given})
 
 
@@ -413,21 +413,16 @@ def energy_comparison_config(scheme: str, schedule: str | None = None) -> RunCon
     The beaconless scheme reports every 10 s with the radio otherwise off;
     flooding beacons every 1 s with the radio listening (always or duty-cycled).
     """
-    if scheme == protocol.REVERSE_ONEWAY:
-        si_ns = 10 * NS_PER_S
-        radio = RadioConfig(schedule=schedule or protocol.SCHEDULED_WAKE)
-    elif scheme == protocol.CONVENTIONAL_ONEWAY:
-        si_ns = NS_PER_S
-        radio = RadioConfig(schedule=schedule or protocol.ALWAYS_ON)
-    else:
+    if scheme not in (protocol.REVERSE_ONEWAY, protocol.CONVENTIONAL_ONEWAY):
         raise ConfigError("energy comparison covers the one-way schemes")
+    beaconless = scheme == protocol.REVERSE_ONEWAY
     return RunConfig(
         scheme=scheme,
         hops=1,
         duration_ns=600 * NS_PER_S,
         seed=0,
-        si_ns=si_ns,
+        si_ns=10 * NS_PER_S if beaconless else NS_PER_S,
         measurement_interval_ns=10 * NS_PER_S,
-        report_interval_ns=10 * NS_PER_S if scheme == protocol.REVERSE_ONEWAY else None,
-        radio=radio,
+        report_interval_ns=10 * NS_PER_S if beaconless else None,
+        radio=RadioConfig(schedule=schedule or protocol.default_radio_schedule(scheme)),
     )

@@ -1,6 +1,6 @@
 """Frame formats and per-node protocol state for the synchronization schemes.
 
-Four schemes share one node model:
+Four schemes share one node model; :data:`SCHEME_RULES` says what each does:
 
 * ``reverse-oneway``: beaconless.  Sensors send measurement reports up the
   tree; every upward frame carries the sender's send-SFD timestamp, the
@@ -13,8 +13,7 @@ Four schemes share one node model:
   stamp, own receive stamp) pairs and translate their own measurement
   timestamps before reporting them.
 * ``conventional-twoway`` and ``reverse-twoway``: request/response baselines
-  kept at message-flow and counting fidelity (their measurement records reach
-  the head untranslated).
+  kept at message-flow and counting fidelity.
 
 Frame layout used for size accounting: header 5 B (kind 1, src 2, dst 2);
 every timestamp 4 B; every measurement record 8 B (origin 2, timestamp 4,
@@ -41,12 +40,34 @@ REVERSE_ONEWAY = "reverse-oneway"
 REVERSE_TWOWAY = "reverse-twoway"
 CONVENTIONAL_ONEWAY = "conventional-oneway"
 CONVENTIONAL_TWOWAY = "conventional-twoway"
-SCHEMES = (
-    REVERSE_ONEWAY,
-    REVERSE_TWOWAY,
-    CONVENTIONAL_ONEWAY,
-    CONVENTIONAL_TWOWAY,
-)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SchemeRules:
+    """What a scheme makes the nodes and the head do; a rule left out is off."""
+
+    # every upward frame is a sync-bearing report, and the radio duty-cycles
+    reports: bool = False
+    # the head broadcasts a beacon every SI
+    beacons: bool = False
+    # each sensor sends a two-way request every SI
+    requests: bool = False
+    # sensors fit beacon pairs and report their own estimates
+    node_fits: bool = False
+    # a request/response baseline, single-hop for now
+    two_way: bool = False
+    # why the head leaves a delivered measurement untranslated; None: it translates
+    untranslated: str | None = None
+
+
+# every other module reads what a scheme does here, not from its name
+SCHEME_RULES = {
+    REVERSE_ONEWAY: SchemeRules(reports=True),
+    REVERSE_TWOWAY: SchemeRules(reports=True, beacons=True, two_way=True, untranslated="scheme"),
+    CONVENTIONAL_ONEWAY: SchemeRules(beacons=True, node_fits=True, untranslated="bootstrap"),
+    CONVENTIONAL_TWOWAY: SchemeRules(requests=True, two_way=True, untranslated="scheme"),
+}
+SCHEMES = tuple(SCHEME_RULES)
 
 BEACON = "beacon"
 REQUEST = "request"
@@ -232,9 +253,7 @@ class RadioConfig:
 
 def default_radio_schedule(scheme: str) -> str:
     """Reverse schemes duty-cycle the radio; conventional ones listen always."""
-    if scheme in (REVERSE_ONEWAY, REVERSE_TWOWAY):
-        return SCHEDULED_WAKE
-    return ALWAYS_ON
+    return SCHEDULED_WAKE if SCHEME_RULES[scheme].reports else ALWAYS_ON
 
 
 class NodeState:
@@ -271,8 +290,7 @@ class NodeState:
         self.counts: dict[str, list[int]] = {}
         self.tx_seconds = 0.0
         self.rx_seconds = 0.0
-        # only a conventional one-way sensor translates its own measurements
-        self._estimates = cfg.scheme == CONVENTIONAL_ONEWAY
+        self._estimates = SCHEME_RULES[cfg.scheme].node_fits
         # its beacon pairs go into the head's link type, in its arithmetic
         self.beacon_link = new_link(
             cfg.node_method, cfg.node_window, _ARITHMETIC[cfg.node_precision]

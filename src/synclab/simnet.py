@@ -9,9 +9,9 @@ Bernoulli loss), fires timers, and records what the head receives as the
 replayable :class:`~synclab.trace.RunTrace`, which translates it.
 
 What the scheme makes each node do per frame is decided once per run, when
-:class:`Engine` is built: a received frame goes through a table from frame
-kind to handler, and :meth:`Engine.run` starts the scheme's timers.  No
-handler looks at the scheme's name again.
+:class:`Engine` is built, from its :data:`~synclab.protocol.SCHEME_RULES`: a
+received frame goes through a table from frame kind to handler, and
+:meth:`Engine.run` starts the timers the rules name.
 
 Randomness is split into named streams spawned from the run seed (one drift
 stream and two SFD-jitter streams per node, plus one loss stream), so event
@@ -133,19 +133,19 @@ class Engine:
     """One simulation run: a :class:`~synclab.config.RunConfig` -> RunTrace.
 
     The config checked itself when it was built, so the engine checks
-    nothing again.  The scheme is decided here, once, in ``__init__``.  It
-    binds one handler per frame kind that does something at its receiver
-    (reports, measurement frames, two-way requests, and beacons under
-    conventional one-way only; any other frame costs its receiver only the
-    reception) and sets two plain values the handlers read: whether a
-    sensor's upward frame is a report, and whether a gateway merges a
-    child's reported records into its own buffer.  No handler compares the
-    scheme or a frame's kind again; the head is ``node is self.head``.  The
-    engine records the head's events and translates none of them.
+    nothing again.  ``__init__`` reads the scheme's rules, once: it binds
+    one handler per frame kind that does something at its receiver (reports,
+    measurement frames, two-way requests, and beacons where sensors fit
+    them; any other frame costs its receiver only the reception) and sets
+    two plain values the handlers read: whether a sensor's upward frame is a
+    report, and whether a gateway merges a child's reported records into its
+    own buffer.  No handler compares the scheme or a frame's kind again; the
+    head is ``node is self.head``.  The engine records the head's events and
+    translates none of them.
     """
 
     def __init__(self, cfg: RunConfig) -> None:
-        scheme = cfg.scheme
+        self.rules = rules = protocol.SCHEME_RULES[cfg.scheme]
         topology = build_chain(cfg.hops, cfg.clock, cfg.link, cfg.seed)
         self.topology = topology
         self._levels = {n: spec.level for n, spec in topology.nodes.items()}
@@ -185,10 +185,9 @@ class Engine:
             protocol.MEASUREMENT: Engine._on_measurement,
             protocol.REQUEST: Engine._on_request,
         }
-        if scheme == protocol.CONVENTIONAL_ONEWAY:
+        if rules.node_fits:
             self._handlers[protocol.BEACON] = Engine._on_beacon
-        # the reverse schemes send every upward frame as a sync-bearing report
-        self._reports = scheme in (protocol.REVERSE_ONEWAY, protocol.REVERSE_TWOWAY)
+        self._reports = rules.reports
         # all-data bundling merges a child's reported records into the
         # gateway's buffer; measurement frames are forwarded as they arrived
         self._merge_records = self._reports and cfg.bundling == protocol.BUNDLE_ALL
@@ -390,7 +389,6 @@ class Engine:
 
     def run(self) -> RunTrace:
         cfg = self.cfg
-        scheme = cfg.scheme
         hops = cfg.hops
         for node_id in self.topology.sensor_ids():
             self._push(EPOCH_NS + MEASUREMENT_OFFSET_NS, self._on_measure, (node_id,))
@@ -398,9 +396,9 @@ class Engine:
                 level = self._levels[node_id]
                 phase = EPOCH_NS + REPORT_OFFSET_NS + (hops - level) * REPORT_STAGGER_NS
                 self._push(phase, self._on_report_timer, (node_id,))
-            if scheme == protocol.CONVENTIONAL_TWOWAY:
+            if self.rules.requests:
                 self._push(EPOCH_NS, self._on_request_timer, (node_id,))
-        if scheme in (protocol.CONVENTIONAL_ONEWAY, protocol.REVERSE_TWOWAY):
+        if self.rules.beacons:
             self._push(EPOCH_NS, self._on_beacon_timer, (self.head.node_id,))
 
         heap = self._heap

@@ -282,6 +282,43 @@ def _accounting(buckets):
     return read
 
 
+# what the event log may name: a measurement, or a frame kind sent or received
+_LOGGED = {"measure", *(f"{side}-{kind}" for side in ("tx", "rx") for kind in protocol.KINDS)}
+
+
+def _read_event_log(log, values) -> list | None:
+    """Each logged event a row ``[t_ns, node, kind]``: an int time within the
+    run, a node of ``levels``, and a kind of :data:`_LOGGED`."""
+    if log is None:
+        return None
+    duration, levels = values["duration_ns"], values["levels"]
+    for row in log:
+        if (type(row) is not list or list(map(type, row)) != [int, int, str]
+                or not 0 <= row[0] < duration or row[1] not in levels or row[2] not in _LOGGED):
+            raise ValueError(f"not an event [t_ns, node, kind] of the run: {row!r:.80}")
+    return [tuple(row) for row in log]
+
+
+def _read_config(config, values) -> dict | None:
+    """The run's config, which must parse and name the trace's scheme, seed,
+    duration, tick and radio.  Head settings may differ: a replay saves new
+    ones beside the run's config."""
+    if config is None:
+        return None
+    from .config import ConfigError, RunConfig  # config imports simnet, which imports this
+
+    try:
+        cfg = RunConfig.from_dict(config)
+    except ConfigError as exc:
+        raise ValueError(exc) from exc
+    ran = {"scheme": cfg.scheme, "seed": cfg.seed, "duration_ns": cfg.duration_ns,
+           "tick_ns": cfg.clock.tick_ns, "radio": dataclasses.asdict(cfg.radio_config())}
+    differ = [key for key, value in ran.items() if values[key] != value]
+    if differ:
+        raise ValueError(f"it differs from the trace in {differ}")
+    return config
+
+
 @contextmanager
 def _reading(key: str):
     """Re-raise a failure to read a trace key as ValueError naming the key."""
@@ -319,8 +356,8 @@ _TRACE_KEYS = {
     "undelivered": ((dict,), lambda v: _columns(v, _UNDELIVERED), lambda v, read: list(
         zip(*_table(v, _UNDELIVERED, read["levels"], "undelivered measurements")))),
     "event_log": ((list, _NULL), lambda v: None if v is None else [list(e) for e in v],
-                  lambda v, _: None if v is None else [tuple(e) for e in v]),
-    "config": ((dict, _NULL), None, None),
+                  _read_event_log),
+    "config": ((dict, _NULL), None, _read_config),
     "config_hash": ((str, _NULL), None, None),
 }
 
@@ -419,7 +456,10 @@ class RunTrace:
         airtimes hold exactly the trace's nodes, the radio passes
         :class:`~synclab.protocol.RadioConfig`'s checks, and the accounting
         tables hold a count per bucket of :data:`PAIR_BUCKETS` and
-        :data:`RECORD_BUCKETS`."""
+        :data:`RECORD_BUCKETS`.  Each event-log row is a time within the run,
+        a trace node and a logged kind; a stored config must pass
+        :meth:`~synclab.config.RunConfig.from_dict` and agree with the
+        trace's scheme, seed, duration, tick and radio."""
         if type(data) is not dict:
             raise ValueError(f"a trace is a JSON object, got {data!r:.80}")
         if "format_version" not in data:
@@ -448,30 +488,19 @@ def error_seconds(est_ticks: float, true_ns: int, tick_ns: int | None) -> float:
     return (est_ns - true_ns) / 1e9
 
 
-UNTRANSLATED = {
-    protocol.REVERSE_ONEWAY: None,
-    protocol.REVERSE_TWOWAY: "scheme",
-    protocol.CONVENTIONAL_ONEWAY: "bootstrap",
-    protocol.CONVENTIONAL_TWOWAY: "scheme",
-}
-"""Why the head leaves a delivered measurement untranslated, per scheme.
-Only reverse one-way translates at the head (None); conventional one-way
-delivers the sensor's own estimate, absent until the sensor bootstraps; the
-two-way schemes are kept at message-flow fidelity and translate nothing."""
-
-
 def derive_outcomes(trace: RunTrace) -> list[MeasurementOutcome]:
     """A trace's outcomes under its head method and window: one per
     delivered measurement in head-event order, then one per undelivered
     measurement, with no arrival and no local timestamp (NaN).
 
-    Under reverse one-way the head events are folded once through a fresh
-    estimator: each pair is ingested and each measurement translated, or
-    left untranslated while a link on its chain is bootstrapping.  Under
+    Where the scheme's :class:`~synclab.protocol.SchemeRules` leave no
+    ``untranslated`` reason, the head events are folded once through a
+    fresh estimator: each pair is ingested and each measurement translated,
+    or left untranslated while a link on its chain is bootstrapping.  Under
     the other schemes each measurement keeps the sensor's own estimate
-    stored in its event, and the scheme's reason from :data:`UNTRANSLATED`.
+    stored in its event, and the scheme's reason.
     """
-    reason = UNTRANSLATED[trace.scheme]
+    reason = protocol.SCHEME_RULES[trace.scheme].untranslated
     estimator = None
     if reason is None:
         estimator = HeadEstimator(trace.head_method, trace.head_window)

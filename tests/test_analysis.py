@@ -376,9 +376,11 @@ def test_fp32_node_rejects_a_non_positive_refit():
 
 
 def test_replay_rejects_other_schemes():
-    trace = run_config(table1_config(CONVENTIONAL_ONEWAY, 10.0))
-    with pytest.raises(ValueError):
-        replay(trace)
+    # every scheme whose head leaves measurements untranslated
+    for scheme in (CONVENTIONAL_ONEWAY, REVERSE_TWOWAY, CONVENTIONAL_TWOWAY):
+        trace = run_config(table1_config(scheme, 10.0))
+        with pytest.raises(ValueError, match="head-side estimation"):
+            replay(trace)
 
 
 def test_replay_rejects_bad_head_settings_at_the_call():

@@ -344,11 +344,20 @@ VERSIONLESS = Path(__file__).parent / "data" / "versionless"
 
 def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     run_dir = tmp_path / "run"
-    main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace"])
+    main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace",
+          "--event-log"])
     saved = (run_dir / "trace.json").read_text()
     (bad_energy, extra_column, cut_column, bad_version, unknown_origin,
      string_stamp, wrong_layer, huge_tick, inf_stamp, inf_ticks) = (
         json.loads(saved) for _ in range(10))
+    # event-log rows that are not [t_ns, node, kind], and a stored config
+    # that does not parse or names another run
+    short_event, unknown_node, other_scheme, string_hops = (
+        json.loads(saved) for _ in range(4))
+    short_event["event_log"].insert(3, [1, 2])
+    unknown_node["event_log"].append([1, 99, "tx-report"])
+    other_scheme["config"]["scheme"] = "conventional-oneway"
+    string_hops["config"]["hops"] = "three"
     bad_energy["config"]["energy"] = {"i_tx": 0.02}
     extra_column["undelivered"]["extra"] = []
     cut_column["head_events"]["pair"]["t_child"].pop()
@@ -420,6 +429,10 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         (huge_tick, "'tick_ns'"),
         (inf_stamp, "'head_events'"),
         (inf_ticks, "'head_events'"),
+        (short_event, "'event_log'"),
+        (unknown_node, "'event_log'"),
+        (other_scheme, "'config'"),
+        (string_hops, "'config'"),
         (old_extra_key, "'outcomes'"),
         (old_cut_event, "'head_events'"),
         (old_unknown_origin, "'head_events'"),
@@ -452,9 +465,11 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(data).replace('"1e400"', "1e400"))
         capsys.readouterr()
-        assert main(["replay", "--trace", str(path), "--out-dir", str(tmp_path)]) == 2
+        out = tmp_path / f"out{i}"
+        assert main(["replay", "--trace", str(path), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and named in err, err
+        assert not (out / "measurements.csv").exists(), named
 
 
 def replay_with_a_huge_stamp(tmp_path, *args):

@@ -33,7 +33,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ClockParams(-1.0, 0.0)
     with pytest.raises(ValueError):
-        ClockParams(1.1, 0.0).validate_skew(500.0)
+        ClockParams(1.1, 0.0).validate_skew()
 
 
 def test_constant_clock_matches_affine_form():

@@ -87,6 +87,19 @@ def test_run_config_validation():
     RunConfig(head_window=None, report_interval_ns=None)
 
 
+def test_unknown_scheme_is_named_before_the_radio_reads_it():
+    # the radio's default schedule comes from the scheme's rules, so the
+    # scheme is checked first, with or without a radio object
+    for build in (
+        lambda: RunConfig(scheme="semaphore"),
+        lambda: parse_config({**MINIMAL, "scheme": "semaphore"}),
+        lambda: parse_config({**MINIMAL, "scheme": "semaphore", "radio": {"lpl_duty": 0.1}}),
+        lambda: RunConfig.from_dict({**RunConfig().to_dict(), "scheme": "semaphore"}),
+    ):
+        with pytest.raises(ConfigError, match="^unknown scheme 'semaphore'$"):
+            build()
+
+
 def test_radio_default_follows_scheme():
     assert RunConfig().radio_config().schedule == SCHEDULED_WAKE
     assert (

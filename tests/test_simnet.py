@@ -12,11 +12,16 @@ import pytest
 from synclab.clock import ClockConfig, ClockParams
 from synclab.config import RunConfig, parse_config, table1_config
 from synclab.protocol import (
+    BEACON,
     BUNDLE_SELF,
     CONVENTIONAL_ONEWAY,
     CONVENTIONAL_TWOWAY,
+    MEASUREMENT,
+    REPORT,
+    REQUEST,
     REVERSE_ONEWAY,
     REVERSE_TWOWAY,
+    SCHEME_RULES,
 )
 from synclab.simnet import Engine, LinkConfig, Topology, build_chain
 from synclab.trace import HeadEvents, RunTrace, error_seconds
@@ -153,6 +158,17 @@ def test_hourlong_conventional_twoway_message_totals():
 def test_hourlong_conventional_oneway_message_totals():
     trace = Engine(table1_config(CONVENTIONAL_ONEWAY, 10)).run()
     assert totals(trace, 1) == (100, 360)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_RULES))
+def test_frames_sent_are_the_ones_the_scheme_rules_name(scheme):
+    rules = SCHEME_RULES[scheme]
+    trace = Engine(RunConfig(scheme=scheme, duration_ns=10 * S)).run()
+    head, sensor = ({kind for kind, (tx, _) in trace.node_counts[n].items() if tx} for n in (0, 1))
+    assert (BEACON in head) == rules.beacons
+    assert (REQUEST in sensor) == rules.requests
+    upward = sensor - {REQUEST}
+    assert upward == ({REPORT} if rules.reports else {MEASUREMENT}), upward
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
