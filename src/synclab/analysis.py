@@ -265,8 +265,7 @@ def accuracy_metrics(trace_or_outcomes) -> AccuracyReport:
 def run_config(cfg: RunConfig) -> RunTrace:
     """Run ``cfg`` and stamp its identity on the trace."""
     trace = simnet.Engine(cfg).run()
-    trace.config = cfg.to_dict()
-    trace.config_hash = cfg.config_hash()
+    trace.config = cfg
     return trace
 
 
@@ -478,7 +477,7 @@ def summarize_trace(
         },
         "pair_accounting": dict(trace.pair_accounting),
         "record_accounting": dict(trace.record_accounting),
-        "config": trace.config,
+        "config": None if trace.config is None else trace.config.to_dict(),
     }
     if report is not None:
         summary["accuracy"] = {

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import analysis, estimators, protocol
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 
 
 def _parse_window(text: str):
@@ -42,10 +42,8 @@ def _emit_run_outputs(out_dir, trace, save_trace: bool) -> dict:
         report = analysis.accuracy_metrics(trace)
     except ValueError:
         report = None
-    ledger = None
-    if trace.config is not None:
-        model = RunConfig.from_dict(trace.config).energy
-        ledger = analysis.energy_from_trace(trace, model)
+    ledger = (None if trace.config is None
+              else analysis.energy_from_trace(trace, trace.config.energy))
     summary = analysis.summarize_trace(trace, report=report, ledger=ledger)
     analysis.write_measurements_csv(os.path.join(out_dir, "measurements.csv"), trace)
     analysis.write_summary_json(os.path.join(out_dir, "summary.json"), summary)

@@ -20,11 +20,31 @@ from .clock import DEFAULT_SKEW_BOUND_PPM, ClockConfig, DriftModel, MAX_DRIFT_SE
 from .estimators import ESTIMATOR_METHODS, WINDOW_LSQ, TWO_POINT, default_window
 from .precision import FLOAT32_MAX
 from .protocol import RadioConfig
-from .simnet import LinkConfig
 
 
 class ConfigError(Exception):
     """A configuration value is missing, malformed, or inconsistent."""
+
+
+def canonical_hash(data: dict) -> str:
+    """The hash a config dict is named by: sha256 of its compact, key-sorted JSON."""
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+@dataclass(frozen=True)
+class LinkConfig:
+    """Per-hop link behaviour: fixed propagation, SFD jitter width, loss."""
+
+    propagation_ns: int = 1_000
+    jitter_ns: int = 5_000
+    loss: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.propagation_ns < 0 or self.jitter_ns < 0:
+            raise ValueError("propagation and jitter must be non-negative")
+        if not 0.0 <= self.loss < 1.0:
+            raise ValueError("loss probability must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -59,7 +79,7 @@ class RunConfig:
     si_ns: int = NS_PER_S
     measurement_interval_ns: int = NS_PER_S
     report_interval_ns: int | None = NS_PER_S
-    bundling: str = protocol.BUNDLE_NONE
+    bundling: str = protocol.BUNDLE_SELF
     bundle_size: int = 1
     head_method: str = WINDOW_LSQ
     head_window: int | None = 19
@@ -116,6 +136,8 @@ class RunConfig:
             raise ConfigError("collect_events must be true or false")
         if rules.two_way and self.hops != 1:
             raise ConfigError("two-way baselines are single-hop only")
+        if self.bundling == protocol.BUNDLE_ALL and not rules.reports:
+            raise ConfigError(f"{self.scheme} sends no reports for bundling {self.bundling!r}")
         walk, cap = self.clock.drift, MAX_DRIFT_SEGMENTS
         if walk.kind == "random-walk" and self.duration_ns // walk.step_ns > cap:
             raise ConfigError(f"drift.step_s too short: over {cap} segments per node")
@@ -179,8 +201,7 @@ class RunConfig:
             raise ConfigError(f"missing key {exc}" if missing else str(exc)) from exc
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return canonical_hash(self.to_dict())
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
@@ -353,7 +374,6 @@ def table1_config(scheme: str, si_s: float, seed: int = 0) -> RunConfig:
         si_ns=round(si_s * NS_PER_S),
         measurement_interval_ns=36 * NS_PER_S,
         report_interval_ns=None,
-        bundling=protocol.BUNDLE_NONE,
         bundle_size=1,
         link=LinkConfig(loss=0.0),
     )

@@ -76,10 +76,9 @@ REPORT = "report"
 MEASUREMENT = "measurement"
 KINDS = (BEACON, REQUEST, RESPONSE, REPORT, MEASUREMENT)
 
-BUNDLE_NONE = "none"
 BUNDLE_SELF = "self"
 BUNDLE_ALL = "all"
-BUNDLING_MODES = (BUNDLE_NONE, BUNDLE_SELF, BUNDLE_ALL)
+BUNDLING_MODES = (BUNDLE_SELF, BUNDLE_ALL)
 
 FP64 = "fp64"
 FP32_NEAREST = "fp32-nearest"

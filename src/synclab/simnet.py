@@ -23,11 +23,12 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .clock import ClockConfig, ClockParams, DriftModel
+from .config import LinkConfig, RunConfig
 from . import protocol
 from .protocol import (
     EPOCH_NS,
@@ -43,24 +44,6 @@ from .protocol import (
     MeasurementRecord,
 )
 from .trace import PAIR_BUCKETS, RECORD_BUCKETS, HeadEvents, RunTrace
-
-if TYPE_CHECKING:
-    from .config import RunConfig
-
-
-@dataclass(frozen=True)
-class LinkConfig:
-    """Per-hop link behaviour: fixed propagation, SFD jitter width, loss."""
-
-    propagation_ns: int = 1_000
-    jitter_ns: int = 5_000
-    loss: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.propagation_ns < 0 or self.jitter_ns < 0:
-            raise ValueError("propagation and jitter must be non-negative")
-        if not 0.0 <= self.loss < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from itertools import islice, repeat
 
 from . import protocol
 from .clock import MAX_TICK_NS
+from .config import ConfigError, RunConfig, canonical_hash
 from .estimators import ESTIMATOR_METHODS, HeadEstimator, TimestampPair
 
 
@@ -299,14 +300,18 @@ def _read_event_log(log, values) -> list | None:
     return [tuple(row) for row in log]
 
 
-def _read_config(config, values) -> dict | None:
-    """The run's config, which must parse and name the trace's scheme, seed,
-    duration, tick and radio.  Head settings may differ: a replay saves new
-    ones beside the run's config."""
+# config key -> {retired value: the value it is read as}
+_RETIRED = {"bundling": {"none": "self"}}
+
+
+def _read_config(config, values) -> RunConfig | None:
+    """The run's config, its retired values upgraded, which must parse and
+    name the trace's scheme, seed, duration, tick and radio.  Head settings
+    may differ: a replay saves new ones beside the run's config."""
     if config is None:
         return None
-    from .config import ConfigError, RunConfig  # config imports simnet, which imports this
-
+    config = {**config, **{key: new for key, retired in _RETIRED.items()
+                           for old, new in retired.items() if config.get(key) == old}}
     try:
         cfg = RunConfig.from_dict(config)
     except ConfigError as exc:
@@ -316,7 +321,7 @@ def _read_config(config, values) -> dict | None:
     differ = [key for key, value in ran.items() if values[key] != value]
     if differ:
         raise ValueError(f"it differs from the trace in {differ}")
-    return config
+    return cfg
 
 
 @contextmanager
@@ -357,7 +362,7 @@ _TRACE_KEYS = {
         zip(*_table(v, _UNDELIVERED, read["levels"], "undelivered measurements")))),
     "event_log": ((list, _NULL), lambda v: None if v is None else [list(e) for e in v],
                   _read_event_log),
-    "config": ((dict, _NULL), None, _read_config),
+    "config": ((dict, _NULL), lambda v: None if v is None else v.to_dict(), _read_config),
     "config_hash": ((str, _NULL), None, None),
 }
 
@@ -421,12 +426,15 @@ class RunTrace:
     record_accounting: dict[str, int]
     undelivered: list[tuple[int, int, int]] = dataclasses.field(default_factory=list)
     event_log: list[tuple] | None = None
-    config: dict | None = None
-    config_hash: str | None = None
+    config: RunConfig | None = None
 
     @functools.cached_property
     def outcomes(self) -> list[MeasurementOutcome]:
         return derive_outcomes(self)
+
+    @property
+    def config_hash(self) -> str | None:
+        return None if self.config is None else self.config.config_hash()
 
     def to_dict(self, column=list) -> dict:
         """The trace in the saved layout, format :data:`TRACE_FORMAT`: every
@@ -457,9 +465,11 @@ class RunTrace:
         :class:`~synclab.protocol.RadioConfig`'s checks, and the accounting
         tables hold a count per bucket of :data:`PAIR_BUCKETS` and
         :data:`RECORD_BUCKETS`.  Each event-log row is a time within the run,
-        a trace node and a logged kind; a stored config must pass
-        :meth:`~synclab.config.RunConfig.from_dict` and agree with the
-        trace's scheme, seed, duration, tick and radio."""
+        a trace node and a logged kind; a stored config, its retired values
+        upgraded, must pass :meth:`~synclab.config.RunConfig.from_dict` and
+        agree with the trace's scheme, seed, duration, tick and radio, and a
+        stored ``config_hash`` must be the canonical hash of the config as
+        stored (before the upgrade)."""
         if type(data) is not dict:
             raise ValueError(f"a trace is a JSON object, got {data!r:.80}")
         if "format_version" not in data:
@@ -479,6 +489,9 @@ class RunTrace:
                 raise ValueError(f"trace key {key!r} is {what}")
             with _reading(key):
                 values[key] = value if read is None else read(value, values)
+        stamp, stored = values.pop("config_hash"), data.get("config")
+        if stamp is not None and (stored is None or stamp != canonical_hash(stored)):
+            raise ValueError(f"trace key 'config_hash' {stamp!r:.80} is not the config's hash")
         return RunTrace(**values)
 
 

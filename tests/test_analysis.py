@@ -42,6 +42,7 @@ from synclab.config import (
 )
 from synclab.protocol import (
     ALWAYS_ON,
+    BEACON,
     BUNDLE_ALL,
     BUNDLE_SELF,
     CONVENTIONAL_ONEWAY,
@@ -51,6 +52,7 @@ from synclab.protocol import (
     REVERSE_ONEWAY,
     REVERSE_TWOWAY,
     SCHEDULED_WAKE,
+    SCHEME_RULES,
     SCHEMES,
 )
 from synclab.simnet import LinkConfig
@@ -115,9 +117,8 @@ def test_table1_counts_full_grid():
         table1_counts(REVERSE_ONEWAY, 0, dur, m)
 
 
-@pytest.mark.parametrize("hops,mode", [(1, BUNDLE_SELF), (2, BUNDLE_SELF),
-                                       (4, BUNDLE_SELF), (1, BUNDLE_ALL),
-                                       (2, BUNDLE_ALL), (4, BUNDLE_ALL)])
+@pytest.mark.parametrize("hops,mode", [(hops, mode) for mode in (BUNDLE_SELF, BUNDLE_ALL)
+                                       for hops in range(1, 7)])
 def test_one_report_wave_matches_closed_form(hops, mode):
     # intervals longer than the run leave exactly one report wave
     cfg = RunConfig(
@@ -134,6 +135,25 @@ def test_one_report_wave_matches_closed_form(hops, mode):
     reports = [kinds.get(REPORT, (0, 0)) for node, kinds in trace.node_counts.items()
                if trace.levels[node] > 0]
     assert sum(tx + rx for tx, rx in reports) == count_proposed(hops, mode)
+
+
+@pytest.mark.parametrize("hops", range(1, 7))
+def test_steady_flood_wave_matches_closed_form(hops):
+    # a sensor rebroadcasts a beacon only once its two-point fit holds two,
+    # so flooding reaches hop k one wave later than hop k-1: over w waves hop
+    # k receives w - (k - 1) beacons.  Once every hop is reached, one more
+    # wave costs the closed form's flood: a receive per sensor and a
+    # rebroadcast per sensor with a child, 2(n-1)+1 events
+    def beacon_counts(waves):
+        cfg = RunConfig(scheme=CONVENTIONAL_ONEWAY, hops=hops, duration_ns=waves * S,
+                        si_ns=S, measurement_interval_ns=100 * S, report_interval_ns=None)
+        counts = run_config(cfg).node_counts
+        return [counts[k].get(BEACON, (0, 0)) for k in range(1, hops + 1)]
+
+    waves = 8
+    first, more = beacon_counts(waves), beacon_counts(waves + 1)
+    assert [rx for _, rx in first] == [waves - (k - 1) for k in range(1, hops + 1)]
+    assert sum(map(sum, more)) - sum(map(sum, first)) == count_conventional(hops, 0)
 
 
 def test_sensor_totals_excludes_head():
@@ -545,7 +565,7 @@ reverse_oneway_configs = st.fixed_dictionaries(
         "si_s": st.sampled_from([0.1, 0.25, 0.5, 1, 2]),
         "hops": st.integers(1, 4),
         "seed": st.integers(0, 2**32 - 1),
-        "bundling": st.sampled_from(["none", "self", "all"]),
+        "bundling": st.sampled_from(["self", "all"]),
         "bundle_size": st.integers(1, 4),
         "head": head_settings,
         "clock": st.fixed_dictionaries({
@@ -617,7 +637,7 @@ run_settings = st.fixed_dictionaries(
         "duration_s": st.integers(1, 30),
         "si_s": st.sampled_from([0.1, 0.25, 0.5, 1, 2]),
         "seed": st.integers(0, 2**32 - 1),
-        "bundling": st.sampled_from(["none", "self", "all"]),
+        "bundling": st.sampled_from(["self", "all"]),
         "bundle_size": st.integers(1, 4),
         "node": st.fixed_dictionaries({
             "method": st.sampled_from(["two-point", "window-lsq"]),
@@ -647,9 +667,16 @@ run_settings = st.fixed_dictionaries(
     optional={"report_interval_s": st.none()},
 )
 
-any_scheme_configs = st.tuples(scheme_and_hops, run_settings).map(
-    lambda parts: {**parts[0], **parts[1]}
-)
+
+def any_scheme_config(parts):
+    data = {**parts[0], **parts[1]}
+    # all-data bundling merges reports, which the conventional schemes never send
+    if not SCHEME_RULES[data["scheme"]].reports:
+        data["bundling"] = BUNDLE_SELF
+    return data
+
+
+any_scheme_configs = st.tuples(scheme_and_hops, run_settings).map(any_scheme_config)
 
 
 @settings(max_examples=60, deadline=None)

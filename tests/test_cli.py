@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from synclab.analysis import load_trace
 from synclab.cli import main
+from synclab.config import RunConfig, canonical_hash
 from synclab.estimators import HeadEstimator
 
 CONFIG = {"scheme": "reverse-oneway", "duration_s": 20, "si_s": 1}
@@ -61,22 +63,22 @@ FP32_FLOOD = {
         (
             {"method": "window-lsq", "window": 8, "precision": "fp32-chop"},
             ("991f95ffbddd470f86dc6cbb2a67e9ac8dd09517db23d938ac6859d59d544460",
-             "229d09dcbdba3756cc7690fbc820e96e35044de27700ff27b2a1c0782c8ec94c"),
+             "ab7d90d8e794a380fafb904ff0a8a470c787c3b7970809ec05ae2d28c54dbb4f"),
         ),
         (
             {"method": "two-point", "precision": "fp32-nearest"},
             ("ced9d034f456381809e9e4b52cd4f498c3839986bd7e6e72ff5564c6d0903fd8",
-             "b246440eb4bb09889bdae371e4a4bd04984596d162cb45c1dc60bb5633b22ab9"),
+             "bf90efa5451044786db8e7ae9c8015031b06a55e35189b60b3e624c80e4f57e4"),
         ),
         (
             {"method": "two-point", "precision": "fp32-chop"},
             ("6647b9642f89d2e66bb48fe5c219fcd4382ba86ab6ba6f6c8bb1ebc6b98f5262",
-             "4650b147e2c421debcd2feee9d94292ba3a34b56d63e939f2df445fdf4d09871"),
+             "75500d184b1f25de5f90b210a64e092263ae227914869afcca70abd23233137d"),
         ),
         (
             {"method": "window-lsq", "window": 8, "precision": "fp32-nearest"},
             ("5f5fe25a300758fcc729293b51a6683410783b00bf99ce75f86e61f367d69aa4",
-             "b347696704dd6246042a8039d162e965116f684adc3221508d68e8a5f6421bd6"),
+             "e7eef1cf73606e21afaa19ca71d07dddfa4ec83a78f32d69edd357788b0d3e81"),
         ),
     ],
     ids=["fp32-chop-window-lsq", "fp32-nearest-two-point",
@@ -109,7 +111,7 @@ def test_fp64_window_lsq_node_run_outputs_are_pinned(tmp_path):
         for name in ("measurements.csv", "summary.json")
     )
     assert got == ("39bf56661e845a2d9b4e73664c7cc430aa9a7f0f2d18d4a3b9d969013a2c6383",
-                   "74b5091f42bc3322e1c90dd359d2f0a35c0998bd58debe7407c212dac1df7cae")
+                   "8d19120cd28a9d69b10812dd9234e458f54850a74ef950c157a575f86636c275")
 
 
 REVERSE_CHAIN = {
@@ -182,15 +184,15 @@ def test_reverse_oneway_replays_are_pinned(tmp_path, reverse_chain_trace, args, 
         (
             {"scheme": "reverse-twoway", "duration_s": 60, "si_s": 1, "seed": 7},
             ("fe27b7fa4011375ed5c22da042fdaa9b9b9d437898b6e3e8a0fe24a453f06abe",
-             "8b0c8cc57eba89ee7d3e6f97c0684064b761cde2ad0b270e7c95f0a86089d5a8",
-             "9432fb4bbf3ec196b0d337e8ea4dbfe56f6671272256ded717b44e216278fc03",
+             "9c05f16d5ad79ed6b061dae33265c802851c0ad1f0219a749fae649683ab7787",
+             "08e1ff00c9c3aef677caff1573a11be9e59b467a57a9e188370a41b9858a4269",
              "4fa408c254b01e577c9f1ecaafba81215bf284ed86a9bfa6de2e2e57434a75b3"),
         ),
         (
             {"scheme": "conventional-twoway", "duration_s": 60, "si_s": 1, "seed": 7},
             ("ffcb1ff381f4d522bd9b3aeca1d12ca5f819812ce5bc7c6221d3a364a371fefc",
-             "6a156f3cc2d3fa90e62a5bffdea2fb7f203f3613db3a59dc845f6cf20bd281f9",
-             "002dbcc013011fead2c6d972cb82cd8f4a506056c786e01752fbfc42be9c1e7f",
+             "8ad6e63f3a8964c9abbe1e780619903075a9a27c270c785004dbd1fb86c62563",
+             "5517ccbfc3598d511078c3cc01c0bd564752c2395946f3cbbb0ba2853fc98faf",
              "ab30115a5feceb5c9bf71a71402778208b55d786737975640fa50e99a067a281"),
         ),
         (
@@ -207,8 +209,8 @@ def test_reverse_oneway_replays_are_pinned(tmp_path, reverse_chain_trace, args, 
              "seed": 7, "report_interval_s": None, "bundle_size": 3,
              "node": {"precision": "fp64"}, "radio": {"schedule": "lpl"}},
             ("fc5801ba2114ca94d96f8a72a7d4efcd5d4f9c0d48aa706d802d9ddfd1cd5a9e",
-             "9cebaadf2b81df6b26e39256db3e176a0b0fde0c86bef69080d176ad18415de7",
-             "ceb248ceb3abe252779a675e5b7699af29be29c43bff395eb76d3723bec2ab37",
+             "6b3703480006651f81cc8c055978ef8712a7ca310493ec518aa6d71d112cdc39",
+             "a0455d065cb2db661ea9a74894395c2d0008f870d9997cf010fd906f6fe928d1",
              "8c9ec22ea8bd5761634a7a79999cf3bbba714ccce7dba6d434a2235235f1e3aa"),
         ),
     ],
@@ -242,7 +244,7 @@ def test_engine_paths_outputs_are_pinned(tmp_path, config, digests):
             {"scheme": "reverse-oneway", "duration_s": 10, "si_s": 1,
              "clock": {"offset_us": 1e20}},
             ("dd6b8b813d4404099fdff9876d8c7a55fee532380211a1199ada9c09f6a4e87d",
-             "a65fc04c4450ef29b199b95bc32f681b11445e404dce6173b63299ad2ff09d2c"),
+             "af1368272c53576036f80aea6ccce4fe00769b2acbadc3f1ecfe4fe3dd4e0c58"),
         ),
         (
             {"scheme": "reverse-oneway", "duration_s": 20, "si_s": 1, "hops": 3,
@@ -253,7 +255,7 @@ def test_engine_paths_outputs_are_pinned(tmp_path, config, digests):
         (
             {"scheme": "reverse-oneway", "duration_s": 1e12, "si_s": 1e11},
             ("cb250bb0febea1c9b218a34a9501ba8d9e9a95067643419d0392a6fc76623fd5",
-             "714aca85906ad609b5487033c9802956663cdfab6d42e38e19f6962f42457ae8"),
+             "ecf7b8a6d1278c32c4637b7ab1ed70fe9621c8ba45f8c783a85177bd916e2261"),
         ),
     ],
     ids=["far-offset", "tick-free", "long"],
@@ -350,10 +352,13 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     (bad_energy, extra_column, cut_column, bad_version, unknown_origin,
      string_stamp, wrong_layer, huge_tick, inf_stamp, inf_ticks) = (
         json.loads(saved) for _ in range(10))
-    # event-log rows that are not [t_ns, node, kind], and a stored config
-    # that does not parse or names another run
-    short_event, unknown_node, other_scheme, string_hops = (
-        json.loads(saved) for _ in range(4))
+    # event-log rows that are not [t_ns, node, kind], a stored config that
+    # does not parse or names another run, and a config hash that is not the
+    # stored config's, or names no config
+    short_event, unknown_node, other_scheme, string_hops, bad_hash, hash_of_none = (
+        json.loads(saved) for _ in range(6))
+    bad_hash["config_hash"] = "not-a-hash"
+    hash_of_none["config"] = None
     short_event["event_log"].insert(3, [1, 2])
     unknown_node["event_log"].append([1, 99, "tx-report"])
     other_scheme["config"]["scheme"] = "conventional-oneway"
@@ -433,6 +438,8 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         (unknown_node, "'event_log'"),
         (other_scheme, "'config'"),
         (string_hops, "'config'"),
+        (bad_hash, "'config_hash'"),
+        (hash_of_none, "'config_hash'"),
         (old_extra_key, "'outcomes'"),
         (old_cut_event, "'head_events'"),
         (old_unknown_origin, "'head_events'"),
@@ -470,6 +477,53 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         err = capsys.readouterr().err
         assert "error:" in err and named in err, err
         assert not (out / "measurements.csv").exists(), named
+
+
+def test_a_retired_bundling_is_upgraded_on_load(tmp_path, config_path, capsys):
+    # a saved trace of a default-bundling run stored "none" until that value
+    # was retired; it loads as "self", which ran the same
+    run_dir = tmp_path / "run"
+    main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace"])
+    data = json.loads((run_dir / "trace.json").read_text())
+    data["config"]["bundling"] = "none"
+    data["config_hash"] = canonical_hash(data["config"])
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data))
+    assert load_trace(old).config.bundling == "self"
+    out = tmp_path / "replayed"
+    assert main(["replay", "--trace", str(old), "--out-dir", str(out), "--save-trace"]) == 0
+    live = (run_dir / "measurements.csv").read_bytes()
+    assert (out / "measurements.csv").read_bytes() == live
+    # a re-saved trace carries the upgraded config, named by its own hash
+    saved = json.loads((out / "trace.json").read_text())
+    assert saved["config"]["bundling"] == "self"
+    assert saved["config_hash"] == canonical_hash(saved["config"]) != data["config_hash"]
+    again = tmp_path / "again"
+    assert main(["replay", "--trace", str(out / "trace.json"), "--out-dir", str(again)]) == 0
+    assert (again / "measurements.csv").read_bytes() == live
+    # a value that was never one is still an error
+    data["config"]["bundling"] = "bogus"
+    data["config_hash"] = canonical_hash(data["config"])
+    old.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(old), "--out-dir", str(tmp_path / "bogus")]) == 2
+    assert "'config'" in capsys.readouterr().err
+
+
+def test_replay_parses_the_stored_config_once(tmp_path, config_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    main(["run", "--config", str(config_path), "--out-dir", str(run_dir), "--save-trace"])
+    calls = []
+    from_dict = RunConfig.from_dict
+
+    def counted(data):
+        calls.append(data)
+        return from_dict(data)
+
+    monkeypatch.setattr(RunConfig, "from_dict", staticmethod(counted))
+    out = tmp_path / "replayed"
+    assert main(["replay", "--trace", str(run_dir / "trace.json"), "--out-dir", str(out)]) == 0
+    assert len(calls) == 1
 
 
 def replay_with_a_huge_stamp(tmp_path, *args):

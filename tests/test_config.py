@@ -204,9 +204,14 @@ def test_parse_error_paths():
         parse_config({**MINIMAL, "duration_s": "long"})
     with pytest.raises(ConfigError):
         parse_config({**MINIMAL, "duration_s": -5})
-    for bundling in ("zip", "self-data", "all-data"):
+    # "none", retired, ran as "self"; a stored one is upgraded on trace load
+    for bundling in ("zip", "self-data", "all-data", "none"):
         with pytest.raises(ConfigError):
             parse_config({**MINIMAL, "bundling": bundling})
+    # all-data bundling merges reports, which the conventional schemes never send
+    for scheme in (CONVENTIONAL_ONEWAY, CONVENTIONAL_TWOWAY):
+        with pytest.raises(ConfigError, match="'all'"):
+            parse_config({**MINIMAL, "scheme": scheme, "bundling": "all"})
     with pytest.raises(ConfigError):
         parse_config({**MINIMAL, "clock": {"drift": {"kind": "brownian"}}})
     with pytest.raises(ConfigError):
@@ -425,16 +430,16 @@ PINNED_UNITS = {
 @pytest.mark.parametrize(
     "build, digest",
     [
-        (RunConfig, "6adb439c6e26e93a"),
-        (lambda: parse_config(MINIMAL), "6adb439c6e26e93a"),
+        (RunConfig, "554c54d126d4e0b0"),
+        (lambda: parse_config(MINIMAL), "554c54d126d4e0b0"),
         (multihop_accuracy_config, "ba64d0cc144321e4"),
         (
             lambda: energy_comparison_config(CONVENTIONAL_ONEWAY, schedule="lpl"),
-            "dc8295f8bea28334",
+            "d0320466121ac09a",
         ),
         (
             lambda: table1_config(CONVENTIONAL_TWOWAY, 10.0, seed=3),
-            "b275870a41471e87",
+            "dded599ae3515c8d",
         ),
         # int energy values still hash as floats, "voltage_v": 3.0
         (lambda: parse_config(PINNED_UNITS), "7837288572cb7dc7"),

@@ -25,7 +25,6 @@ from synclab.protocol import (
     ALWAYS_ON,
     BEACON,
     BROADCAST,
-    BUNDLE_NONE,
     CONVENTIONAL_ONEWAY,
     CONVENTIONAL_TWOWAY,
     FP32_CHOP,
