@@ -193,6 +193,28 @@ class HardwareClock:
             return phase
         return math.floor(phase / self._tick_ns)
 
+    def read_array(self, t: np.ndarray) -> np.ndarray:
+        """:meth:`read` at each time of an int64 array, with the same fp64
+        operations in the same order: float64 phases, or int64 ticks (which
+        must fit in int64).  numpy converts int64 to float64 with the same
+        rounding as Python's ``float(int)``, so each value equals ``read``'s."""
+        if t.size and t.min() < 0:
+            raise TimeRegressionError(
+                f"clock read at t={t.min()}, before simulation time 0")
+        if self._phases is None:
+            phase = self._ratio * t + self._offset
+        else:
+            k = t // self._step_ns
+            if t.size and k.max() >= len(self._phases):
+                self._grow(int(k.max()))
+            # copies, so the tables export no buffer when they next grow
+            phases = np.frombuffer(self._phases)[k]
+            rates = np.frombuffer(self._rates)[k]
+            phase = phases + rates * (t - k * self._step_ns)
+        if self._tick_ns is None:
+            return phase
+        return np.floor(phase / self._tick_ns).astype(np.int64)
+
     def rate(self, t: SimTime) -> float:
         """The clock rate (1 + skew) over the drift segment holding ``t``."""
         if self._rates is None:

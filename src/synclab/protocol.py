@@ -176,13 +176,14 @@ class Message(namedtuple(
 
     @property
     def size_bytes(self) -> int:
-        size = HEADER_BYTES
-        if self.send_stamp is not None:
-            size += TIMESTAMP_BYTES
-        size += TIMESTAMP_BYTES * len(self.extra_stamps)
-        size += 2 * TIMESTAMP_BYTES * len(self.hop_records)
-        size += RECORD_BYTES * len(self.bundle)
-        return size
+        stamps = (self.send_stamp is not None) + len(self.extra_stamps)
+        return frame_bytes(stamps, len(self.hop_records), len(self.bundle))
+
+
+def frame_bytes(stamps: int, pairs: int, records: int) -> int:
+    """Wire size of a frame carrying that many timestamps, forwarded pairs
+    and measurement records."""
+    return HEADER_BYTES + TIMESTAMP_BYTES * (stamps + 2 * pairs) + RECORD_BYTES * records
 
 
 class JitterModel:
@@ -217,17 +218,35 @@ class JitterModel:
     def zero() -> "JitterModel":
         return JitterModel(0)
 
-    def sample(self, side: str) -> int:
+    def _side(self, side: str) -> list[int]:
         ahead = self._ahead.get(side)
         if ahead is None:
             raise ValueError(f"unknown SFD side {side!r}")
+        return ahead
+
+    def _block(self, side: str) -> list[int]:
+        w = self.width_ns
+        return self._rng[side].integers(-w, w + 1, size=JITTER_BLOCK).tolist()
+
+    def sample(self, side: str) -> int:
+        ahead = self._side(side)
         if self.width_ns == 0:
             return 0
         if not ahead:
-            w = self.width_ns
-            block = self._rng[side].integers(-w, w + 1, size=JITTER_BLOCK)
-            ahead.extend(block.tolist()[::-1])
+            ahead.extend(self._block(side)[::-1])
         return ahead.pop()
+
+    def sample_many(self, side: str, count: int) -> np.ndarray:
+        """The side's next ``count`` values as an int64 array: what ``count``
+        calls of :meth:`sample` would return, drawn in the same blocks."""
+        ahead = self._side(side)
+        if self.width_ns == 0:
+            return np.zeros(count, np.int64)
+        values = ahead[::-1]
+        while len(values) < count:
+            values += self._block(side)
+        ahead[:] = values[count:][::-1]
+        return np.array(values[:count], np.int64)
 
 
 @dataclass(frozen=True)
@@ -247,12 +266,21 @@ class RadioConfig:
             raise ValueError("lpl duty must be in (0, 1]")
 
     def airtime_s(self, message: Message) -> float:
-        return message.size_bytes * 8 / self.bitrate_bps
+        return self.bytes_airtime_s(message.size_bytes)
+
+    def bytes_airtime_s(self, size_bytes: int) -> float:
+        return size_bytes * 8 / self.bitrate_bps
 
 
 def default_radio_schedule(scheme: str) -> str:
     """Reverse schemes duty-cycle the radio; conventional ones listen always."""
     return SCHEDULED_WAKE if SCHEME_RULES[scheme].reports else ALWAYS_ON
+
+
+def sync_gated(t: int, last_sync_tx_ns: int | None, si_ns: int) -> bool:
+    """Whether a timestamp-only report at ``t`` is held back: the node's last
+    sync-bearing frame went out less than one sync interval before."""
+    return last_sync_tx_ns is not None and t - last_sync_tx_ns < si_ns
 
 
 class NodeState:
@@ -340,8 +368,7 @@ class NodeState:
             scheduled
             and not self.records
             and not self.pending_pairs
-            and self.last_sync_tx_ns is not None
-            and t - self.last_sync_tx_ns < self.si_ns
+            and sync_gated(t, self.last_sync_tx_ns, self.si_ns)
         ):
             return None
         records = tuple(self.records)

@@ -306,8 +306,9 @@ _RETIRED = {"bundling": {"none": "self"}}
 
 def _read_config(config, values) -> RunConfig | None:
     """The run's config, its retired values upgraded, which must parse and
-    name the trace's scheme, seed, duration, tick and radio.  Head settings
-    may differ: a replay saves new ones beside the run's config."""
+    name the trace's scheme, seed, duration, tick, radio and hop count (its
+    deepest level).  Head settings may differ: a replay saves new ones beside
+    the run's config."""
     if config is None:
         return None
     config = {**config, **{key: new for key, retired in _RETIRED.items()
@@ -317,7 +318,9 @@ def _read_config(config, values) -> RunConfig | None:
     except ConfigError as exc:
         raise ValueError(exc) from exc
     ran = {"scheme": cfg.scheme, "seed": cfg.seed, "duration_ns": cfg.duration_ns,
-           "tick_ns": cfg.clock.tick_ns, "radio": dataclasses.asdict(cfg.radio_config())}
+           "tick_ns": cfg.clock.tick_ns, "radio": dataclasses.asdict(cfg.radio_config()),
+           "hops": cfg.hops}
+    values = {**values, "hops": max(values["levels"].values())}
     differ = [key for key, value in ran.items() if values[key] != value]
     if differ:
         raise ValueError(f"it differs from the trace in {differ}")

@@ -48,6 +48,7 @@ from synclab.protocol import (
     CONVENTIONAL_ONEWAY,
     CONVENTIONAL_TWOWAY,
     LPL,
+    MEASUREMENT,
     REPORT,
     REVERSE_ONEWAY,
     REVERSE_TWOWAY,
@@ -154,6 +155,46 @@ def test_steady_flood_wave_matches_closed_form(hops):
     first, more = beacon_counts(waves), beacon_counts(waves + 1)
     assert [rx for _, rx in first] == [waves - (k - 1) for k in range(1, hops + 1)]
     assert sum(map(sum, more)) - sum(map(sum, first)) == count_conventional(hops, 0)
+
+
+@pytest.mark.parametrize("hops", range(1, 7))
+def test_flood_measurement_wave_matches_closed_form(hops):
+    # one beacon in the run (SI 100 s) and no report schedule: each sensor
+    # sends a measurement frame per record, and every frame climbs the chain
+    # hop by hop, so one more measurement round adds the closed form's
+    # measurement events, 2(i-1)+1 from hop i, n^2 over the chain
+    def measurement_events(waves):
+        cfg = RunConfig(scheme=CONVENTIONAL_ONEWAY, hops=hops, duration_ns=waves * S,
+                        si_ns=100 * S, measurement_interval_ns=S, report_interval_ns=None)
+        counts = run_config(cfg).node_counts
+        return sum(sum(counts[k].get(MEASUREMENT, (0, 0))) for k in range(1, hops + 1))
+
+    added = count_conventional(hops, 1) - count_conventional(hops, 0)
+    assert measurement_events(9) - measurement_events(8) == added == hops**2
+
+
+schedule_settings = st.fixed_dictionaries({
+    "hops": st.integers(1, 6),
+    "duration_s": st.integers(1, 30),
+    "seed": st.integers(0, 2**32 - 1),
+    "si_s": st.sampled_from([0.25, 0.5, 1, 2]),
+    "measurement_interval_s": st.sampled_from([0.1, 0.37, 0.5, 1, 3]),
+    "report_interval_s": st.sampled_from([0.5, 1, 2]),
+})
+
+
+@settings(max_examples=30, deadline=None)
+@given(schedule_settings)
+def test_the_measurement_schedule_does_not_depend_on_the_scheme(data):
+    # at loss 0 the two one-way schemes take the same measurements at the
+    # same instants, delivered or not; a lossless reverse run is walked and a
+    # conventional one goes through the heap loop, so this holds the walk's
+    # schedule against the heap loop's
+    def schedule(scheme):
+        trace = run_config(parse_config({**data, "scheme": scheme}))
+        return {(o.origin, o.seq, o.true_ns) for o in trace.outcomes}
+
+    assert schedule(REVERSE_ONEWAY) == schedule(CONVENTIONAL_ONEWAY)
 
 
 def test_sensor_totals_excludes_head():

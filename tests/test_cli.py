@@ -355,14 +355,17 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
     # event-log rows that are not [t_ns, node, kind], a stored config that
     # does not parse or names another run, and a config hash that is not the
     # stored config's, or names no config
-    short_event, unknown_node, other_scheme, string_hops, bad_hash, hash_of_none = (
-        json.loads(saved) for _ in range(6))
+    (short_event, unknown_node, other_scheme, string_hops, bad_hash, hash_of_none,
+     other_hops) = (json.loads(saved) for _ in range(7))
     bad_hash["config_hash"] = "not-a-hash"
     hash_of_none["config"] = None
     short_event["event_log"].insert(3, [1, 2])
     unknown_node["event_log"].append([1, 99, "tx-report"])
     other_scheme["config"]["scheme"] = "conventional-oneway"
     string_hops["config"]["hops"] = "three"
+    # a hop count the trace's levels do not have, under its own hash
+    other_hops["config"]["hops"] = 6
+    other_hops["config_hash"] = canonical_hash(other_hops["config"])
     bad_energy["config"]["energy"] = {"i_tx": 0.02}
     extra_column["undelivered"]["extra"] = []
     cut_column["head_events"]["pair"]["t_child"].pop()
@@ -438,6 +441,7 @@ def test_malformed_trace_is_a_usage_error(tmp_path, config_path, capsys):
         (unknown_node, "'event_log'"),
         (other_scheme, "'config'"),
         (string_hops, "'config'"),
+        (other_hops, "'config'"),
         (bad_hash, "'config_hash'"),
         (hash_of_none, "'config_hash'"),
         (old_extra_key, "'outcomes'"),

@@ -90,6 +90,34 @@ def test_read_rejects_time_regression(seed, tick_ns, times):
             c.read(-1)
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    tick_ns=st.sampled_from([None, 1, TICK_1US_NS, TICK_32KHZ_NS, 10**6]),
+    walk=st.booleans(),
+    skew=st.floats(min_value=-400, max_value=400),
+    offset=st.floats(min_value=-1e12, max_value=1e12),
+    times=st.lists(st.integers(min_value=0, max_value=3 * DRIFT_BLOCK * NS_PER_S), max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_array_read_equals_scalar_reads(seed, tick_ns, walk, skew, offset, times):
+    # the bulk read repeats read()'s fp64 operations, so each value is the
+    # scalar read's bit for bit, in any order, at drift segment edges (k *
+    # step and one ns either side) and across table growth
+    def build():
+        drift = DriftModel.random_walk(0.5, step_ns=NS_PER_S // 4) if walk else None
+        return HardwareClock(ClockParams(1 + skew * 1e-6, offset), tick_ns=tick_ns,
+                             drift=drift, rng=np.random.default_rng(seed))
+    edges = [k * NS_PER_S // 4 + d for k in (1, DRIFT_BLOCK, 2 * DRIFT_BLOCK) for d in (-1, 0, 1)]
+    t = [*times, *edges, 0]
+    scalar, bulk = build(), build()
+    got = bulk.read_array(np.array(t, np.int64))
+    assert got.dtype == (np.float64 if tick_ns is None else np.int64)
+    assert got.tolist() == [scalar.read(x) for x in t]
+    assert bulk.read_array(np.array([], np.int64)).size == 0
+    with pytest.raises(TimeRegressionError):
+        bulk.read_array(np.array([5, -1, 7], np.int64))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7919])
 @pytest.mark.parametrize("sigma_ppm", [0.02, 0.5, 50.0])
 def test_drift_blocks_equal_scalar_draws(sigma_ppm, seed):

@@ -162,6 +162,31 @@ def test_jitter_blocks_equal_scalar_draws(width, seed):
         assert got == int(twins[side].integers(-width, width + 1))
 
 
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("width", [1, 5_000])
+def test_bulk_jitter_draws_continue_the_scalar_sequence(width, seed):
+    # a walked run draws a node's jitter in bulk and a heap run one value at
+    # a time; mixed on one side, they hand out the scalar sequence
+    send, recv = np.random.SeedSequence(seed).spawn(2)
+    mixed = JitterModel(width, np.random.default_rng(send), np.random.default_rng(recv))
+    scalar = JitterModel(width, np.random.default_rng(send), np.random.default_rng(recv))
+    for side in (SEND, RECEIVE):
+        got = []
+        # empty, shorter and longer than what is drawn ahead, across block edges
+        for count in (0, 3, 1, JITTER_BLOCK, 0, 2 * JITTER_BLOCK + 5, 1, 7):
+            if count == 1:
+                got.append(mixed.sample(side))
+                continue
+            bulk = mixed.sample_many(side, count)
+            assert bulk.dtype == np.int64 and bulk.shape == (count,)
+            got += bulk.tolist()
+        assert got == [scalar.sample(side) for _ in got]
+    zero = JitterModel.zero().sample_many(SEND, 4)
+    assert zero.dtype == np.int64 and zero.tolist() == [0] * 4
+    with pytest.raises(ValueError):
+        JitterModel.zero().sample_many("sideways", 1)
+
+
 def test_sfd_timestamp_without_jitter_is_clock_read():
     node = make_node(tick_ns=1000)
     assert node.stamp(SEND, 5_000_500) == 5000

@@ -1,6 +1,7 @@
 """Discrete-event engine tests: topology, accounting, determinism."""
 
 import gc
+import heapq
 import json
 import math
 import weakref
@@ -8,6 +9,8 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synclab.clock import ClockConfig, ClockParams
 from synclab.config import RunConfig, parse_config, table1_config
@@ -227,18 +230,24 @@ def test_trace_round_trips_through_json():
     assert restored.chains == trace.chains
 
 
-@pytest.mark.parametrize("scheme", [REVERSE_ONEWAY, CONVENTIONAL_ONEWAY, REVERSE_TWOWAY])
-def test_finished_engine_is_freed_without_the_cycle_collector(scheme):
+@pytest.mark.parametrize("scheme, report_interval_ns", [
+    pytest.param(REVERSE_ONEWAY, None, id=REVERSE_ONEWAY),
+    pytest.param(CONVENTIONAL_ONEWAY, None, id=CONVENTIONAL_ONEWAY),
+    pytest.param(REVERSE_TWOWAY, None, id=REVERSE_TWOWAY),
+    pytest.param(REVERSE_ONEWAY, S, id="reverse-oneway-walk"),
+])
+def test_finished_engine_is_freed_without_the_cycle_collector(scheme, report_interval_ns):
     # a run's state (nodes, clocks, outcomes) is freed as soon as the last
     # reference to its engine goes; a reference cycle through the engine
     # would hold it until the cyclic collector runs, which raises peak memory
     cfg = RunConfig(
         scheme=scheme, duration_ns=5 * S, seed=2, si_ns=S,
-        measurement_interval_ns=S, report_interval_ns=None,
+        measurement_interval_ns=S, report_interval_ns=report_interval_ns,
     )
     gc.disable()
     try:
         engine = Engine(cfg)
+        assert engine.walks == (report_interval_ns is not None)
         engine.run()
         ref = weakref.ref(engine)
         del engine
@@ -274,3 +283,89 @@ def test_undelivered_measurements_get_placeholder_outcomes():
     # outcomes appear in deterministic (origin, seq) order per origin
     seqs = [o.seq for o in trace.outcomes if o.origin == 1 and o.reason == "undelivered"]
     assert seqs == sorted(seqs)
+
+
+# 96 hops put the first report of the hop-1 sensor and one of its
+# measurements on the same nanosecond (1.06 s), which the heap orders by
+# insertion, so the run declines the walk
+TIED = {"scheme": "reverse-oneway", "hops": 96, "duration_s": 5, "si_s": 1}
+
+
+def test_a_walked_run_never_touches_the_heap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("heappush")
+
+    monkeypatch.setattr(heapq, "heappush", refuse)
+    engine = Engine(parse_config({**CHAIN_RUN, "duration_s": 30}))
+    assert engine.walks
+    assert engine.run().record_accounting["delivered"] > 100
+    engine = Engine(parse_config(TIED))
+    assert not engine.walks
+    with pytest.raises(AssertionError, match="heappush"):
+        engine.run()
+
+
+def test_only_a_lossless_reverse_oneway_schedule_is_walked():
+    walked = parse_config({**CHAIN_RUN, "duration_s": 30})
+    assert Engine(walked).walks
+    for declined in (
+        walked.replace(link=LinkConfig(loss=0.01)),
+        walked.replace(report_interval_ns=None),
+        walked.replace(collect_events=True),
+        walked.replace(scheme=CONVENTIONAL_ONEWAY),
+        parse_config(TIED),
+        # stamps past int64 go into list columns
+        parse_config({**CHAIN_RUN, "clock": {"offset_us": 1e20}}),
+    ):
+        assert not Engine(declined).walks
+
+
+walk_configs = st.fixed_dictionaries({
+    "scheme": st.just(REVERSE_ONEWAY),
+    "hops": st.one_of(st.integers(1, 8), st.integers(9, 100)),
+    "duration_s": st.floats(0.2, 3.0),
+    "seed": st.integers(0, 2**32 - 1),
+    "si_s": st.sampled_from([0.05, 0.37, 0.5, 1, 2]),
+    "measurement_interval_s": st.sampled_from([0.05, 0.1, 0.3, 0.5, 1, 2]),
+    "report_interval_s": st.sampled_from([0.05, 0.1, 0.25, 0.5, 1, 2]),
+    "bundling": st.sampled_from(["self", "all"]),
+    "clock": st.fixed_dictionaries({
+        "tick_us": st.sampled_from([None, 1, 30.5, 1000]),
+        "drift": st.sampled_from([
+            {"kind": "constant"},
+            {"kind": "random-walk", "sigma_ppm": 0.05, "step_s": 0.25},
+        ]),
+    }),
+    "link": st.fixed_dictionaries({
+        "jitter_us": st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        "propagation_us": st.sampled_from([0, 1, 3]),
+    }),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_configs)
+# a walked run
+@example({**CHAIN_RUN, "duration_s": 20})
+# a tie that falls back to the heap
+@example(TIED)
+# the horizon falls between a frame reaching hop 2 (1.110001 s) and its relay
+# (1.111001 s), and on each of those two instants, which never happen
+@example({"scheme": "reverse-oneway", "hops": 3, "duration_s": 1.1105, "si_s": 1, "seed": 4})
+@example({"scheme": "reverse-oneway", "hops": 3, "duration_s": 1.110001, "si_s": 1})
+@example({"scheme": "reverse-oneway", "hops": 3, "duration_s": 1.111001, "si_s": 1})
+# reports every 0.1 s and records every 0.5 s: the timestamp-only gate holds
+# back most of the hop-2 sensor's reports
+@example({"scheme": "reverse-oneway", "hops": 2, "duration_s": 3, "si_s": 1,
+          "measurement_interval_s": 0.5, "report_interval_s": 0.1})
+def test_a_walked_run_is_the_heap_loops_run(data):
+    # an event log sends a run to the heap loop; everything else the run
+    # records is the same either way
+    cfg = parse_config(data)
+    walked, heap = Engine(cfg).run(), Engine(cfg.replace(collect_events=True)).run()
+    assert walked.head_events == heap.head_events
+    assert walked.node_counts == heap.node_counts
+    assert walked.airtime == heap.airtime
+    assert walked.pair_accounting == heap.pair_accounting
+    assert walked.record_accounting == heap.record_accounting
+    assert walked.undelivered == heap.undelivered
